@@ -71,7 +71,6 @@ func benchmarkInterp(b *testing.B, newApp func() (*workloads.App, error), legacy
 	fn := app.Spec.Fn
 	ip := mir.NewInterp(1 << 16)
 	ip.Legacy = legacy
-	ip.MaxSteps = 1 << 62 // benchmarks accumulate steps across b.N runs
 	base, err := ip.Mem.Alloc(8 * 2048)
 	if err != nil {
 		b.Fatal(err)
@@ -503,9 +502,15 @@ func (d *benchDevice) Program(*xclbin.XCLBIN, func()) error { return nil }
 
 // benchmarkDecide measures one Algorithm 2 decision per iteration on
 // an 8-ARM-node, 4-card fleet under the given placement policy, with
-// the load high enough that every request scores the whole ARM
-// candidate set — the placement hot path of a serving campaign.
+// the load high enough that every request places on the ARM class —
+// the placement hot path of a serving campaign.
 func benchmarkDecide(b *testing.B, policy sched.PlacementPolicy) {
+	benchmarkDecideLoads(b, policy, []int{9, 4, 7, 2, 8, 3, 6, 5})
+}
+
+// benchmarkDecideLoads is benchmarkDecide over one ARM node per entry
+// of loads, each carrying that many resident processes.
+func benchmarkDecideLoads(b *testing.B, policy sched.PlacementPolicy, loads []int) {
 	tab := threshold.NewTable()
 	if err := tab.Add(threshold.Record{
 		App: "app", Kernel: "KNL", FPGAThr: 60, ARMThr: 16,
@@ -515,10 +520,11 @@ func benchmarkDecide(b *testing.B, policy sched.PlacementPolicy) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	loads := []int{9, 4, 7, 2, 8, 3, 6, 5}
 	nodes := make([]int, len(loads))
-	for i := range nodes {
+	idx := sched.NewLoadIndex(len(loads))
+	for i, l := range loads {
 		nodes[i] = i + 1
+		idx.Add(i, l)
 	}
 	devs := make([]sched.Device, 4)
 	for i := range devs {
@@ -526,7 +532,7 @@ func benchmarkDecide(b *testing.B, policy sched.PlacementPolicy) {
 	}
 	fleet := sched.Fleet{
 		ARMNodes:  nodes,
-		NodeLoad:  func(id int) int { return loads[id-1] },
+		Loads:     idx,
 		NodeCores: func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration {
 			return time.Duration(id) * 10 * time.Millisecond
@@ -549,7 +555,24 @@ func benchmarkDecide(b *testing.B, policy sched.PlacementPolicy) {
 // layer (DESIGN.md §8): the default rule must stay allocation-free
 // and the richer policies within the same order of magnitude, so
 // placement never becomes the serving bottleneck.
-func BenchmarkDecideDefault(b *testing.B)   { benchmarkDecide(b, nil) }
+func BenchmarkDecideDefault(b *testing.B) { benchmarkDecide(b, nil) }
+
+// benchmarkDecideDefaultN runs the default rule over n ARM nodes at the
+// scale of the rack256 (192) and rack1024 (768) fleets. Every node
+// carries three processes except the last, which carries two, so the
+// least-loaded pick sits at the far end of fleet order.
+func benchmarkDecideDefaultN(b *testing.B, n int) {
+	loads := make([]int, n)
+	for i := range loads {
+		loads[i] = 3
+	}
+	loads[n-1] = 2
+	benchmarkDecideLoads(b, nil, loads)
+}
+
+func BenchmarkDecideDefault192(b *testing.B) { benchmarkDecideDefaultN(b, 192) }
+func BenchmarkDecideDefault768(b *testing.B) { benchmarkDecideDefaultN(b, 768) }
+
 func BenchmarkDecideLinkAware(b *testing.B) { benchmarkDecide(b, sched.LinkAwarePolicy{}) }
 func BenchmarkDecideAffinity(b *testing.B) {
 	benchmarkDecide(b, sched.NewAffinityPolicy(map[string]int{"KNL": 2}))

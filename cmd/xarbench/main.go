@@ -40,6 +40,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,8 +60,22 @@ const seed = 2021 // the paper's year
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "xarbench:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError marks a flag value the command line cannot run with.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// exitCode maps run's error to the process status: 2 for usage
+// errors, as the flag package does, 1 for everything else.
+func exitCode(err error) int {
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 func run(args []string, out io.Writer) error {
@@ -79,6 +94,10 @@ func run(args []string, out io.Writer) error {
 	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d: must be non-negative", *shards)
+	}
+	if *runs < 1 {
+		fs.Usage()
+		return usageError{fmt.Sprintf("-runs %d: need at least one run", *runs)}
 	}
 	if !*all && *table == 0 && *figure == 0 && !*serving && *campaign == "" {
 		fs.Usage()

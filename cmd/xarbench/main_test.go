@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +131,22 @@ func TestShardsRejectsNegative(t *testing.T) {
 	if err := run([]string{"-serving", "-shards", "-2"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "non-negative") {
 		t.Fatalf("err = %v, want non-negative rejection", err)
+	}
+}
+
+func TestRunsBelowOneIsUsageError(t *testing.T) {
+	for _, runs := range []string{"0", "-3"} {
+		var out strings.Builder
+		err := run([]string{"-figure", "3", "-runs", runs}, &out)
+		if err == nil || !strings.Contains(err.Error(), "at least one run") {
+			t.Fatalf("-runs %s: err = %v, want a run-count rejection", runs, err)
+		}
+		if code := exitCode(err); code != 2 {
+			t.Fatalf("-runs %s: exit status %d, want 2 (usage)", runs, code)
+		}
+	}
+	if code := exitCode(errors.New("figure 3: boom")); code != 1 {
+		t.Fatalf("runtime error exit status %d, want 1", code)
 	}
 }
 

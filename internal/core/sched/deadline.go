@@ -37,20 +37,7 @@ func (DeadlinePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
 	case "critical":
 		return LinkAwarePolicy{}.PickARMNode(ctx, f)
 	case "batch":
-		best, bestLoad, found := 0, 0, false
-		for _, id := range f.ARMNodes {
-			if !f.NodeUp(id) {
-				continue
-			}
-			l := 0
-			if f.NodeLoad != nil {
-				l = f.NodeLoad(id)
-			}
-			if !found || l > bestLoad {
-				best, bestLoad, found = id, l, true
-			}
-		}
-		return best, found
+		return f.armNode(f.Loads.Most(f.upAt))
 	default:
 		return DefaultPolicy{}.PickARMNode(ctx, f)
 	}

@@ -19,7 +19,7 @@ func TestDeadlineCriticalUsesLinkAwareScore(t *testing.T) {
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
 		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		Loads:         fleetLoads([]int{1, 2}, loads),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -34,7 +34,7 @@ func TestDeadlineBatchPacksMostLoadedNode(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 7}
 	f := &Fleet{
 		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		Loads:    fleetLoads([]int{1, 3, 5}, loads),
 	}
 	// Batch packs onto the busiest node (ties toward fleet order),
 	// keeping node 3 free for the next critical arrival.
@@ -52,7 +52,7 @@ func TestDeadlineBatchSkipsDownNodes(t *testing.T) {
 	loads := map[int]int{1: 9, 2: 1}
 	f := &Fleet{
 		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		Loads:         fleetLoads([]int{1, 2}, loads),
 		NodeAvailable: func(id int) bool { return id != 1 },
 	}
 	node, ok := DeadlinePolicy{}.PickARMNode(classCtx("KNL", "batch"), f)
@@ -81,7 +81,7 @@ func TestDeadlineClasslessMatchesDefault(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
 		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		Loads:    fleetLoads([]int{1, 3, 5}, loads),
 		Devices: []Device{
 			&fakeDevice{kernels: map[string]bool{}},
 			&fakeDevice{kernels: map[string]bool{"KNL": true}},

@@ -104,7 +104,7 @@ func TestDecideCoversEveryAlgorithm2Branch(t *testing.T) {
 			}
 			fleet := NewFleetServer(mkTable(tc.fpgaThr, tc.armThr), func() int { return tc.load }, Fleet{
 				ARMNodes: []int{0},
-				NodeLoad: func(int) int { return 0 },
+				Loads:    NewLoadIndex(1),
 				Devices:  []Device{devFleet},
 			}, images)
 
@@ -151,7 +151,7 @@ func TestDecideEmptyFleetActsAsNeverMigrate(t *testing.T) {
 	}
 }
 
-func TestDecideFleetWithNilNodeLoadUsesFirstARMNode(t *testing.T) {
+func TestDecideFleetWithNilLoadsUsesFirstARMNode(t *testing.T) {
 	fleet := Fleet{ARMNodes: []int{7, 3}}
 	srv := NewFleetServer(testTable(t), func() int { return 40 }, fleet, nil)
 	d, err := srv.Decide("app", "KNL")
@@ -170,7 +170,7 @@ func TestReconfigCounterSplitPendingVsAllBusy(t *testing.T) {
 	pending := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}, pending: map[string]bool{"KNL": true}}
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	srv := NewFleetServer(testTable(t), func() int { return 20 }, Fleet{
-		ARMNodes: []int{9}, NodeLoad: func(int) int { return 0 },
+		ARMNodes: []int{9}, Loads: NewLoadIndex(1),
 		Devices: []Device{pending, idle},
 	}, images)
 	if _, err := srv.Decide("app", "KNL"); err != nil {
@@ -186,7 +186,7 @@ func TestReconfigCounterSplitPendingVsAllBusy(t *testing.T) {
 	busyA := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}}
 	busyB := &fakeDevice{reconfiguring: true, kernels: map[string]bool{}}
 	srv = NewFleetServer(testTable(t), func() int { return 20 }, Fleet{
-		ARMNodes: []int{9}, NodeLoad: func(int) int { return 0 },
+		ARMNodes: []int{9}, Loads: NewLoadIndex(1),
 		Devices: []Device{busyA, busyB},
 	}, images)
 	if _, err := srv.Decide("app", "KNL"); err != nil {
@@ -204,7 +204,7 @@ func TestDecideHotPathDoesNotAllocate(t *testing.T) {
 	dev := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 	srv := NewFleetServer(testTable(t), func() int { return 40 }, Fleet{
 		ARMNodes: []int{0, 1},
-		NodeLoad: func(int) int { return 0 },
+		Loads:    NewLoadIndex(2),
 		Devices:  []Device{dev},
 	}, nil)
 	avg := testing.AllocsPerRun(200, func() {

@@ -29,9 +29,14 @@ type Fleet struct {
 	// ARMNodes lists the identifiers of ARM-class nodes eligible for
 	// software migration, in deterministic (topology) order.
 	ARMNodes []int
-	// NodeLoad reports the resident process count of a node named in
-	// ARMNodes.
-	NodeLoad func(id int) int
+	// Loads indexes the resident process count of each ARM candidate:
+	// position i holds ARMNodes[i]. The owner keeps it current as
+	// processes enter and leave the nodes' run queues (one index may
+	// serve every per-entry server of a platform), so least- and
+	// most-loaded picks never scan the fleet. nil on a server means
+	// loads are unobservable: NewFleetServer substitutes an all-zero
+	// index. Policies called directly need it set.
+	Loads *LoadIndex
 	// NodeCores reports the core count of a node named in ARMNodes —
 	// the capacity a policy needs to turn a process count into a
 	// processor-sharing slowdown. nil means capacity is unknown.
@@ -77,6 +82,18 @@ func (f *Fleet) NodeUp(id int) bool {
 	return f.NodeAvailable == nil || f.NodeAvailable(id)
 }
 
+// upAt is NodeUp addressed by Loads position, the availability filter
+// of the fleet's least- and most-loaded picks.
+func (f *Fleet) upAt(pos int) bool { return f.NodeUp(f.ARMNodes[pos]) }
+
+// armNode maps a Loads pick to its ARMNodes identifier.
+func (f *Fleet) armNode(pos int, ok bool) (int, bool) {
+	if !ok {
+		return 0, false
+	}
+	return f.ARMNodes[pos], true
+}
+
 // DeviceUp reports whether Devices[i] is currently usable (true when
 // no availability surface is wired).
 func (f *Fleet) DeviceUp(i int) bool {
@@ -88,6 +105,9 @@ func (f *Fleet) DeviceUp(i int) bool {
 // scheduler host's CPU load (the x86LOAD of Algorithm 2); images are
 // the step F XCLBINs consulted when a kernel must be configured.
 func NewFleetServer(table *threshold.Table, load LoadFunc, fleet Fleet, images []*xclbin.XCLBIN) *Server {
+	if fleet.Loads == nil {
+		fleet.Loads = NewLoadIndex(len(fleet.ARMNodes))
+	}
 	s := &Server{table: table, load: load, images: images, fleet: &fleet}
 	if len(fleet.Devices) > 0 {
 		s.dev = fleet.Devices[0]

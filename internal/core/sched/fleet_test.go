@@ -11,7 +11,7 @@ func TestFleetPicksLeastLoadedARMNode(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	fleet := Fleet{
 		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		Loads:    fleetLoads([]int{1, 3, 5}, loads),
 	}
 	// Load 32 exceeds ARMThr 31 and FPGAThr 16, no device → lines
 	// 14-18, ARM class.
@@ -50,7 +50,7 @@ func TestFleetFindsKernelOnLowestDevice(t *testing.T) {
 	dev2 := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 	fleet := Fleet{
 		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
+		Loads:    NewLoadIndex(1),
 		Devices:  []Device{dev0, dev1, dev2},
 	}
 	// Load 20: above FPGAThr 16, below ARMThr 31, kernel resident →
@@ -70,7 +70,7 @@ func TestFleetReconfigSkipsBusyDevices(t *testing.T) {
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	fleet := Fleet{
 		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
+		Loads:    NewLoadIndex(1),
 		Devices:  []Device{busy, idle},
 	}
 	images := []*xclbin.XCLBIN{imageWith(t, "KNL")}
@@ -101,7 +101,7 @@ func TestFleetSingleNodeMatchesFixedServer(t *testing.T) {
 		fixed := NewServer(testTable(t), func() int { return l }, devA, nil)
 		fleet := NewFleetServer(testTable(t), func() int { return l }, Fleet{
 			ARMNodes: []int{0},
-			NodeLoad: func(int) int { return 0 },
+			Loads:    NewLoadIndex(1),
 			Devices:  []Device{devB},
 		}, nil)
 		df, err := fixed.Decide("app", "KNL")
@@ -125,7 +125,7 @@ func TestFleetReconfigWaitsForPendingKernel(t *testing.T) {
 	idle := &fakeDevice{kernels: map[string]bool{}}
 	fleet := Fleet{
 		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
+		Loads:    NewLoadIndex(1),
 		Devices:  []Device{busy, idle},
 	}
 	images := []*xclbin.XCLBIN{imageWith(t, "KNL")}

@@ -82,20 +82,7 @@ func (DefaultPolicy) Name() string { return "default" }
 // available candidates, ties toward fleet order. With every candidate
 // unavailable it rejects the ARM class.
 func (DefaultPolicy) PickARMNode(_ PlacementContext, f *Fleet) (int, bool) {
-	best, bestLoad, found := 0, 0, false
-	for _, id := range f.ARMNodes {
-		if !f.NodeUp(id) {
-			continue
-		}
-		l := 0
-		if f.NodeLoad != nil {
-			l = f.NodeLoad(id)
-		}
-		if !found || l < bestLoad {
-			best, bestLoad, found = id, l, true
-		}
-	}
-	return best, found
+	return f.armNode(f.Loads.Least(f.upAt))
 }
 
 // PickDevice implements PlacementPolicy: lowest-indexed available card
@@ -151,13 +138,17 @@ func (LinkAwarePolicy) Name() string { return "link-aware" }
 
 // PickARMNode implements PlacementPolicy. Unavailable candidates are
 // skipped; with every candidate unavailable the ARM class is rejected.
+//
+// The score does not rise with load alone — transfer cost and link
+// occupancy can outweigh it — so this pick scans every candidate
+// rather than walking the load index.
 func (LinkAwarePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
 	best, bestScore, found := 0, 0.0, false
-	for _, id := range f.ARMNodes {
+	for pos, id := range f.ARMNodes {
 		if !f.NodeUp(id) {
 			continue
 		}
-		if s := linkAwareScore(ctx, f, id); !found || s < bestScore {
+		if s := linkAwareScore(ctx, f, id, f.Loads.Load(pos)); !found || s < bestScore {
 			best, bestScore, found = id, s, true
 		}
 	}
@@ -165,8 +156,8 @@ func (LinkAwarePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
 }
 
 // linkAwareScore estimates the time-to-result of migrating onto one
-// candidate node, in seconds.
-func linkAwareScore(ctx PlacementContext, f *Fleet, id int) float64 {
+// candidate node carrying load resident processes, in seconds.
+func linkAwareScore(ctx PlacementContext, f *Fleet, id, load int) float64 {
 	var score float64
 	if f.MigrationCost != nil {
 		transfer := f.MigrationCost(ctx.App, id).Seconds()
@@ -176,22 +167,19 @@ func linkAwareScore(ctx PlacementContext, f *Fleet, id int) float64 {
 		}
 		score += transfer * float64(1+queue)
 	}
-	if f.NodeLoad != nil {
-		congestion := 1.0
-		if f.NodeCores != nil {
-			if cores := f.NodeCores(id); cores > 0 {
-				if c := float64(f.NodeLoad(id)+1) / float64(cores); c > 1 {
-					congestion = c
-				}
+	congestion := 1.0
+	if f.NodeCores != nil {
+		if cores := f.NodeCores(id); cores > 0 {
+			if c := float64(load+1) / float64(cores); c > 1 {
+				congestion = c
 			}
-		} else {
-			// Without a capacity surface fall back to a pure
-			// least-loaded bias, matching DefaultPolicy's ordering.
-			congestion = float64(f.NodeLoad(id) + 1)
 		}
-		score += ctx.Record.ARMExec.Seconds() * congestion
+	} else {
+		// Without a capacity surface fall back to a pure least-loaded
+		// bias, matching DefaultPolicy's ordering.
+		congestion = float64(load + 1)
 	}
-	return score
+	return score + ctx.Record.ARMExec.Seconds()*congestion
 }
 
 // PickDevice implements PlacementPolicy (DefaultPolicy rule).

@@ -21,7 +21,7 @@ func TestDefaultPolicyMatchesDocumentedRule(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
 		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		Loads:    fleetLoads([]int{1, 3, 5}, loads),
 		Devices: []Device{
 			&fakeDevice{kernels: map[string]bool{}},
 			&fakeDevice{kernels: map[string]bool{"KNL": true}},
@@ -44,8 +44,8 @@ func TestDefaultPolicyMatchesDocumentedRule(t *testing.T) {
 	}
 }
 
-func TestDefaultPolicyNilNodeLoadPicksFirst(t *testing.T) {
-	f := &Fleet{ARMNodes: []int{4, 2}}
+func TestDefaultPolicyZeroLoadsPicksFirst(t *testing.T) {
+	f := &Fleet{ARMNodes: []int{4, 2}, Loads: NewLoadIndex(2)}
 	node, ok := DefaultPolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 4 {
 		t.Fatalf("pick = %d/%v, want first candidate 4", node, ok)
@@ -62,7 +62,7 @@ func TestLinkAwareRepelsSlowLink(t *testing.T) {
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
 		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		Loads:         fleetLoads([]int{1, 2}, loads),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -82,7 +82,7 @@ func TestLinkAwareWeighsLinkQueue(t *testing.T) {
 	queues := map[int]int{1: 5, 2: 0}
 	f := &Fleet{
 		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(int) int { return 0 },
+		Loads:         NewLoadIndex(2),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(string, int) time.Duration { return time.Second },
 		LinkQueue:     func(id int) int { return queues[id] },
@@ -100,7 +100,7 @@ func TestLinkAwareOverflowsToFarNodeWhenNearSaturated(t *testing.T) {
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	f := &Fleet{
 		ARMNodes:      []int{1, 2},
-		NodeLoad:      func(id int) int { return loads[id] },
+		Loads:         fleetLoads([]int{1, 2}, loads),
 		NodeCores:     func(int) int { return 96 },
 		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
 		LinkQueue:     func(int) int { return 0 },
@@ -117,7 +117,7 @@ func TestLinkAwareWithoutTransferContextFallsBackToLeastLoaded(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
 		ARMNodes: []int{1, 3, 5},
-		NodeLoad: func(id int) int { return loads[id] },
+		Loads:    fleetLoads([]int{1, 3, 5}, loads),
 	}
 	node, ok := LinkAwarePolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 3 {
@@ -173,7 +173,7 @@ func TestAffinityServerDefersReconfigWhilePinnedCardBusy(t *testing.T) {
 	pinned := &fakeDevice{kernels: map[string]bool{}, reconfiguring: true}
 	fleet := Fleet{
 		ARMNodes: []int{9},
-		NodeLoad: func(int) int { return 0 },
+		Loads:    NewLoadIndex(1),
 		Devices:  []Device{idle, pinned},
 		Policy:   NewAffinityPolicy(map[string]int{"KNL": 1}),
 	}

@@ -426,18 +426,18 @@ func TestElasticDrainExcludesPlacement(t *testing.T) {
 	// Load the host so the empty non-host node is the natural pick.
 	p.LaunchAppOn(host, arts.Apps[0], ModeVanillaX86, 0, nil)
 	p.Sim.RunUntil(time.Millisecond)
-	if got := p.leastLoadedX86(nil); got != other {
+	if got := p.leastLoadedX86(); got != other {
 		t.Fatalf("baseline placement picked %s, want the idle node %s", got.Name, other.Name)
 	}
 	rt.inactive[other.Index] = true
 	if p.entryEligible(other) {
 		t.Fatal("drained node still entry-eligible")
 	}
-	if got := p.leastLoadedX86(nil); got != host {
+	if got := p.leastLoadedX86(); got != host {
 		t.Fatalf("placement picked drained node %s", got.Name)
 	}
 	rt.inactive[other.Index] = false
-	if got := p.leastLoadedX86(nil); got != other {
+	if got := p.leastLoadedX86(); got != other {
 		t.Fatalf("rejoined node not placed to: got %s", got.Name)
 	}
 }

@@ -184,13 +184,13 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 }
 
 // overCap reports whether admitting one more request on entry would
-// exceed the admission queue cap. extra counts same-instant placements
-// the injector has already made on the node this batch.
-func (rt *elasticRuntime) overCap(entry *cluster.Node, extra int) bool {
+// exceed the admission queue cap. The entry index's load counts the
+// same-instant placements the injector has already made on the node.
+func (rt *elasticRuntime) overCap(entry *cluster.Node) bool {
 	if rt == nil || rt.admission == nil {
 		return false
 	}
-	return rt.p.nodeLoad(entry)+extra >= rt.admission.QueueCap
+	return rt.p.entryLoads.Load(rt.p.slot[entry.Index]) >= rt.admission.QueueCap
 }
 
 // refuse handles one over-cap arrival under the drop and reject-fast

@@ -17,7 +17,7 @@ var (
 	artsErr  error
 )
 
-func testArtifacts(t *testing.T) *Artifacts {
+func testArtifacts(t testing.TB) *Artifacts {
 	t.Helper()
 	artsOnce.Do(func() {
 		apps, err := workloads.Registry()

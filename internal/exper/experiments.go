@@ -156,6 +156,9 @@ type FixedLoadPoint struct {
 // in the paper — and results land in index-addressed slots, making the
 // output byte-identical for a fixed seed regardless of GOMAXPROCS.
 func RunFixedLoadSweep(arts *Artifacts, setSizes []int, modes []Mode, totalLoad, runs int, seed int64) ([]FixedLoadPoint, error) {
+	if err := checkRuns(runs); err != nil {
+		return nil, err
+	}
 	sets := make([][][]*workloads.App, len(setSizes))
 	for si, size := range setSizes {
 		// One RNG per size: every mode sees the same random sets, so
@@ -391,6 +394,9 @@ type PeriodicThroughputResult struct {
 // multi-image face-detection application executes `runs` back-to-back
 // 60-second runs; each run's throughput is recorded.
 func RunPeriodicThroughput(arts *Artifacts, app *workloads.App, mode Mode, minLoad, maxLoad, runs int, runDur time.Duration) (PeriodicThroughputResult, error) {
+	if err := checkRuns(runs); err != nil {
+		return PeriodicThroughputResult{}, err
+	}
 	p := NewPlatform(arts)
 	bg, err := newBackground(p, minLoad)
 	if err != nil {
@@ -428,6 +434,9 @@ func RunPeriodicThroughput(arts *Artifacts, app *workloads.App, mode Mode, minLo
 // result slice is ordered exactly like modes, independent of
 // GOMAXPROCS.
 func RunPeriodicThroughputModes(arts *Artifacts, app *workloads.App, modes []Mode, minLoad, maxLoad, runs int, runDur time.Duration) ([]PeriodicThroughputResult, error) {
+	if err := checkRuns(runs); err != nil {
+		return nil, err
+	}
 	out := make([]PeriodicThroughputResult, len(modes))
 	err := par.ForEach(len(modes), func(i int) error {
 		r, err := RunPeriodicThroughput(arts, app, modes[i], minLoad, maxLoad, runs, runDur)
@@ -441,6 +450,14 @@ func RunPeriodicThroughputModes(arts *Artifacts, app *workloads.App, modes []Mod
 		return nil, err
 	}
 	return out, nil
+}
+
+// checkRuns rejects a repetition count the sweeps cannot average over.
+func checkRuns(runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("exper: runs %d: need at least one run", runs)
+	}
+	return nil
 }
 
 // triangle maps run index i of n onto a rise-and-fall load profile.

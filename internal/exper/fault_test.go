@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -310,5 +311,40 @@ func TestLinkPartitionExcludesARMPlacement(t *testing.T) {
 	}
 	if r.Completed == 0 {
 		t.Fatal("nothing completed under partition")
+	}
+}
+
+// TestFaultReportDoesNotPinRuntime holds a churn cell's result and
+// checks that the fault runtime behind it — and with it the platform —
+// can still be collected: the report must not point into the runtime.
+func TestFaultReportDoesNotPinRuntime(t *testing.T) {
+	arts := testArtifacts(t)
+	collected := make(chan struct{})
+	defer func() { debugServingStep = nil }()
+	watched := false
+	debugServingStep = func(p *Platform) {
+		if !watched {
+			watched = true
+			runtime.AddCleanup(p.faults, func(ch chan struct{}) { close(ch) }, collected)
+		}
+	}
+	res, _, _, err := runServingCore(arts, churnConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults == nil {
+		t.Fatal("churn cell produced no fault report")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(res.Faults)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fault runtime still reachable while its report is held")
+		}
 	}
 }

@@ -507,7 +507,7 @@ func (rt *faultRuntime) disrupt(rq *reqCtx, phase int) {
 		retry = rq.prologue
 	}
 	rt.p.Sim.After(delay, func() {
-		rq.entry = rt.p.leastLoadedX86(nil)
+		rq.entry = rt.p.leastLoadedX86()
 		retry()
 	})
 }
@@ -530,7 +530,9 @@ func (rt *faultRuntime) observeClass(app string, lat time.Duration) {
 	d.add(lat)
 }
 
-// finalize closes the books at the horizon and returns the report.
+// finalize closes the books at the horizon and returns the report: a
+// copy, so a result that outlives the cell does not keep the runtime —
+// and through it the whole platform — reachable.
 func (rt *faultRuntime) finalize(offered, completed int) *FaultResult {
 	for i, down := range rt.nodeDown {
 		if down {
@@ -555,7 +557,8 @@ func (rt *faultRuntime) finalize(offered, completed int) *FaultResult {
 			rt.res.ClassP99[app] = lats.percentile(99)
 		}
 	}
-	return &rt.res
+	res := rt.res
+	return &res
 }
 
 // sinkExact feeds the runtime's sealed exact-mode distributions to the

@@ -139,6 +139,9 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	}
 	p := &Platform{Sim: sim, Cluster: c, Devices: devs, arts: arts, opts: opts}
 	p.deciding = make([]int, len(c.Nodes))
+	p.slot = make([]int, len(c.Nodes))
+	p.x86Nodes, p.armNodes = c.NodesOfArch(isa.X86_64), c.NodesOfArch(isa.ARM64)
+	p.entryLoads, p.armLoads = p.indexLoads(p.x86Nodes), p.indexLoads(p.armNodes)
 	if len(devs) > 0 {
 		p.Device = devs[0]
 	}
@@ -154,8 +157,8 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 		return nil, err
 	}
 	p.pins = pins
-	armNodes := make([]int, 0, len(c.NodesOfArch(isa.ARM64)))
-	for _, n := range c.NodesOfArch(isa.ARM64) {
+	armNodes := make([]int, 0, len(p.armNodes))
+	for _, n := range p.armNodes {
 		armNodes = append(armNodes, n.Index)
 	}
 	fleetDevs := make([]sched.Device, 0, len(devs))
@@ -168,13 +171,14 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	// server's fleet carries transfer context anchored at its own
 	// entry node — migrations depart from where the process runs, so
 	// two entry nodes can legitimately score the same ARM candidate
-	// differently.
+	// differently. Loads are the same everywhere: one ARM index serves
+	// the whole server fleet.
 	p.servers = make([]*sched.Server, len(c.Nodes))
-	for _, n := range c.NodesOfArch(isa.X86_64) {
+	for _, n := range p.x86Nodes {
 		node := n
 		fleet := sched.Fleet{
 			ARMNodes:  armNodes,
-			NodeLoad:  func(id int) int { return c.Nodes[id].Load() },
+			Loads:     p.armLoads,
 			NodeCores: func(id int) int { return c.Nodes[id].Cores },
 			MigrationCost: func(app string, id int) time.Duration {
 				return p.migrationCost(node, app, id)
@@ -270,6 +274,37 @@ func (p *Platform) preloadPinnedImages(images []*xclbin.XCLBIN) {
 	}
 }
 
+// indexLoads builds a load index over nodes, in the given order, that
+// each node's run queue keeps current as jobs enter and leave it, and
+// records each node's position in p.slot.
+func (p *Platform) indexLoads(nodes []*cluster.Node) *sched.LoadIndex {
+	idx := sched.NewLoadIndex(len(nodes))
+	for pos, n := range nodes {
+		p.slot[n.Index] = pos
+		n.Pool.OnActive(func(delta int) { idx.Add(pos, delta) })
+	}
+	return idx
+}
+
+// addEntryLoad moves an x86 node's entry-index load by delta for load
+// its run queue does not carry: processes blocked on a decision or
+// queued behind FIFO cores, and same-instant placements.
+func (p *Platform) addEntryLoad(n *cluster.Node, delta int) {
+	if n.Arch == isa.X86_64 {
+		p.entryLoads.Add(p.slot[n.Index], delta)
+	}
+}
+
+// entryOK is the entry index's availability filter (entryEligible by
+// position).
+func (p *Platform) entryOK(pos int) bool { return p.entryEligible(p.x86Nodes[pos]) }
+
+// armOK is the ARM index's filter for the no-scheduler baselines: the
+// node accepts new placements.
+func (p *Platform) armOK(pos int) bool {
+	return p.faults == nil || p.faults.placeable(p.armNodes[pos].Index)
+}
+
 // nodeLoad samples the paper's process-count metric on one x86 node:
 // processes in its run queue, plus any queued behind FIFO cores (host
 // only), plus processes blocked on a scheduling decision there.
@@ -336,6 +371,7 @@ type fifoGate struct {
 func (g *fifoGate) exec(work time.Duration, done func()) {
 	if g.running >= g.slots {
 		g.queue = append(g.queue, fifoJob{work: work, done: done})
+		g.p.addEntryLoad(g.p.Cluster.X86, 1)
 		return
 	}
 	g.admit(fifoJob{work: work, done: done})
@@ -349,6 +385,7 @@ func (g *fifoGate) admit(j fifoJob) {
 		if len(g.queue) > 0 {
 			next := g.queue[0]
 			g.queue = g.queue[1:]
+			g.p.addEntryLoad(g.p.Cluster.X86, -1)
 			g.admit(next)
 		}
 		if j.done != nil {

@@ -98,3 +98,22 @@ func TestRunPeriodicThroughputModesMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+func TestSweepsRejectRunsBelowOne(t *testing.T) {
+	arts := testArtifacts(t)
+	fd, err := workloads.NewFaceDet320()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, runs := range []int{0, -1} {
+		if _, err := RunFixedLoadSweep(arts, []int{2}, DefaultModes(), 20, runs, 2021); err == nil {
+			t.Fatalf("RunFixedLoadSweep accepted runs=%d", runs)
+		}
+		if _, err := RunPeriodicThroughput(arts, fd, ModeXarTrek, 5, 30, runs, time.Second); err == nil {
+			t.Fatalf("RunPeriodicThroughput accepted runs=%d", runs)
+		}
+		if _, err := RunPeriodicThroughputModes(arts, fd, DefaultModes(), 5, 30, runs, time.Second); err == nil {
+			t.Fatalf("RunPeriodicThroughputModes accepted runs=%d", runs)
+		}
+	}
+}

@@ -177,6 +177,16 @@ type Platform struct {
 	// on a scheduling request; they are resident on their entry node
 	// and count toward its load.
 	deciding []int
+	// x86Nodes and armNodes are the cluster's per-class node lists
+	// (topology order), the fleet orders of the two load indexes.
+	x86Nodes, armNodes []*cluster.Node
+	// entryLoads indexes each x86 node's nodeLoad plus the placements
+	// made at the current arrival instant; armLoads indexes each ARM
+	// node's Load() and is shared by every scheduler server's fleet.
+	// Run queues keep both current through PSServer.OnActive.
+	entryLoads, armLoads *sched.LoadIndex
+	// slot maps a node index to its position in its class's index.
+	slot []int
 	// opts carries the ablation switches (zero value = full system).
 	opts Options
 	// fifo is the FIFO-core admission gate of the X86FIFO ablation.

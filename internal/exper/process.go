@@ -270,47 +270,30 @@ func (p *Platform) armNode(id int) *cluster.Node {
 }
 
 // leastLoadedX86 picks the entry node the serving front end assigns an
-// arriving request to: least loaded (including processes blocked on a
-// decision, plus any same-instant placements the caller counts in
-// extra), ties toward the lower index. extra may be nil.
-func (p *Platform) leastLoadedX86(extra []int) *cluster.Node {
-	var best *cluster.Node
-	bestLoad := 0
-	for _, n := range p.Cluster.NodesOfArch(isa.X86_64) {
-		if !p.entryEligible(n) {
-			continue
-		}
-		l := p.nodeLoad(n)
-		if extra != nil {
-			l += extra[n.Index]
-		}
-		if best == nil || l < bestLoad {
-			best, bestLoad = n, l
-		}
-	}
-	if best == nil {
+// arriving request to: the eligible node with the least entry-index
+// load — nodeLoad plus the placements already made at the current
+// arrival instant — ties toward the lower index.
+func (p *Platform) leastLoadedX86() *cluster.Node {
+	pos, ok := p.entryLoads.Least(p.entryOK)
+	if !ok {
 		// Every x86 node is crashed or draining: the scheduler host
 		// (which fault validation keeps alive) absorbs arrivals even
 		// while draining, so the front end never wedges.
 		return p.Cluster.X86
 	}
-	return best
+	return p.x86Nodes[pos]
 }
 
 // leastLoadedARM picks the ARM node the no-scheduler baselines land
 // on: least loaded, ties toward the lower index — the same rule the
 // fleet scheduler applies, so baselines scale with the topology too.
+// nil when no ARM node accepts placements.
 func (p *Platform) leastLoadedARM() *cluster.Node {
-	var best *cluster.Node
-	for _, n := range p.Cluster.NodesOfArch(isa.ARM64) {
-		if p.faults != nil && !p.faults.placeable(n.Index) {
-			continue
-		}
-		if best == nil || n.Load() < best.Load() {
-			best = n
-		}
+	pos, ok := p.armLoads.Least(p.armOK)
+	if !ok {
+		return nil
 	}
-	return best
+	return p.armNodes[pos]
 }
 
 // execARM performs software migration from the entry node onto the
@@ -569,8 +552,10 @@ func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.A
 	// while it waits for the decision; that node's load counts it (the
 	// paper's load metric counts processes, not runnable jobs).
 	p.deciding[entry.Index]++
+	p.addEntryLoad(entry, 1)
 	d, err := p.serverFor(entry).DecideClass(app.Name, app.KernelName, class)
 	p.deciding[entry.Index]--
+	p.addEntryLoad(entry, -1)
 	if err != nil {
 		p.execX86(rq, entry, app, finish)
 		return

@@ -382,6 +382,11 @@ func runServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	return res, err
 }
 
+// debugServingStep, when set (tests only), runs after every event of
+// a serving timeline up to its horizon, with the cell's platform — the
+// invariant tests' view of the engine between events.
+var debugServingStep func(p *Platform)
+
 // runServingCore executes one serving timeline and returns the sealed
 // latency digest — plus the per-class digests of a workload-driven
 // run — alongside the result, so the sharded reducer can merge
@@ -441,10 +446,11 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	lat := newLatDigest(sketch)
 	// A request placed on a node becomes visible in the node's run
 	// queue only when its launch event executes, which is after every
-	// arrival event of the same instant. assigned tracks same-instant
-	// placements so a burst of simultaneous arrivals spreads across
-	// the fleet instead of piling onto one node.
-	assigned := make([]int, len(p.Cluster.Nodes))
+	// arrival event of the same instant. Each placement therefore
+	// counts in the entry index until its instant's batch ends, so a
+	// burst of simultaneous arrivals spreads across the fleet instead
+	// of piling onto one node; placed lists them for the undo.
+	var placed []*cluster.Node
 	// Arrivals are injected lazily through simtime.Feed: one injector
 	// event per distinct arrival instant places every request of that
 	// instant and then pulls the next instant from the source, so the
@@ -454,10 +460,10 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// a million-request cell's working set stays bounded. Batching an
 	// instant into one event keeps the eager injector's same-instant
 	// order: every placement of the instant happens before any of its
-	// launch events executes, which the `assigned` bookkeeping relies
-	// on to spread a burst (chaining arrivals one event each would let
-	// the first launches interleave from the third same-instant arrival
-	// on). One ordering edge differs from eager injection — an
+	// launch events executes, which the same-instant placement count
+	// relies on to spread a burst (chaining arrivals one event each
+	// would let the first launches interleave from the third
+	// same-instant arrival on). One ordering edge differs from eager injection — an
 	// unrelated event whose firing time lands on exactly an arrival
 	// instant's nanosecond now wins the tie; DESIGN.md §7 scopes the
 	// determinism contract accordingly.
@@ -471,11 +477,6 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		ten.bind(complete)
 	}
 	inject := func(apps []*workloads.App) {
-		// Each Feed batch is a fresh distinct instant, so the
-		// same-instant placement counters always start clean.
-		for n := range assigned {
-			assigned[n] = 0
-		}
 		now := p.Sim.Now()
 		for j, app := range apps {
 			// A workload-driven run routes each request's completion to
@@ -492,21 +493,29 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 			// instant (ties toward the lower index — deterministic),
 			// the request-serving analogue of RDA's client
 			// multiplexing over a server fleet.
-			entry := p.leastLoadedX86(assigned)
-			if p.elastic.overCap(entry, assigned[entry.Index]) {
+			entry := p.leastLoadedX86()
+			if p.elastic.overCap(entry) {
 				// Even the least-loaded eligible entry node is at the
 				// admission cap: shed the request, or admit it at the
 				// degraded CPU-only service class.
 				if p.elastic.refuse(entry) {
 					continue
 				}
-				assigned[entry.Index]++
+				p.addEntryLoad(entry, 1)
+				placed = append(placed, entry)
 				p.elastic.launchDegraded(entry, app, now, done)
 				continue
 			}
-			assigned[entry.Index]++
+			p.addEntryLoad(entry, 1)
+			placed = append(placed, entry)
 			p.LaunchAppOnClass(entry, app, cfg.Mode, class, now, done)
 		}
+		// Each Feed batch is a distinct instant: the next one starts
+		// with no same-instant placements.
+		for _, n := range placed {
+			p.addEntryLoad(n, -1)
+		}
+		placed = placed[:0]
 	}
 	// Feed fires each returned callback before pulling the next instant,
 	// so one pending-batch slot (and one injector closure, reused for
@@ -521,6 +530,11 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		pending = apps
 		return at, injectPending, true
 	})
+	if debugServingStep != nil {
+		for p.Sim.StepUntil(cfg.Duration) {
+			debugServingStep(p)
+		}
+	}
 	p.RunFor(cfg.Duration)
 	res.Offered = src.offered()
 	res.Completed = lat.count()

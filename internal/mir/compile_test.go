@@ -266,6 +266,35 @@ func TestStepLimitBoundsNestedCalls(t *testing.T) {
 	}
 }
 
+func TestStepBudgetIsPerRun(t *testing.T) {
+	for _, legacy := range []bool{true, false} {
+		m := NewModule("m")
+		f := buildCallLoop(t, m)
+		ip := NewInterp(1 << 10)
+		ip.Legacy = legacy
+		if _, err := ip.Run(f, 64); err != nil {
+			t.Fatal(err)
+		}
+		perRun := ip.Stats().Steps
+		// Each run fits the budget; five runs together exceed it
+		// three times over.
+		ip.MaxSteps = perRun + perRun/2
+		for i := 0; i < 4; i++ {
+			if _, err := ip.Run(f, 64); err != nil {
+				t.Fatalf("legacy=%v: run %d: %v (budget %d per run, %d steps each)", legacy, i+2, err, ip.MaxSteps, perRun)
+			}
+		}
+		if steps := ip.Stats().Steps; steps != 5*perRun {
+			t.Fatalf("legacy=%v: Stats().Steps = %d, want cumulative %d", legacy, steps, 5*perRun)
+		}
+		// A budget below one run still stops the run.
+		ip.MaxSteps = perRun / 2
+		if _, err := ip.Run(f, 64); !errors.Is(err, ErrStepLimit) {
+			t.Fatalf("legacy=%v: err = %v, want ErrStepLimit", legacy, err)
+		}
+	}
+}
+
 func TestStepLimitEnforcedInPhiPhase(t *testing.T) {
 	// A two-phi spin loop: every iteration is one branch step plus two
 	// phi steps, so two thirds of all steps happen in the phi phase.
@@ -353,7 +382,6 @@ func TestCompiledSteadyStateAllocatesNothing(t *testing.T) {
 	m := NewModule("m")
 	f := buildSumArray(t, m)
 	ip := NewInterp(1 << 16)
-	ip.MaxSteps = 1 << 62
 	addr, err := ip.Mem.Alloc(8 * 256)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +407,6 @@ func TestCompiledCallsAllocateNothing(t *testing.T) {
 	m := NewModule("m")
 	f := buildCallLoop(t, m)
 	ip := NewInterp(1 << 10)
-	ip.MaxSteps = 1 << 62
 	if _, err := ip.Run(f, 64); err != nil {
 		t.Fatal(err)
 	}

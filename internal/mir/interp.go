@@ -118,7 +118,9 @@ const defaultMaxSteps = 200_000_000
 // compare against.
 type Interp struct {
 	Mem *Memory
-	// MaxSteps bounds execution; <=0 means the default of 200M.
+	// MaxSteps bounds the steps of each Run; <=0 means the default of
+	// 200M. Stats keep counting across runs, but every Run gets the
+	// full budget.
 	MaxSteps int64
 	// Legacy forces the tree-walking evaluator instead of the
 	// compiled engine.
@@ -128,7 +130,8 @@ type Interp struct {
 	// Stats materialises them into an ExecStats.
 	ops   [opKindSlots]float64
 	steps int64
-	// limit is the step budget Run derives once per entry; both
+	// limit is the step count at which the current Run stops: the
+	// count at entry plus the budget, derived once per entry; both
 	// engines (and their phi phases) enforce it.
 	limit int64
 	// frames pools compiled-engine activation frames.
@@ -163,13 +166,15 @@ func (ip *Interp) Run(f *Function, args ...uint64) (uint64, error) {
 		return 0, fmt.Errorf("mir: %s called with %d args, want %d", f.Nam, len(args), len(f.Params))
 	}
 	// The step budget is derived exactly once per Run entry; the call
-	// chain (including phi phases) checks ip.steps against it.
-	ip.limit = ip.MaxSteps
-	if ip.limit <= 0 {
-		ip.limit = defaultMaxSteps
+	// chain (including phi phases) checks the cumulative ip.steps
+	// against the count at entry plus the budget.
+	budget := ip.MaxSteps
+	if budget <= 0 {
+		budget = defaultMaxSteps
 	}
-	if ip.steps >= ip.limit {
-		return 0, ErrStepLimit
+	ip.limit = ip.steps + budget
+	if ip.limit < ip.steps {
+		ip.limit = math.MaxInt64 // the budget overflows the counter
 	}
 	if ip.Legacy {
 		return ip.call(f, args)

@@ -62,6 +62,8 @@ type PSServer struct {
 	// free holds recycled transient job structs for reuse by Submit
 	// and SubmitTransient.
 	free []*PSJob
+	// onActive observes every change of Active() (see OnActive).
+	onActive func(delta int)
 }
 
 // PSJob is one unit of work inside a PSServer.
@@ -111,6 +113,12 @@ func NewPSServer(sim *Simulator, capacity float64) *PSServer {
 
 // Active reports the number of jobs currently in service.
 func (p *PSServer) Active() int { return p.heap.len() }
+
+// OnActive registers fn to observe the active-job count: it is called
+// with +1 after a job enters service and -1 after one leaves it, by
+// completion or Cancel, so an external index can mirror Active()
+// without polling. A server has one observer; nil removes it.
+func (p *PSServer) OnActive(fn func(delta int)) { p.onActive = fn }
 
 // Capacity reports the configured service capacity.
 func (p *PSServer) Capacity() float64 { return p.capacity }
@@ -181,6 +189,9 @@ func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJo
 	j.transient = transient
 	p.nextSeq++
 	p.heap.push(j)
+	if p.onActive != nil {
+		p.onActive(1)
+	}
 	p.reschedule()
 	return j
 }
@@ -195,6 +206,9 @@ func (j *PSJob) Cancel() {
 	j.finished = true
 	j.frozen = j.remainingNow()
 	p.heap.removeAt(j.index)
+	if p.onActive != nil {
+		p.onActive(-1)
+	}
 	p.reschedule()
 }
 
@@ -298,6 +312,9 @@ func (p *PSServer) completeDue() {
 			break
 		}
 		p.heap.popMin()
+		if p.onActive != nil {
+			p.onActive(-1)
+		}
 		top.finished = true
 		top.frozen = top.remainingNow()
 		finished = append(finished, top)

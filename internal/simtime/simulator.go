@@ -171,11 +171,19 @@ func (s *Simulator) Run() {
 	}
 }
 
+// StepUntil runs the earliest pending event if it fires at or before
+// t, reporting whether one ran.
+func (s *Simulator) StepUntil(t time.Duration) bool {
+	if s.queue.len() == 0 || s.queue.min().when > t {
+		return false
+	}
+	return s.Step()
+}
+
 // RunUntil executes events with firing time <= t, then advances the
 // clock to t.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for s.queue.len() > 0 && s.queue.min().when <= t {
-		s.Step()
+	for s.StepUntil(t) {
 	}
 	if t > s.now {
 		s.now = t
