@@ -10,6 +10,7 @@ import (
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
 	"xartrek/internal/popcorn"
+	"xartrek/internal/simtime"
 	"xartrek/internal/tenancy"
 )
 
@@ -298,6 +299,19 @@ func (s CampaignSpec) Validate() error {
 	return nil
 }
 
+// checkPeakRate bounds the arrival stream a cell offers at rate: the
+// rate itself, and with a workload each cohort's peak rate, may not
+// exceed simtime.MaxRate.
+func (c *CellSpec) checkPeakRate(rate float64) error {
+	if rate > simtime.MaxRate {
+		return fmt.Errorf("rate %v exceeds the %v req/s stream bound", rate, simtime.MaxRate)
+	}
+	if c.Workload != nil {
+		return c.Workload.CheckRate(rate)
+	}
+	return nil
+}
+
 // validate checks one cell's declaration. Adapter-injected cells carry
 // already-validated runner arguments and skip the spec-level checks.
 func (c CellSpec) validate() error {
@@ -419,6 +433,11 @@ func (c CellSpec) validate() error {
 					return fmt.Errorf("non-positive rate %v in rates", r)
 				}
 			}
+			for _, r := range append([]float64{c.Rate}, c.Rates...) {
+				if err := c.checkPeakRate(r); err != nil {
+					return err
+				}
+			}
 		}
 		for _, d := range c.Trace {
 			if d < 0 {
@@ -427,6 +446,9 @@ func (c CellSpec) validate() error {
 		}
 	case KindKnee:
 		if err := c.Knee.Validate(); err != nil {
+			return err
+		}
+		if err := c.checkPeakRate(c.Knee.RateHi); err != nil {
 			return err
 		}
 		if c.Duration <= 0 {

@@ -155,6 +155,29 @@ func TestParseCampaignAcceptsNumericSecondsDuration(t *testing.T) {
 	}
 }
 
+// TestParseCampaignRejectsRateAboveTick pins the stream bound at spec
+// validation: a rate, a rates entry, a knee's rate_hi, or a workload
+// cohort's peak (rate × rate_fraction × largest window factor) above
+// simtime.MaxRate would draw gaps that truncate to zero and never
+// reach the horizon, so the spec is refused before anything runs.
+func TestParseCampaignRejectsRateAboveTick(t *testing.T) {
+	const workload = `"workload": {"cohorts": [{"id": "burst", "rate_fraction": 1, "class": "batch",
+		"arrival": {"schedule": [{"duration": "1s", "factor": 1}, {"duration": "1s", "factor": 1e12}]}}]}`
+	cases := map[string]string{
+		"rate":      `{"kind": "serving", "rate": 1e12, "duration": "1s"}`,
+		"rates":     `{"kind": "serving", "rates": [8, 1e12], "duration": "1s"}`,
+		"knee":      `{"kind": "knee", "duration": "1s", "knee": {"rate_lo": 1, "rate_hi": 1e12, "slo": {"p99": "1s"}}}`,
+		"workload":  `{"kind": "serving", "rate": 100, "duration": "1s", ` + workload + `}`,
+		"knee+load": `{"kind": "knee", "duration": "1s", "knee": {"rate_lo": 1, "rate_hi": 100, "slo": {"p99": "1s"}}, ` + workload + `}`,
+	}
+	for name, cell := range cases {
+		_, err := ParseCampaign(strings.NewReader(`{"name": "fast", "cells": [` + cell + `]}`))
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: err = %v, want a stream-bound rejection", name, err)
+		}
+	}
+}
+
 func TestCampaignValidation(t *testing.T) {
 	cases := []struct {
 		cell CellSpec

@@ -13,11 +13,11 @@ import (
 // for the million-request regime: it runs the checked-in rack256 cell
 // (examples/campaigns/rack256.json — ~1M Poisson requests on a
 // 256-node rack in sketch latency mode) and asserts the peak heap
-// stays under a pinned budget. With lazy arrival generation and
-// sketch-backed percentiles the working set is O(in-flight), so the
-// budget is far below what materialising the stream (~48 B of arrival
-// plus ~8 B of latency per request, plus one heap event each) would
-// need. Gated behind XARTREK_MEM_SMOKE because the cell takes tens of
+// stays under a pinned budget. Arrivals are drawn lazily in every
+// latency mode, and sketch-backed percentiles keep the latency record
+// bounded too, so the working set is O(in-flight): far below what
+// materialising the stream (~48 B of arrival plus ~8 B of latency per
+// request, plus one heap event each) would need. Gated behind XARTREK_MEM_SMOKE because the cell takes tens of
 // seconds; CI runs it as a dedicated job under GODEBUG=gctrace=1.
 func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {

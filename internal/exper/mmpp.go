@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"xartrek/internal/simtime"
 )
 
 // MMPPState is one regime of a Markov-modulated Poisson process:
@@ -42,6 +44,9 @@ func MMPPTrace(seed int64, horizon time.Duration, states []MMPPState) ([]time.Du
 	for i, s := range states {
 		if s.RatePerSec < 0 {
 			return nil, fmt.Errorf("exper: mmpp: state %d has negative rate %v", i, s.RatePerSec)
+		}
+		if !(s.RatePerSec <= simtime.MaxRate) {
+			return nil, fmt.Errorf("exper: mmpp: state %d rate %v exceeds the %v req/s stream bound", i, s.RatePerSec, simtime.MaxRate)
 		}
 		if s.MeanSojourn <= 0 {
 			return nil, fmt.Errorf("exper: mmpp: state %d has non-positive mean sojourn %v", i, s.MeanSojourn)

@@ -81,6 +81,7 @@ func TestMMPPTraceRejectsBadInputs(t *testing.T) {
 		{0, good, "horizon"},
 		{time.Second, nil, "no states"},
 		{time.Second, []MMPPState{{RatePerSec: -1, MeanSojourn: time.Second}}, "negative rate"},
+		{time.Second, []MMPPState{{RatePerSec: 1e12, MeanSojourn: time.Second}}, "stream bound"},
 		{time.Second, []MMPPState{{RatePerSec: 1}}, "sojourn"},
 	}
 	for i, tc := range cases {

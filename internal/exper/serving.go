@@ -10,6 +10,7 @@ import (
 	"xartrek/internal/core/sched"
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
+	"xartrek/internal/simtime"
 	"xartrek/internal/tenancy"
 	"xartrek/internal/workloads"
 )
@@ -71,24 +72,12 @@ type ServingConfig struct {
 	// pre-tenancy engine. Mutually exclusive with Trace.
 	Workload *tenancy.Spec `json:",omitempty"`
 
-	// forceTrace marks a sharded sub-run as trace-driven even when its
-	// trace slice is empty (a parent trace with fewer arrivals than
-	// shards leaves some shards empty): the empty slice means "no
-	// arrivals", not "fall back to Poisson".
-	forceTrace bool
-	// shardApps carries a sharded sub-run's pre-drawn application
-	// sequence, index-aligned with Trace: the parent draws the apps for
-	// its whole trace from its own seed and deals them round-robin with
-	// the offsets, so a trace-driven shard replays exactly the
-	// (time, app) pairs the unsharded engine would have injected. nil
-	// draws from Seed per arrival as usual.
-	shardApps []*workloads.App
-	// shardStride/shardPhase deal a Poisson stream: the sub-run walks
-	// the parent's full (gap, app) draw sequence from Seed and keeps
-	// only arrivals whose index is congruent to shardPhase mod
-	// shardStride. The shard fleet collectively replays the identical
-	// Poisson realization the unsharded engine injects, with O(1)
-	// arrival state per shard. shardStride 0 keeps every arrival.
+	// shardStride/shardPhase deal the arrival stream to a sharded
+	// sub-run: the sub-run draws the parent's whole stream and keeps
+	// only arrivals whose index in it is congruent to shardPhase mod
+	// shardStride, so the shard fleet collectively replays exactly the
+	// stream the unsharded engine injects. shardStride 0 keeps every
+	// arrival.
 	shardStride int
 	shardPhase  int
 	// shardCk carries the campaign checkpoint context into the sharded
@@ -161,198 +150,178 @@ type ServingResult struct {
 	Tenancy *TenancyResult `json:",omitempty"`
 }
 
-// arrival is one pre-drawn request: when it enters and what it runs.
+// arrival is one request of a stream: when it enters, what it runs,
+// and, in a workload-driven run, which cohort issued it.
 type arrival struct {
-	at  time.Duration
-	app *workloads.App
+	at     time.Duration
+	app    *workloads.App
+	cohort int
 }
 
-// arrivals pre-draws the whole request stream so the simulation's
-// outcome is a pure function of the config, independent of execution
-// order.
-func (cfg ServingConfig) arrivals(pool []*workloads.App) ([]arrival, error) {
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive duration %v", cfg.Name, cfg.Duration)
-	}
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []arrival
-	if len(cfg.Trace) > 0 || cfg.forceTrace {
-		for i, at := range cfg.Trace {
-			if at < 0 {
-				return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, at)
-			}
-			if at >= cfg.Duration {
-				continue
-			}
-			if cfg.shardApps != nil {
-				out = append(out, arrival{at: at, app: cfg.shardApps[i]})
-			} else {
-				out = append(out, arrival{at: at, app: pool[rng.Intn(len(pool))]})
-			}
-		}
-		// Lazy injection chains arrivals in slice order, so the slice
-		// must be time-ordered; traces may not be. The stable sort
-		// keeps same-instant entries in trace order — the order the
-		// eager injector processed them in.
-		sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
-		return out, nil
-	}
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
-	}
-	var t time.Duration
-	for idx := 0; ; idx++ {
-		gap := rng.ExpFloat64() / cfg.RatePerSec
-		t += time.Duration(gap * float64(time.Second))
-		if t >= cfg.Duration {
-			return out, nil
-		}
-		app := pool[rng.Intn(len(pool))]
-		if cfg.shardStride == 0 || idx%cfg.shardStride == cfg.shardPhase {
-			out = append(out, arrival{at: t, app: app})
-		}
-	}
+// arrivalGen is one kind of request stream (Poisson, trace or cohort),
+// drawn one arrival at a time in nondecreasing time order; ok=false at
+// end of stream.
+type arrivalGen interface {
+	draw() (a arrival, ok bool)
 }
 
-// arrivalSource yields the request stream one arrival instant at a
-// time: next returns the instant, every request arriving at it (the
-// returned slice is only valid until the following next call), and
-// ok=false at end of stream. offered reports how many requests the
-// source has yielded so far.
-type arrivalSource interface {
-	next() (at time.Duration, apps []*workloads.App, ok bool)
-	offered() int
-}
-
-// sliceSource replays a pre-drawn arrival slice, grouping runs of
-// equal instants — the exact-mode source, byte-identical to the eager
-// per-request walk it replaces.
-type sliceSource struct {
-	reqs  []arrival
-	i     int
-	batch []*workloads.App
-}
-
-func (s *sliceSource) next() (time.Duration, []*workloads.App, bool) {
-	if s.i >= len(s.reqs) {
-		return 0, nil, false
-	}
-	at := s.reqs[s.i].at
-	s.batch = s.batch[:0]
-	for ; s.i < len(s.reqs) && s.reqs[s.i].at == at; s.i++ {
-		s.batch = append(s.batch, s.reqs[s.i].app)
-	}
-	return at, s.batch, true
-}
-
-func (s *sliceSource) offered() int { return s.i }
-
-// poissonSource draws the Poisson stream lazily, one arrival ahead of
-// the simulation clock, in exactly the RNG order arrivals() pre-draws
-// it (gap, then application, per arrival; the arrival past the horizon
-// consumes only its gap). A million-request cell therefore sees the
-// same stream as the exact path while holding O(1) arrival state.
+// poissonSource draws a Poisson stream from the run's seed: per
+// arrival a gap, then an application. The arrival past the horizon
+// consumes only its gap.
 type poissonSource struct {
 	rng     *rand.Rand
 	rate    float64
 	horizon time.Duration
 	pool    []*workloads.App
-	// stride/phase deal the stream for a sharded sub-run: every draw
-	// advances the full parent sequence but only arrivals with index
-	// congruent to phase mod stride are yielded (stride 0: all).
-	stride int
-	phase  int
-
 	t       time.Duration
-	idx     int
-	primed  bool
-	more    bool
-	nextAt  time.Duration
-	nextApp *workloads.App
-	n       int
-	batch   []*workloads.App
 }
 
-// draw advances the stream to its next kept arrival; ok=false past the
-// horizon. The horizon-crossing arrival consumes only its gap.
-func (s *poissonSource) draw() (time.Duration, *workloads.App, bool) {
+func (g *poissonSource) draw() (arrival, bool) {
+	gap := g.rng.ExpFloat64() / g.rate
+	g.t += time.Duration(gap * float64(time.Second))
+	if g.t >= g.horizon {
+		return arrival{}, false
+	}
+	return arrival{at: g.t, app: g.pool[g.rng.Intn(len(g.pool))]}, true
+}
+
+// sliceSource replays a trace's arrivals, drawn and time-sorted by
+// ServingConfig.source.
+type sliceSource struct {
+	reqs []arrival
+}
+
+func (g *sliceSource) draw() (arrival, bool) {
+	if len(g.reqs) == 0 {
+		return arrival{}, false
+	}
+	a := g.reqs[0]
+	g.reqs = g.reqs[1:]
+	return a, true
+}
+
+// tenantSource resolves the tenancy merged stream's arrivals to
+// applications: apps[c] is cohort c's declared mix, or the run's shared
+// pool for a cohort without one.
+type tenantSource struct {
+	stream *tenancy.Stream
+	apps   [][]*workloads.App
+}
+
+func (g *tenantSource) draw() (arrival, bool) {
+	a, ok := g.stream.Next()
+	if !ok {
+		return arrival{}, false
+	}
+	return arrival{at: a.At, app: g.apps[a.Cohort][a.App], cohort: a.Cohort}, true
+}
+
+// arrivalStream is the serving engine's request stream for every kind
+// of generator. It keeps the arrivals its shard is dealt and hands them
+// out one instant at a time, holding one look-ahead arrival.
+type arrivalStream struct {
+	gen arrivalGen
+	// stride/phase: see ServingConfig.shardStride. idx counts every
+	// drawn arrival, kept or not.
+	stride, phase int
+	idx           int
+	ahead         arrival // the next kept arrival, while more
+	more          bool
+	offered       int // requests yielded so far
+	batch         []arrival
+}
+
+// pull draws the next arrival the shard deal keeps.
+func (s *arrivalStream) pull() (arrival, bool) {
 	for {
-		gap := s.rng.ExpFloat64() / s.rate
-		s.t += time.Duration(gap * float64(time.Second))
-		if s.t >= s.horizon {
-			return 0, nil, false
+		a, ok := s.gen.draw()
+		if !ok {
+			return arrival{}, false
 		}
-		app := s.pool[s.rng.Intn(len(s.pool))]
 		idx := s.idx
 		s.idx++
 		if s.stride == 0 || idx%s.stride == s.phase {
-			return s.t, app, true
+			return a, true
 		}
 	}
 }
 
-func (s *poissonSource) next() (time.Duration, []*workloads.App, bool) {
-	if !s.primed {
-		s.primed = true
-		s.nextAt, s.nextApp, s.more = s.draw()
-	}
+// next returns the next arrival instant with every kept request at it
+// (the slice is only valid until the following call); ok=false at end
+// of stream. Folding same-instant arrivals into one batch is what
+// simtime.Feed requires.
+func (s *arrivalStream) next() (time.Duration, []arrival, bool) {
 	if !s.more {
 		return 0, nil, false
 	}
-	at := s.nextAt
-	s.batch = append(s.batch[:0], s.nextApp)
-	// One-arrival look-ahead folds same-instant arrivals (gaps that
-	// round to zero) into one batch, as the Feed contract requires.
-	for {
-		a, app, ok := s.draw()
-		if !ok {
-			s.more = false
-			break
-		}
-		if a != at {
-			s.nextAt, s.nextApp = a, app
-			break
-		}
-		s.batch = append(s.batch, app)
+	at := s.ahead.at
+	s.batch = s.batch[:0]
+	for s.more && s.ahead.at == at {
+		s.batch = append(s.batch, s.ahead)
+		s.ahead, s.more = s.pull()
 	}
-	s.n += len(s.batch)
+	s.offered += len(s.batch)
 	return at, s.batch, true
 }
 
-func (s *poissonSource) offered() int { return s.n }
-
-// source builds the run's arrival source: pre-drawn (exact mode, and
-// always for traces — they are explicit and already materialised) or
-// streaming (sketch mode), with identical validation and an identical
-// resulting stream either way.
-func (cfg ServingConfig) source(pool []*workloads.App, sketch bool) (arrivalSource, error) {
-	if !sketch || len(cfg.Trace) > 0 || cfg.forceTrace {
-		reqs, err := cfg.arrivals(pool)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceSource{reqs: reqs}, nil
-	}
+// source validates the run's arrival stream and builds it: the cohort
+// stream of a workload-driven run (ten non-nil), a replay of Trace, or
+// Poisson arrivals at RatePerSec. A trace's applications are drawn from
+// Seed in trace order, dropping past-horizon offsets without a draw.
+// The stream must be time-ordered and a trace need not be, so its
+// arrivals are then stably sorted, keeping same-instant entries in
+// trace order.
+func (cfg ServingConfig) source(pool []*workloads.App, ten *tenantRun) (*arrivalStream, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("exper: serving %q: non-positive duration %v", cfg.Name, cfg.Duration)
 	}
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
 	}
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("exper: serving %q: non-positive rate %v", cfg.Name, cfg.RatePerSec)
+	var gen arrivalGen
+	switch {
+	case ten != nil:
+		if len(cfg.Trace) > 0 {
+			return nil, fmt.Errorf("exper: serving %q: workload is incompatible with an arrival trace", cfg.Name)
+		}
+		stream, err := tenancy.NewStream(tenancy.StreamConfig{
+			Spec:       cfg.Workload,
+			RatePerSec: cfg.RatePerSec,
+			Horizon:    cfg.Duration,
+			Seed:       cfg.Seed,
+			PoolSize:   len(pool),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+		}
+		gen = &tenantSource{stream: stream, apps: ten.apps}
+	case len(cfg.Trace) > 0:
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		var reqs []arrival
+		for _, at := range cfg.Trace {
+			if at < 0 {
+				return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, at)
+			}
+			if at < cfg.Duration {
+				reqs = append(reqs, arrival{at: at, app: pool[rng.Intn(len(pool))]})
+			}
+		}
+		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].at < reqs[j].at })
+		gen = &sliceSource{reqs: reqs}
+	default:
+		if !(cfg.RatePerSec > 0 && cfg.RatePerSec <= simtime.MaxRate) {
+			return nil, fmt.Errorf("exper: serving %q: rate %v outside (0, %v]", cfg.Name, cfg.RatePerSec, simtime.MaxRate)
+		}
+		gen = &poissonSource{
+			rng:     rand.New(rand.NewSource(cfg.Seed)),
+			rate:    cfg.RatePerSec,
+			horizon: cfg.Duration,
+			pool:    pool,
+		}
 	}
-	return &poissonSource{
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		rate:    cfg.RatePerSec,
-		horizon: cfg.Duration,
-		pool:    pool,
-		stride:  cfg.shardStride,
-		phase:   cfg.shardPhase,
-	}, nil
+	s := &arrivalStream{gen: gen, stride: cfg.shardStride, phase: cfg.shardPhase}
+	s.ahead, s.more = s.pull()
+	return s, nil
 }
 
 // RunServing executes one open-loop serving run. It is a thin adapter
@@ -400,19 +369,16 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	if err != nil {
 		return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
-	var src arrivalSource
 	var ten *tenantRun
 	if cfg.Workload.Enabled() {
 		ten, err = newTenantRun(&cfg, arts.Apps, sketch)
 		if err != nil {
 			return ServingResult{}, nil, nil, err
 		}
-		src = ten.src
-	} else {
-		src, err = cfg.source(arts.Apps, sketch)
-		if err != nil {
-			return ServingResult{}, nil, nil, err
-		}
+	}
+	src, err := cfg.source(arts.Apps, ten)
+	if err != nil {
+		return ServingResult{}, nil, nil, err
 	}
 	p, err := NewPlatformTopo(arts, cfg.Topo, opts)
 	if err != nil {
@@ -455,9 +421,9 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// event per distinct arrival instant places every request of that
 	// instant and then pulls the next instant from the source, so the
 	// simulator's event heap holds O(in-flight) entries instead of the
-	// whole campaign's O(total requests) — and in sketch mode the
-	// Poisson stream itself is never materialised, so at cluster scale
-	// a million-request cell's working set stays bounded. Batching an
+	// whole campaign's O(total requests) — and the source draws
+	// Poisson and cohort streams lazily, so at cluster scale a
+	// million-request cell's arrival state stays O(1). Batching an
 	// instant into one event keeps the eager injector's same-instant
 	// order: every placement of the instant happens before any of its
 	// launch events executes, which the same-instant placement count
@@ -476,17 +442,18 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	if ten != nil {
 		ten.bind(complete)
 	}
-	inject := func(apps []*workloads.App) {
+	inject := func(batch []arrival) {
 		now := p.Sim.Now()
-		for j, app := range apps {
-			// A workload-driven run routes each request's completion to
-			// its cohort's closure (per-class digest and deadline
-			// accounting on top of the shared complete) and carries the
-			// cohort's SLO class into the scheduler's placement context.
+		for _, a := range batch {
+			// A workload-driven run counts each request against its
+			// cohort (shed ones included), routes its completion to the
+			// cohort's closure (per-class digest and deadline accounting
+			// on top of the shared complete) and carries the cohort's SLO
+			// class into the scheduler's placement context.
 			done, class := complete, ""
 			if ten != nil {
-				coh := ten.src.batchCoh[j]
-				done, class = ten.done[coh], ten.classOf[coh]
+				ten.offered[a.cohort]++
+				done, class = ten.done[a.cohort], ten.classOf[a.cohort]
 			}
 			// Entry balancing: the front end places each arriving
 			// request on the least-loaded x86 node at its arrival
@@ -503,12 +470,12 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 				}
 				p.addEntryLoad(entry, 1)
 				placed = append(placed, entry)
-				p.elastic.launchDegraded(entry, app, now, done)
+				p.elastic.launchDegraded(entry, a.app, now, done)
 				continue
 			}
 			p.addEntryLoad(entry, 1)
 			placed = append(placed, entry)
-			p.LaunchAppOnClass(entry, app, cfg.Mode, class, now, done)
+			p.LaunchAppOnClass(entry, a.app, cfg.Mode, class, now, done)
 		}
 		// Each Feed batch is a distinct instant: the next one starts
 		// with no same-instant placements.
@@ -520,14 +487,14 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	// Feed fires each returned callback before pulling the next instant,
 	// so one pending-batch slot (and one injector closure, reused for
 	// every instant) carries the whole stream — no per-instant closure.
-	var pending []*workloads.App
+	var pending []arrival
 	injectPending := func() { inject(pending) }
 	p.Sim.Feed(func() (time.Duration, func(), bool) {
-		at, apps, ok := src.next()
+		at, batch, ok := src.next()
 		if !ok {
 			return 0, nil, false
 		}
-		pending = apps
+		pending = batch
 		return at, injectPending, true
 	})
 	if debugServingStep != nil {
@@ -536,7 +503,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		}
 	}
 	p.RunFor(cfg.Duration)
-	res.Offered = src.offered()
+	res.Offered = src.offered
 	res.Completed = lat.count()
 	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()
 	lat.seal()

@@ -2,13 +2,11 @@ package exper
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/par"
 	"xartrek/internal/quantile"
-	"xartrek/internal/workloads"
 )
 
 // Sharded serving execution (DESIGN.md §13): Opts.Shards partitions a
@@ -21,16 +19,13 @@ import (
 //
 // What stays exact and what is approximated:
 //
-//   - The arrival stream splits round-robin by arrival index, for
-//     every source kind. Traces (inline, trace_file, MMPP) split by
-//     trace index with the per-arrival application draws made from the
-//     parent seed and dealt alongside the offsets; Poisson streams are
-//     dealt lazily — each shard walks the parent's full (gap, app)
-//     draw sequence on its own RNG instance and keeps every N-th
-//     arrival (ServingConfig.shardStride), holding O(1) arrival state.
-//     Either way the shard fleet collectively replays the identical
-//     (time, app) request sequence the unsharded engine injects, and
-//     per-shard offered counts sum exactly to the unsharded count.
+//   - The arrival stream splits round-robin by position in the
+//     time-ordered stream, for every source kind: each shard draws the
+//     parent's whole stream (Poisson, trace or cohort) from the parent
+//     seed and keeps every N-th arrival (ServingConfig.shardStride), so
+//     the shard fleet collectively replays the identical request
+//     sequence the unsharded engine injects, and per-shard offered
+//     counts sum exactly to the unsharded count.
 //   - Entry balancing is approximated: the unsharded front end assigns
 //     an arrival to the least-loaded entry of the whole fleet, a shard
 //     only to the least-loaded of its own share, and each shard's
@@ -41,71 +36,22 @@ import (
 //   - MeanHostLoad averages the shards' scheduler-host loads — a
 //     fleet-mean approximation of the unsharded single-host sample.
 
-// shardConfigs derives the per-shard sub-runs of a sharded cell: one
-// sub-topology each, the arrival stream split by kind, and Shards
-// cleared so each sub-run takes the single-timeline engine.
-//
-// A trace splits round-robin by arrival index, and the per-arrival
-// application draws are made here, from the parent seed in exactly the
-// order the unsharded engine draws them, then dealt out with their
-// offsets — so a trace-driven shard fleet collectively replays the
-// identical (time, app) request sequence and only entry balancing is
-// approximated. Poisson cells deal the same way but lazily: each shard
-// walks the parent's draw sequence on its own RNG instance and keeps
-// every n-th arrival (shardStride/shardPhase), keeping arrival state
-// O(1) per shard for million-request sketch cells.
-func shardConfigs(cfg ServingConfig, topos []cluster.Topology, pool []*workloads.App) ([]ServingConfig, error) {
-	n := len(topos)
-	traced := len(cfg.Trace) > 0
-	var offsets []time.Duration
-	var apps []*workloads.App
-	if traced {
-		// Mirror arrivals(): negative offsets are an error, past-horizon
-		// offsets are dropped without consuming an app draw.
-		if len(pool) == 0 {
-			return nil, fmt.Errorf("exper: serving %q: empty application pool", cfg.Name)
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for _, at := range cfg.Trace {
-			if at < 0 {
-				return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, at)
-			}
-			if at >= cfg.Duration {
-				continue
-			}
-			offsets = append(offsets, at)
-			apps = append(apps, pool[rng.Intn(len(pool))])
-		}
-	}
-	out := make([]ServingConfig, n)
+// shardConfigs derives the per-shard sub-runs of a sharded cell: the
+// parent config on one sub-topology each, dealt its share of the
+// arrival stream, with Shards cleared so each sub-run takes the
+// single-timeline engine.
+func shardConfigs(cfg ServingConfig, topos []cluster.Topology) []ServingConfig {
+	out := make([]ServingConfig, len(topos))
 	for i := range out {
 		sub := cfg
 		sub.Name = fmt.Sprintf("%s/s%d", cfg.Name, i)
 		sub.Topo = topos[i]
 		sub.Opts.Shards = 0
 		sub.shardCk = nil
-		if traced {
-			var part []time.Duration
-			var dealt []*workloads.App
-			for j := i; j < len(offsets); j += n {
-				part = append(part, offsets[j])
-				dealt = append(dealt, apps[j])
-			}
-			sub.Trace = part
-			sub.shardApps = dealt
-			sub.forceTrace = true
-		} else {
-			// Poisson deal: every shard walks the parent's full draw
-			// sequence from its own rand.Rand (seeded identically) and
-			// keeps every n-th arrival, so the shard fleet collectively
-			// replays the exact realization the unsharded engine
-			// injects.
-			sub.shardStride = n
-			sub.shardPhase = i
-		}
+		sub.shardStride, sub.shardPhase = len(topos), i
 		out[i] = sub
 	}
-	return out, nil
+	return out
 }
 
 // runServingSharded fans one serving cell across Opts.Shards
@@ -128,10 +74,7 @@ func runServingSharded(arts *Artifacts, cfg ServingConfig) (ServingResult, error
 	if err != nil {
 		return ServingResult{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
-	subs, err := shardConfigs(cfg, topos, arts.Apps)
-	if err != nil {
-		return ServingResult{}, err
-	}
+	subs := shardConfigs(cfg, topos)
 	parts := make([]ServingResult, n)
 	digs := make([]*latDigest, n)
 	tdigs := make([]*tenantDigests, n)

@@ -201,13 +201,14 @@ func TestShardedMatchesUnshardedOnCampaignCells(t *testing.T) {
 	t.Logf("checked %d sharded percentiles", checked)
 }
 
-// TestShardedSketchMatchesExact pins the strided lazy Poisson source
-// against the strided eager one: a sharded sketch-mode run must replay
-// the identical simulation as the sharded exact-mode run (counters
-// exactly equal), with percentiles inside the sketch's rank-error
-// bound of the exact sharded distribution. This is the sharded
-// counterpart of sketchdiff_test.go, covering the shardStride path the
-// campaign library has no cheap cell for.
+// TestShardedSketchMatchesExact pins the latency-mode switch under
+// sharding: both modes draw the same strided lazy Poisson stream, so a
+// sharded sketch-mode run must replay the identical simulation as the
+// sharded exact-mode run (counters exactly equal), with percentiles
+// inside the sketch's rank-error bound of the exact sharded
+// distribution. This is the sharded counterpart of sketchdiff_test.go,
+// covering a sharded Poisson cell the campaign library has no cheap
+// cell for.
 func TestShardedSketchMatchesExact(t *testing.T) {
 	arts := testArtifacts(t)
 	cfg := ServingConfig{

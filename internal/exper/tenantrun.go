@@ -55,76 +55,20 @@ type CohortResult struct {
 	Completed int
 }
 
-// tenantSource adapts the tenancy merged stream to the serving
-// engine's arrivalSource: a one-arrival look-ahead folds same-instant
-// arrivals into one batch (the Feed contract), and batchCoh carries
-// each batch entry's cohort index alongside the app slice the
-// interface returns. Both exact and sketch cells stream lazily — the
-// source holds O(cohorts) state regardless of request count.
-type tenantSource struct {
-	stream *tenancy.Stream
-	// apps resolves a cohort's arrival to its application: apps[c] is
-	// the cohort's declared mix, or the run's shared pool for cohorts
-	// without one.
-	apps       [][]*workloads.App
-	cohOffered []int
-
-	primed   bool
-	more     bool
-	ahead    tenancy.Arrival
-	n        int
-	batch    []*workloads.App
-	batchCoh []int
-}
-
-func (s *tenantSource) take(a tenancy.Arrival) {
-	s.batch = append(s.batch, s.apps[a.Cohort][a.App])
-	s.batchCoh = append(s.batchCoh, a.Cohort)
-	s.cohOffered[a.Cohort]++
-}
-
-func (s *tenantSource) next() (time.Duration, []*workloads.App, bool) {
-	if !s.primed {
-		s.primed = true
-		s.ahead, s.more = s.stream.Next()
-	}
-	if !s.more {
-		return 0, nil, false
-	}
-	at := s.ahead.At
-	s.batch, s.batchCoh = s.batch[:0], s.batchCoh[:0]
-	s.take(s.ahead)
-	for {
-		a, ok := s.stream.Next()
-		if !ok {
-			s.more = false
-			break
-		}
-		if a.At != at {
-			s.ahead = a
-			break
-		}
-		s.take(a)
-	}
-	s.n += len(s.batch)
-	return at, s.batch, true
-}
-
-func (s *tenantSource) offered() int { return s.n }
-
 // tenantRun is the per-run tenancy state the serving engine threads
-// through injection and completion: the source, each cohort's class
-// and deadline, one latency digest per class, and the pre-built
-// per-cohort completion closures.
+// through injection and completion: each cohort's applications, class
+// and deadline, one latency digest per class, per-cohort counters, and
+// the pre-built per-cohort completion closures.
 type tenantRun struct {
 	spec     *tenancy.Spec
-	src      *tenantSource
+	apps     [][]*workloads.App // per cohort: its mix, or the shared pool
 	classes  []string
 	classOf  []string        // per cohort: its class name
 	slot     []int           // per cohort: index into classes/digs
 	deadline []time.Duration // per cohort: 0 for batch
 	digs     []*latDigest    // per class
 	within   []int           // per class: completions within deadline
+	offered  []int           // per cohort: injected count, shed included
 	complets []int           // per cohort: completed count
 	done     []func(RunResult)
 }
@@ -137,22 +81,19 @@ type tenantDigests struct {
 }
 
 // newTenantRun builds the tenancy state of one workload-driven serving
-// run. The workload replaces the cell's arrival source, so traces and
-// workloads are mutually exclusive (campaign validation enforces this
-// for spec files; the check here covers direct API use).
+// run; ServingConfig.source builds its arrival stream.
 func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tenantRun, error) {
-	if len(cfg.Trace) > 0 || cfg.forceTrace {
-		return nil, fmt.Errorf("exper: serving %q: workload is incompatible with an arrival trace", cfg.Name)
-	}
 	spec := cfg.Workload
 	n := len(spec.Cohorts)
 	t := &tenantRun{
 		spec:     spec,
+		apps:     make([][]*workloads.App, n),
 		classes:  spec.Classes(),
 		classOf:  make([]string, n),
 		slot:     make([]int, n),
 		deadline: make([]time.Duration, n),
 		done:     make([]func(RunResult), n),
+		offered:  make([]int, n),
 		complets: make([]int, n),
 	}
 	classSlot := make(map[string]int, len(t.classes))
@@ -168,14 +109,13 @@ func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tena
 	for _, app := range pool {
 		byName[app.Name] = app
 	}
-	apps := make([][]*workloads.App, n)
 	for i := range spec.Cohorts {
 		c := &spec.Cohorts[i]
 		t.classOf[i] = c.Class
 		t.slot[i] = classSlot[c.Class]
 		t.deadline[i] = time.Duration(c.Deadline)
 		if len(c.Apps) == 0 {
-			apps[i] = pool
+			t.apps[i] = pool
 			continue
 		}
 		mix := make([]*workloads.App, len(c.Apps))
@@ -186,21 +126,8 @@ func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tena
 			}
 			mix[j] = app
 		}
-		apps[i] = mix
+		t.apps[i] = mix
 	}
-	stream, err := tenancy.NewStream(tenancy.StreamConfig{
-		Spec:       spec,
-		RatePerSec: cfg.RatePerSec,
-		Horizon:    cfg.Duration,
-		Seed:       cfg.Seed,
-		PoolSize:   len(pool),
-		Stride:     cfg.shardStride,
-		Phase:      cfg.shardPhase,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
-	}
-	t.src = &tenantSource{stream: stream, apps: apps, cohOffered: make([]int, n)}
 	return t, nil
 }
 
@@ -240,11 +167,11 @@ func (t *tenantRun) finalize() *TenancyResult {
 	for i := range t.spec.Cohorts {
 		c := &t.spec.Cohorts[i]
 		s := t.slot[i]
-		classOffered[s] += t.src.cohOffered[i]
+		classOffered[s] += t.offered[i]
 		if t.deadline[i] > 0 {
 			deadlined[s] = true
 		}
-		res.Cohorts[i] = CohortResult{ID: c.ID, Class: c.Class, Offered: t.src.cohOffered[i], Completed: t.complets[i]}
+		res.Cohorts[i] = CohortResult{ID: c.ID, Class: c.Class, Offered: t.offered[i], Completed: t.complets[i]}
 	}
 	for s, class := range t.classes {
 		d := t.digs[s]

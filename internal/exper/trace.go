@@ -30,17 +30,25 @@ import (
 // being silently dropped past the horizon.
 //
 // rescale multiplies the trace's arrival rate: 2 replays it twice as
-// fast, 0.5 at half speed; 0 and 1 leave it unchanged. The result is
-// sorted ascending (stably, so same-instant requests keep log order).
+// fast, 0.5 at half speed; 0 and 1 leave it unchanged. An offset that
+// does not fit time.Duration (about 292 years) after anchoring and
+// rescale is an error naming its line. The result is sorted ascending
+// (stably, so same-instant requests keep log order).
 func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 	if rescale < 0 {
 		return nil, fmt.Errorf("exper: trace: negative rescale %v", rescale)
+	}
+	if math.IsNaN(rescale) || math.IsInf(rescale, 0) {
+		return nil, fmt.Errorf("exper: trace: non-finite rescale %v", rescale)
 	}
 	if rescale == 0 {
 		rescale = 1
 	}
 	var seconds []float64
 	var absolutes []time.Time
+	// lines[i] is the log line of the i-th timestamp (one log holds one
+	// format, so one slice serves either).
+	var lines []int
 	// First line of each format, for the mixed-format diagnostic.
 	var firstNumLine, firstAbsLine int
 	var firstNumField, firstAbsField string
@@ -71,6 +79,7 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 				firstNumLine, firstNumField = lineno, field
 			}
 			seconds = append(seconds, secs)
+			lines = append(lines, lineno)
 			continue
 		}
 		t, err := time.Parse(time.RFC3339Nano, field)
@@ -81,6 +90,7 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 			firstAbsLine, firstAbsField = lineno, field
 		}
 		absolutes = append(absolutes, t)
+		lines = append(lines, lineno)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("exper: trace near line %d: %w", lineno+1, err)
@@ -97,6 +107,11 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 	// happens in seconds, before the nanosecond conversion, so epoch
 	// magnitudes do not cost sub-second float precision.
 	const epochCutoff = 1e8
+	// An offset must fit time.Duration (~292 years) after anchoring and
+	// rescale; a float conversion past it would wrap negative.
+	tooLong := func(i int) error {
+		return fmt.Errorf("exper: trace line %d: offset beyond time.Duration's ~292-year range", lines[i])
+	}
 	var offsets []time.Duration
 	if len(seconds) > 0 {
 		min := seconds[0]
@@ -108,8 +123,12 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 		if min < epochCutoff {
 			min = 0
 		}
-		for _, s := range seconds {
-			offsets = append(offsets, time.Duration((s-min)*float64(time.Second)))
+		for i, s := range seconds {
+			ns := (s - min) * float64(time.Second)
+			if !(ns < 1<<63) {
+				return nil, tooLong(i)
+			}
+			offsets = append(offsets, time.Duration(ns))
 		}
 	}
 	if len(absolutes) > 0 {
@@ -119,13 +138,22 @@ func LoadTrace(r io.Reader, rescale float64) ([]time.Duration, error) {
 				origin = t
 			}
 		}
-		for _, t := range absolutes {
-			offsets = append(offsets, t.Sub(origin))
+		for i, t := range absolutes {
+			// Sub saturates instead of overflowing.
+			off := t.Sub(origin)
+			if !origin.Add(off).Equal(t) {
+				return nil, tooLong(i)
+			}
+			offsets = append(offsets, off)
 		}
 	}
 	if rescale != 1 {
 		for i, off := range offsets {
-			offsets[i] = time.Duration(float64(off) / rescale)
+			ns := float64(off) / rescale
+			if !(ns < 1<<63) {
+				return nil, tooLong(i)
+			}
+			offsets[i] = time.Duration(ns)
 		}
 	}
 	sort.SliceStable(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +128,13 @@ func TestLoadTraceRejectsBadInput(t *testing.T) {
 		{"0\n# comment\n-3,/x\n", 1, "line 3: negative offset -3"},
 		{"# log\n2021-12-06T10:00:00Z\n\n7,/a\n", 1,
 			`"7" on line 4 vs "2021-12-06T10:00:00Z" on line 2`},
+		// Offsets past time.Duration's range once wrapped negative (or,
+		// for RFC 3339 spans, saturated) with a nil error.
+		{"0\n1e11\n", 0, "line 2: offset beyond"},
+		{"0\n# gap\n9.3e9\n", 0, "line 3: offset beyond"},
+		{"0\n1\n", 1e-12, "line 2: offset beyond"},
+		{"0001-01-01T00:00:00Z\n2021-12-06T10:00:00Z\n", 1, "line 2: offset beyond"},
+		{"1\n", math.NaN(), "non-finite rescale"},
 	}
 	for i, tc := range cases {
 		_, err := LoadTrace(strings.NewReader(tc.in), tc.rescale)
@@ -159,4 +167,42 @@ func TestLoadTraceEmptyLogIsEmptyTrace(t *testing.T) {
 	if len(trace) != 0 {
 		t.Fatalf("trace = %v, want empty", trace)
 	}
+}
+
+// FuzzLoadTrace drives the trace loader with arbitrary logs and rescale
+// factors: every input either fails, or yields sorted, non-negative
+// offsets, one per data line (non-blank, not a '#' comment). The seeds
+// include logs whose offsets overflow time.Duration after anchoring or
+// rescale, which once came back negative with a nil error.
+func FuzzLoadTrace(f *testing.F) {
+	f.Add("0\n1e11\n", 0.0)
+	f.Add("0\n9.3e9\n", 0.0)
+	f.Add("0\n1\n", 1e-12)
+	f.Add("0001-01-01T00:00:00Z\n2021-12-06T10:00:00Z\n", 1.0)
+	f.Add("1638784800.25,/detect\n1638784800,/detect\n# c\n\n1638784803.5\n", 2.0)
+	f.Add("5\n1\n3\n", 0.5)
+	f.Fuzz(func(t *testing.T, log string, rescale float64) {
+		trace, err := LoadTrace(strings.NewReader(log), rescale)
+		if err != nil {
+			return
+		}
+		data := 0
+		for _, line := range strings.Split(log, "\n") {
+			line = strings.TrimSpace(line)
+			if line != "" && !strings.HasPrefix(line, "#") {
+				data++
+			}
+		}
+		if len(trace) != data {
+			t.Fatalf("%d offsets for %d data lines", len(trace), data)
+		}
+		for i, off := range trace {
+			if off < 0 {
+				t.Fatalf("offset %d is negative: %v", i, off)
+			}
+			if i > 0 && off < trace[i-1] {
+				t.Fatalf("offset %d (%v) precedes offset %d (%v)", i, off, i-1, trace[i-1])
+			}
+		}
+	})
 }

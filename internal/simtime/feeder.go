@@ -2,6 +2,12 @@ package simtime
 
 import "time"
 
+// MaxRate is the highest rate, in arrivals per second, a stream fed to
+// the simulator may reach. Above it the stream's mean gap falls below
+// the clock's 1 ns tick: gaps truncate to zero, the clock stops
+// advancing and one instant's batch grows without bound.
+const MaxRate = 1e9
+
 // Feed drives a lazily generated event stream into the simulator while
 // keeping exactly one of its events pending at a time: pull returns
 // the next firing instant and its callback (ok=false ends the stream),

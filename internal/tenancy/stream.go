@@ -34,13 +34,6 @@ type StreamConfig struct {
 	// PoolSize is the shared application pool's size, drawn from by
 	// cohorts without an explicit mix.
 	PoolSize int
-	// Stride/Phase deal the merged stream for sharded serving: every
-	// cohort's full sequence is generated, but only arrivals whose
-	// merged index is congruent to Phase mod Stride are yielded
-	// (Stride 0 keeps every arrival). The shard fleet collectively
-	// replays the identical merged realization the unsharded engine
-	// injects, with O(cohorts) state per shard.
-	Stride, Phase int
 }
 
 // Stream generates the merged arrival stream lazily: per-cohort
@@ -49,10 +42,7 @@ type StreamConfig struct {
 // cell holds O(cohorts) arrival state. The sequence is a pure function
 // of the config.
 type Stream struct {
-	gens   []*cohortGen
-	stride int
-	phase  int
-	idx    int
+	gens []*cohortGen
 }
 
 // cohortGen is one cohort's lazy arrival source.
@@ -81,13 +71,13 @@ func NewStream(c StreamConfig) (*Stream, error) {
 	if c.RatePerSec <= 0 {
 		return nil, fmt.Errorf("tenancy: non-positive aggregate rate %v", c.RatePerSec)
 	}
+	if err := c.Spec.CheckRate(c.RatePerSec); err != nil {
+		return nil, err
+	}
 	if c.Horizon <= 0 {
 		return nil, fmt.Errorf("tenancy: non-positive horizon %v", c.Horizon)
 	}
-	if c.Stride < 0 || (c.Stride > 0 && (c.Phase < 0 || c.Phase >= c.Stride)) {
-		return nil, fmt.Errorf("tenancy: shard phase %d outside [0, %d)", c.Phase, c.Stride)
-	}
-	s := &Stream{gens: make([]*cohortGen, len(c.Spec.Cohorts)), stride: c.Stride, phase: c.Phase}
+	s := &Stream{gens: make([]*cohortGen, len(c.Spec.Cohorts))}
 	for i := range c.Spec.Cohorts {
 		co := &c.Spec.Cohorts[i]
 		g := &cohortGen{
@@ -134,30 +124,24 @@ func NewStream(c StreamConfig) (*Stream, error) {
 	return s, nil
 }
 
-// Next yields the merged stream's next kept arrival in timestamp
-// order; ok=false at end of stream.
+// Next yields the merged stream's next arrival in timestamp order;
+// ok=false at end of stream.
 func (s *Stream) Next() (Arrival, bool) {
-	for {
-		min := -1
-		for i, g := range s.gens {
-			if g.done {
-				continue
-			}
-			if min < 0 || g.next.At < s.gens[min].next.At {
-				min = i
-			}
+	min := -1
+	for i, g := range s.gens {
+		if g.done {
+			continue
 		}
-		if min < 0 {
-			return Arrival{}, false
-		}
-		a := s.gens[min].next
-		s.gens[min].advance(min)
-		idx := s.idx
-		s.idx++
-		if s.stride == 0 || idx%s.stride == s.phase {
-			return a, true
+		if min < 0 || g.next.At < s.gens[min].next.At {
+			min = i
 		}
 	}
+	if min < 0 {
+		return Arrival{}, false
+	}
+	a := s.gens[min].next
+	s.gens[min].advance(min)
+	return a, true
 }
 
 // advance draws the cohort's next arrival: a gap (time-dilated by the

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"xartrek/internal/faults"
+	"xartrek/internal/simtime"
 )
 
 // Duration aliases the campaign layer's wire duration ("250ms"-style
@@ -167,6 +168,26 @@ func (s *Spec) Validate() error {
 	}
 	if math.Abs(sum-1) > fracTol {
 		return fmt.Errorf("tenancy: cohort rate_fractions sum to %v, want 1", sum)
+	}
+	return nil
+}
+
+// CheckRate rejects an aggregate rate at which some cohort's peak rate
+// (its rate_fraction share times its largest schedule factor, 1
+// without a schedule) exceeds simtime.MaxRate.
+func (s *Spec) CheckRate(rate float64) error {
+	for i := range s.Cohorts {
+		c := &s.Cohorts[i]
+		factor := 1.0
+		if len(c.Arrival.Schedule) > 0 {
+			factor = 0
+			for _, w := range c.Arrival.Schedule {
+				factor = max(factor, w.Factor)
+			}
+		}
+		if peak := rate * c.RateFraction * factor; !(peak <= simtime.MaxRate) {
+			return fmt.Errorf("tenancy: cohort %q: peak rate %v req/s exceeds %v", c.ID, peak, simtime.MaxRate)
+		}
 	}
 	return nil
 }

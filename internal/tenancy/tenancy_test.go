@@ -150,34 +150,6 @@ func TestStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardDealExact pins the sharded deal: the union of the per-shard
-// streams, in phase order round-robin, is exactly the unsharded
-// stream — same timestamps, cohorts and app draws — so per-cohort
-// request counts split exactly.
-func TestShardDealExact(t *testing.T) {
-	cfg := streamCfg()
-	whole := collect(t, cfg)
-	for _, n := range []int{2, 3, 5} {
-		shards := make([][]Arrival, n)
-		total := 0
-		for p := range n {
-			c := cfg
-			c.Stride, c.Phase = n, p
-			shards[p] = collect(t, c)
-			total += len(shards[p])
-		}
-		if total != len(whole) {
-			t.Fatalf("%d shards: %d arrivals, want %d", n, total, len(whole))
-		}
-		for i, want := range whole {
-			got := shards[i%n][i/n]
-			if got != want {
-				t.Fatalf("%d shards: merged index %d: %+v, want %+v", n, i, got, want)
-			}
-		}
-	}
-}
-
 // TestRateFractionsRespected checks each cohort's share of the merged
 // stream against its declared fraction (law of large numbers bound).
 func TestRateFractionsRespected(t *testing.T) {
@@ -310,8 +282,17 @@ func TestNewStreamRejects(t *testing.T) {
 		{"bad spec", func(c *StreamConfig) { c.Spec = &Spec{} }, "at least one cohort"},
 		{"bad rate", func(c *StreamConfig) { c.RatePerSec = 0 }, "non-positive aggregate rate"},
 		{"bad horizon", func(c *StreamConfig) { c.Horizon = 0 }, "non-positive horizon"},
-		{"bad phase", func(c *StreamConfig) { c.Stride, c.Phase = 2, 2 }, "shard phase"},
 		{"empty pool", func(c *StreamConfig) { c.PoolSize = 0 }, `cohort "analytics" draws from the application pool`},
+		// A peak rate above simtime.MaxRate draws gaps that truncate to
+		// zero, so the cohort's clock would never reach the horizon.
+		{"rate above tick", func(c *StreamConfig) { c.RatePerSec = 1e12 }, `cohort "interactive": peak rate`},
+		{"window factor above tick", func(c *StreamConfig) {
+			c.RatePerSec, c.Spec = 100, twoCohorts()
+			c.Spec.Cohorts[1].Arrival.Schedule = []Window{
+				{Duration: Duration(time.Second), Factor: 1},
+				{Duration: Duration(time.Second), Factor: 1e12},
+			}
+		}, `cohort "analytics": peak rate`},
 	}
 	for _, tc := range cases {
 		c := base
