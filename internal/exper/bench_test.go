@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xartrek/internal/cluster"
+	"xartrek/internal/faults"
 )
 
 // benchmarkEntryPick measures the serving front end's per-arrival entry
@@ -49,3 +50,73 @@ func benchmarkEntryPick(b *testing.B, n int) {
 func BenchmarkEntryPick32(b *testing.B)   { benchmarkEntryPick(b, 32) }
 func BenchmarkEntryPick256(b *testing.B)  { benchmarkEntryPick(b, 256) }
 func BenchmarkEntryPick1024(b *testing.B) { benchmarkEntryPick(b, 1024) }
+
+// benchmarkRequestLifecycle measures one request through the launch
+// lifecycle with no arrival stream: each op launches the next app of
+// the set under Xar-Trek on x86-01 (a non-host entry, whose work can be
+// fault-tracked) and steps the simulator until the request's done
+// fires. load long-running jobs stay resident on the entry node for
+// the whole benchmark. tracked installs a fault runtime whose only
+// event lies beyond any time the benchmark reaches, so every request
+// carries fault tracking and none is disrupted.
+func benchmarkRequestLifecycle(b *testing.B, topo cluster.Topology, load int, tracked bool) {
+	arts := testArtifacts(b)
+	p, err := NewPlatformTopo(arts, topo, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entry := p.x86Nodes[1]
+	for j := 0; j < load; j++ {
+		entry.ExecTransient(10000*time.Hour, nil)
+	}
+	if tracked {
+		never := time.Duration(1) << 62
+		spec := &faults.Spec{Events: []faults.Event{
+			{At: faults.Duration(never - 1), Kind: faults.NodeDown, Node: entry.Name},
+		}}
+		if p.faults, err = newFaultRuntime(p, spec, 1, never, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	apps := arts.Apps
+	finished := false
+	done := func(RunResult) { finished = true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finished = false
+		p.LaunchAppOnClass(entry, apps[i%len(apps)], ModeXarTrek, "", p.Sim.Now(), done)
+		for !finished && p.Sim.Step() {
+		}
+		if !finished {
+			b.Fatal("request never finished")
+		}
+	}
+	b.StopTimer()
+	if entry.Load() < load {
+		b.Fatalf("resident load drained by %v of virtual time", p.Sim.Now())
+	}
+	b.ReportMetric(p.Sim.Now().Seconds()/float64(b.N), "vsec/op")
+}
+
+// BenchmarkRequestLifecycle* track the lifecycle layer (prologue,
+// dispatch, execution chain, finish) for one request, untracked and
+// fault-tracked. ARM: 40 resident jobs load the entry node so
+// Algorithm 2 migrates to one of two ARM nodes. FPGA: one card and no
+// load, so once the preconfigured image is resident the kernel runs in
+// hardware.
+func BenchmarkRequestLifecycleARM(b *testing.B) {
+	benchmarkRequestLifecycle(b, cluster.ScaleOutTopology("life-arm", 2, 2, 0), 40, false)
+}
+
+func BenchmarkRequestLifecycleARMTracked(b *testing.B) {
+	benchmarkRequestLifecycle(b, cluster.ScaleOutTopology("life-arm", 2, 2, 0), 40, true)
+}
+
+func BenchmarkRequestLifecycleFPGA(b *testing.B) {
+	benchmarkRequestLifecycle(b, cluster.ScaleOutTopology("life-fpga", 2, 0, 1), 0, false)
+}
+
+func BenchmarkRequestLifecycleFPGATracked(b *testing.B) {
+	benchmarkRequestLifecycle(b, cluster.ScaleOutTopology("life-fpga", 2, 0, 1), 0, true)
+}

@@ -205,7 +205,7 @@ func (rt *elasticRuntime) refuse(entry *cluster.Node) bool {
 	case elastic.RejectFast:
 		// Synthesising the rejection burns entry CPU — under overload
 		// the error path is itself load.
-		rt.p.entryExec(entry, rt.admission.Cost(), nil)
+		rt.p.entryExec(nil, entry, rt.admission.Cost(), nil)
 	}
 	rt.shed++
 	return true

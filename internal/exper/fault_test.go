@@ -2,6 +2,7 @@ package exper
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -346,5 +347,183 @@ func TestFaultReportDoesNotPinRuntime(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("fault runtime still reachable while its report is held")
 		}
+	}
+}
+
+// crashChurnConfig is a split-image cell whose entry hosts and ARM
+// nodes crash and recover every few seconds, so requests are often
+// mid-flight — or waiting out a reconfiguration — when their node
+// dies.
+func crashChurnConfig(mode Mode, opts Options) ServingConfig {
+	return ServingConfig{
+		Name:       "crash-churn",
+		Topo:       cluster.ScaleOutTopology("rack8", 4, 4, 1),
+		Mode:       mode,
+		Opts:       opts,
+		RatePerSec: 16,
+		Duration:   60 * time.Second,
+		Seed:       7,
+		Faults: &faults.Spec{
+			MaxRetries: 3,
+			Churn: []faults.Churn{{
+				Kind:    "node",
+				Targets: []string{"x86-01", "x86-02", "x86-03", "arm-01", "arm-02"},
+				MTBF:    fsec(4),
+				MTTR:    fsec(2),
+			}},
+		},
+	}
+}
+
+// TestNoWorkOnCrashedNode steps every event of the crash-churn cell and
+// checks that no crashed node runs a job. A vanilla-FPGA request (and a
+// Xar-Trek one blocking on reconfiguration) waits for its kernel on
+// untracked timers; when its entry host crashes during the wait, the
+// next attempt must re-place the request, not start work on the dead
+// node.
+func TestNoWorkOnCrashedNode(t *testing.T) {
+	arts := testSplitArtifacts(t)
+	cases := []struct {
+		name string
+		mode Mode
+		opts Options
+	}{
+		{"vanilla-fpga", ModeVanillaFPGA, Options{}},
+		{"xar-trek", ModeXarTrek, Options{}},
+		{"xar-trek-block", ModeXarTrek, Options{BlockOnReconfig: true}},
+		{"vanilla-arm", ModeVanillaARM, Options{}},
+		{"vanilla-x86", ModeVanillaX86, Options{}},
+	}
+	defer func() { debugServingStep = nil }()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := 0
+			debugServingStep = func(p *Platform) {
+				for i, down := range p.faults.nodeDown {
+					if down && p.Cluster.Nodes[i].Load() > 0 {
+						if bad == 0 {
+							t.Errorf("t=%v: crashed %s runs %d job(s)", p.Sim.Now(), p.Cluster.Nodes[i].Name, p.Cluster.Nodes[i].Load())
+						}
+						bad++
+					}
+				}
+			}
+			res, _, _, err := runServingCore(arts, crashChurnConfig(tc.mode, tc.opts), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad > 0 {
+				t.Errorf("%d steps found a job on a crashed node", bad)
+			}
+			if res.Completed == 0 || res.Faults.RequestsDisrupted == 0 {
+				t.Fatalf("completed %d, disrupted %d: nothing exercised", res.Completed, res.Faults.RequestsDisrupted)
+			}
+			t.Logf("completed %d, disrupted %d, lost %d", res.Completed, res.Faults.RequestsDisrupted, res.Faults.RequestsLost)
+		})
+	}
+}
+
+// checkTokenRegistry asserts the fault runtime's bookkeeping between
+// two events: every registered token is live, sits at its slot of its
+// own registry and belongs to an in-flight launch; every pooled launch
+// is reset, holding no tokens (nor stale pointers to any), attempts or
+// disruption time.
+func checkTokenRegistry(t *testing.T, p *Platform) {
+	t.Helper()
+	free := make(map[*launch]bool, len(p.launchFree))
+	for _, l := range p.launchFree {
+		free[l] = true
+		if len(l.tokens) != 0 || l.attempts != 0 || l.disruptedAt != -1 {
+			t.Fatalf("t=%v: pooled launch holds %d tokens, %d attempts, disruptedAt %v",
+				p.Sim.Now(), len(l.tokens), l.attempts, l.disruptedAt)
+		}
+		for _, tok := range l.tokens[:cap(l.tokens)] {
+			if tok != nil {
+				t.Fatalf("t=%v: pooled launch keeps a stale token pointer", p.Sim.Now())
+			}
+		}
+	}
+	for reg, toks := range p.faults.tokens {
+		for i, tok := range toks {
+			switch {
+			case tok == nil || tok.dead:
+				t.Fatalf("t=%v: registry %d slot %d holds a dead token", p.Sim.Now(), reg, i)
+			case tok.reg != reg || tok.slot != i:
+				t.Fatalf("t=%v: token at registry %d slot %d claims %d/%d", p.Sim.Now(), reg, i, tok.reg, tok.slot)
+			case free[tok.l]:
+				t.Fatalf("t=%v: live token belongs to a pooled launch", p.Sim.Now())
+			}
+		}
+	}
+}
+
+// TestTrackedLaunchRecycling steps the checked-in fault cell, the
+// crash-churn cell and a partition-only cell event by event:
+// fault-tracked launches are recycled at finish like untracked ones,
+// and the registries must never see a recycled one.
+func TestTrackedLaunchRecycling(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "examples", "campaigns", "faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseCampaign(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Cells) != 1 {
+		t.Fatalf("faults.json has %d cells, want 1", len(spec.Cells))
+	}
+	c := spec.Cells[0]
+	topo, err := c.Topology.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, err := ParseMode(c.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := ServingConfig{
+		Name: c.Name, Topo: topo, Mode: mode, RatePerSec: c.Rate,
+		Duration: time.Duration(c.Duration), Seed: c.Seed, Faults: c.Faults,
+	}
+	defer func() { debugServingStep = nil }()
+	steps, pooled := 0, false
+	debugServingStep = func(p *Platform) {
+		steps++
+		pooled = pooled || len(p.launchFree) > 0
+		checkTokenRegistry(t, p)
+	}
+	res, _, _, err := runServingCore(testArtifacts(t), cell, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Faults; f.RequestsRetried == 0 || f.RecoveryP99 == 0 {
+		t.Fatal("faults.json cell completed no disrupted request")
+	}
+	if _, _, _, err := runServingCore(testSplitArtifacts(t), crashChurnConfig(ModeVanillaFPGA, Options{}), false); err != nil {
+		t.Fatal(err)
+	}
+	// Partitions alone, so only the link sweep kills anything: every
+	// 100 ms one host-to-ARM pair is cut for 50 ms.
+	cut := &faults.Spec{}
+	for i := 0; i < 200; i++ {
+		at, arm := time.Duration(i)*100*time.Millisecond, fmt.Sprintf("arm-%02d", i%4)
+		cut.Events = append(cut.Events,
+			faults.Event{At: faults.Duration(at), Kind: faults.LinkPartition, A: "x86-00", B: arm},
+			faults.Event{At: faults.Duration(at + 50*time.Millisecond), Kind: faults.LinkRestore, A: "x86-00", B: arm})
+	}
+	res, _, _, err = runServingCore(testArtifacts(t), ServingConfig{
+		Name: "partitions", Topo: cluster.ScaleOutTopology("rack8", 4, 4, 2), Mode: ModeXarTrek,
+		RatePerSec: 40, Duration: 20 * time.Second, Seed: 1, Faults: cut,
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.RequestsDisrupted == 0 {
+		t.Fatal("partitions killed no in-flight transfer")
+	}
+	if steps == 0 || !pooled {
+		t.Fatalf("%d steps, pooled launches seen: %v — nothing exercised", steps, pooled)
 	}
 }

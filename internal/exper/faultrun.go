@@ -69,44 +69,20 @@ const (
 // degenerating into zero-delay retries.
 const maxRetryBackoff = 10 * time.Second
 
-// reqCtx is the fault-tracking context of one in-flight request. It
-// exists only when a fault runtime is installed; every execution-path
-// function accepts a nil reqCtx and then behaves exactly as the
-// pre-fault engine did.
-type reqCtx struct {
-	rt *faultRuntime
-	// entry is the request's current entry node; a retry may move it.
-	entry *cluster.Node
-	// attempts counts disruptions so far; the retry budget bounds it.
-	attempts int
-	// disruptedAt is the virtual time of the first disruption, -1
-	// until one happens.
-	disruptedAt time.Duration
-	// lost marks a request dropped after exhausting its retries.
-	lost bool
-	// tokens are the request's live cancellable segments.
-	tokens []*segToken
-	// prologue and kernel re-enter the respective phase on the
-	// (possibly re-chosen) entry node — the retry continuations.
-	prologue func()
-	kernel   func()
-}
-
-// segToken registers one cancellable work segment (a PS job on a node,
-// a transfer on a link, or an FPGA invocation) with the fault runtime,
-// so a fault event can kill exactly the work resident on its target.
+// segToken registers one cancellable work segment of a request (a PS
+// job on a node, a transfer on a link, the state-transformation timer,
+// or an FPGA invocation) with the fault runtime, so a fault event can
+// kill exactly the work resident on its target.
 type segToken struct {
-	rq    *reqCtx
-	phase int
-	// job is the cancellable PS job; nil for device invocations,
-	// whose completion callback checks dead instead.
+	l *launch
+	// job is the cancellable PS job; nil for the state-transformation
+	// timer and device invocations, whose callbacks check dead instead.
 	job *simtime.PSJob
-	// node is the owning registry: the segment's node index, or the
-	// device index for dev tokens.
-	node int
-	// other is the far endpoint of a link transfer (-1 for compute).
-	other  int
-	onLink bool
+	// reg is the owning registry: the segment's node (a transfer's
+	// destination), or len(nodes)+card for an FPGA invocation.
+	reg int
+	// other is the far endpoint of a link transfer (-1 otherwise).
+	other int
 	// slot is the token's position in its registry slice.
 	slot int
 	dead bool
@@ -144,11 +120,10 @@ type faultRuntime struct {
 	linkFactor   map[linkPair]float64
 	partitioned  map[linkPair]bool
 
-	// nodeTokens[i] holds the live segments resident on node i
-	// (compute jobs, plus transfers whose destination is i);
-	// devTokens[i] the in-flight invocations on card i.
-	nodeTokens [][]*segToken
-	devTokens  [][]*segToken
+	// tokens[i] holds the live segments resident on node i (compute,
+	// plus transfers whose destination is i); cards follow the nodes,
+	// so tokens[len(nodes)+d] holds the in-flight invocations on card d.
+	tokens [][]*segToken
 
 	res FaultResult
 	// sketch selects GK-sketch accumulation for the recovery and
@@ -188,8 +163,7 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		devDownSince: make([]time.Duration, len(p.Devices)),
 		linkFactor:   make(map[linkPair]float64),
 		partitioned:  make(map[linkPair]bool),
-		nodeTokens:   make([][]*segToken, len(p.Cluster.Nodes)),
-		devTokens:    make([][]*segToken, len(p.Devices)),
+		tokens:       make([][]*segToken, len(p.Cluster.Nodes)+len(p.Devices)),
 		sketch:       sketch,
 		recovery:     newLatDigest(sketch),
 		classLat:     make(map[string]*latDigest),
@@ -245,11 +219,6 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 	return rt, nil
 }
 
-// newRequest opens fault tracking for one launched request.
-func (rt *faultRuntime) newRequest(entry *cluster.Node) *reqCtx {
-	return &reqCtx{rt: rt, entry: entry, disruptedAt: -1}
-}
-
 // apply executes one timeline event at its firing time.
 func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 	rt.res.Events++
@@ -261,7 +230,7 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 		}
 		rt.nodeDown[node] = true
 		rt.downSince[node] = now
-		rt.killNode(node)
+		rt.kill(node, nil)
 	case faults.NodeUp:
 		if !rt.nodeDown[node] {
 			return
@@ -278,7 +247,10 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 		}
 		rt.devDown[dev] = true
 		rt.devDownSince[dev] = now
-		rt.killDevice(dev)
+		// In-flight invocations are lost and their requests re-placed
+		// — which re-consults the scheduler with the card now
+		// unavailable, so the kernel degrades to ARM/x86 execution.
+		rt.res.FPGAFallbacks += rt.kill(len(rt.nodeDown)+dev, nil)
 	case faults.FPGAUp:
 		if !rt.devDown[dev] {
 			return
@@ -295,7 +267,10 @@ func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
 			return
 		}
 		rt.partitioned[pair] = true
-		rt.killLink(pair)
+		// Transfers crossing the pair die on both endpoints.
+		crossing := func(t *segToken) bool { return t.other >= 0 && pairOf(t.reg, t.other) == pair }
+		rt.kill(pair.lo, crossing)
+		rt.kill(pair.hi, crossing)
 	case faults.LinkRestore:
 		delete(rt.linkFactor, pair)
 		delete(rt.partitioned, pair)
@@ -342,136 +317,88 @@ func (rt *faultRuntime) scaleLink(a, b int, base time.Duration) time.Duration {
 
 // --- token registry -------------------------------------------------
 
-// addToken registers a node-resident segment: compute on node, or a
-// transfer whose destination is node (other = far endpoint). The
-// caller sets tok.job once the PS job exists.
-func (rt *faultRuntime) addToken(rq *reqCtx, phase, node int, onLink bool, other int) *segToken {
-	tok := &segToken{rq: rq, phase: phase, node: node, other: other, onLink: onLink}
-	tok.slot = len(rt.nodeTokens[node])
-	rt.nodeTokens[node] = append(rt.nodeTokens[node], tok)
-	rq.tokens = append(rq.tokens, tok)
+// track registers a new segment of request l on registry reg — a node,
+// or len(nodes)+card for an FPGA invocation; other is a transfer's far
+// endpoint, -1 otherwise — and returns its token. It returns nil, and
+// registers nothing, when the platform has no fault runtime or the
+// work belongs to no launch.
+func (p *Platform) track(l *launch, reg, other int) *segToken {
+	if p.faults == nil || l == nil {
+		return nil
+	}
+	rt := p.faults
+	tok := &segToken{l: l, reg: reg, other: other, slot: len(rt.tokens[reg])}
+	rt.tokens[reg] = append(rt.tokens[reg], tok)
+	l.tokens = append(l.tokens, tok)
 	return tok
 }
 
-// addDevToken registers an in-flight FPGA invocation on card dev.
-func (rt *faultRuntime) addDevToken(rq *reqCtx, dev int) *segToken {
-	tok := &segToken{rq: rq, phase: phaseKernel, node: dev}
-	tok.slot = len(rt.devTokens[dev])
-	rt.devTokens[dev] = append(rt.devTokens[dev], tok)
-	rq.tokens = append(rq.tokens, tok)
-	return tok
-}
-
-// settle retires a token whose segment completed normally.
-func (rt *faultRuntime) settle(tok *segToken) {
-	if tok.dead {
+// submit runs one segment of work on a node's run queue or a link.
+// Untracked (tok nil) it is a transient job. Tracked, it is a
+// cancellable job whose token settles before done runs.
+func submit(tok *segToken, ps *simtime.PSServer, work time.Duration, done func()) {
+	if tok == nil {
+		ps.SubmitTransient(work, done)
 		return
 	}
-	tok.dead = true
-	rt.dropFrom(&rt.nodeTokens[tok.node], tok)
+	tok.job = ps.Submit(work, func() {
+		tok.settle()
+		done()
+	})
 }
 
-// settleDev retires a completed device token.
-func (rt *faultRuntime) settleDev(tok *segToken) {
-	if tok.dead {
-		return
+// settle retires a token whose segment completed and reports whether
+// the request's chain continues: false when a fault killed the segment
+// first, which abandoned the chain.
+func (t *segToken) settle() bool {
+	if t.dead {
+		return false
 	}
-	tok.dead = true
-	rt.dropFrom(&rt.devTokens[tok.node], tok)
-}
-
-// dropFrom swap-removes a token from its registry slice.
-func (rt *faultRuntime) dropFrom(reg *[]*segToken, tok *segToken) {
-	s := *reg
-	i := tok.slot
-	if i < 0 || i >= len(s) || s[i] != tok {
-		return
-	}
-	last := len(s) - 1
+	t.dead = true
+	rt := t.l.p.faults
+	s := rt.tokens[t.reg]
+	i, last := t.slot, len(s)-1
 	s[i] = s[last]
 	s[i].slot = i
 	s[last] = nil
-	*reg = s[:last]
+	rt.tokens[t.reg] = s[:last]
+	return true
 }
 
-// compact rebuilds a registry without its dead tokens after a kill
-// sweep, fixing slots.
-func (rt *faultRuntime) compact(reg *[]*segToken) {
-	s := *reg
+// kill disrupts the request of every live segment in registry reg
+// that hit accepts (nil accepts all), then drops the dead tokens. It
+// returns the number of segments killed. Iteration is in slot order,
+// which is deterministic — the whole simulation is single-threaded.
+func (rt *faultRuntime) kill(reg int, hit func(*segToken) bool) int {
+	killed := 0
+	s := rt.tokens[reg]
+	for _, t := range s {
+		if t.dead || (hit != nil && !hit(t)) {
+			continue
+		}
+		rt.disrupt(t.l)
+		killed++
+	}
 	live := s[:0]
 	for _, t := range s {
-		if t.dead {
-			continue
+		if !t.dead {
+			t.slot = len(live)
+			live = append(live, t)
 		}
-		t.slot = len(live)
-		live = append(live, t)
 	}
-	for i := len(live); i < len(s); i++ {
-		s[i] = nil
-	}
-	*reg = live
-}
-
-// killNode crashes node idx: every resident segment is cancelled and
-// its request disrupted (re-placed or lost). Iteration is in slot
-// order, which is deterministic — the whole simulation is
-// single-threaded.
-func (rt *faultRuntime) killNode(idx int) {
-	toks := rt.nodeTokens[idx]
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
-		if t == nil || t.dead {
-			continue
-		}
-		rt.disrupt(t.rq, t.phase)
-	}
-	rt.compact(&rt.nodeTokens[idx])
-}
-
-// killDevice fails card idx: in-flight invocations are lost and their
-// requests re-placed — which re-consults the scheduler with the card
-// now unavailable, so the kernel degrades to ARM/x86 execution.
-func (rt *faultRuntime) killDevice(idx int) {
-	toks := rt.devTokens[idx]
-	for i := 0; i < len(toks); i++ {
-		t := toks[i]
-		if t == nil || t.dead {
-			continue
-		}
-		rt.res.FPGAFallbacks++
-		rt.disrupt(t.rq, t.phase)
-	}
-	rt.compact(&rt.devTokens[idx])
-}
-
-// killLink partitions the pair: in-flight transfers crossing it are
-// cancelled and their requests re-placed.
-func (rt *faultRuntime) killLink(pair linkPair) {
-	for _, idx := range [2]int{pair.lo, pair.hi} {
-		toks := rt.nodeTokens[idx]
-		for i := 0; i < len(toks); i++ {
-			t := toks[i]
-			if t == nil || t.dead || !t.onLink {
-				continue
-			}
-			if pairOf(t.node, t.other) != pair {
-				continue
-			}
-			rt.disrupt(t.rq, t.phase)
-		}
-		rt.compact(&rt.nodeTokens[idx])
-	}
+	clear(s[len(live):])
+	rt.tokens[reg] = live
+	return killed
 }
 
 // disrupt handles one request losing its substrate: every live segment
 // of the request is cancelled (a request can hold several — an ARM
 // kernel and its DSM transfer run concurrently), then a single retry
-// is scheduled with exponential backoff, re-entering the killed phase
-// on a freshly chosen entry node — which re-consults the placement
-// policy over the surviving fleet. Beyond the retry budget the request
-// is lost.
-func (rt *faultRuntime) disrupt(rq *reqCtx, phase int) {
-	for _, t := range rq.tokens {
+// is scheduled with exponential backoff, re-entering the request's
+// current phase on a freshly chosen entry node. Beyond the retry
+// budget the request is lost.
+func (rt *faultRuntime) disrupt(l *launch) {
+	for _, t := range l.tokens {
 		if t.dead {
 			continue
 		}
@@ -480,14 +407,13 @@ func (rt *faultRuntime) disrupt(rq *reqCtx, phase int) {
 			t.job.Cancel()
 		}
 	}
-	rq.tokens = rq.tokens[:0]
-	if rq.disruptedAt < 0 {
-		rq.disruptedAt = rt.p.Sim.Now()
+	l.tokens = l.tokens[:0]
+	if l.disruptedAt < 0 {
+		l.disruptedAt = rt.p.Sim.Now()
 		rt.res.RequestsDisrupted++
 	}
-	rq.attempts++
-	if rq.attempts > rt.maxRetries {
-		rq.lost = true
+	l.attempts++
+	if l.attempts > rt.maxRetries {
 		rt.res.RequestsLost++
 		rt.res.RetriesExhausted++
 		return
@@ -498,25 +424,18 @@ func (rt *faultRuntime) disrupt(rq *reqCtx, phase int) {
 	// shift far from the 63-bit overflow that would wrap the delay to
 	// zero and turn a full-outage window into a same-instant retry
 	// storm; the absolute cap bounds the wait of late attempts.
-	delay := rt.backoff << uint(rq.attempts-1)
+	delay := rt.backoff << uint(l.attempts-1)
 	if delay <= 0 || delay > maxRetryBackoff {
 		delay = maxRetryBackoff
 	}
-	retry := rq.kernel
-	if phase == phasePrologue {
-		retry = rq.prologue
-	}
-	rt.p.Sim.After(delay, func() {
-		rq.entry = rt.p.leastLoadedX86()
-		retry()
-	})
+	rt.p.Sim.After(delay, l.retryFn)
 }
 
 // completed records a finished request (called from the launch
-// lifecycle's finish closure).
-func (rt *faultRuntime) completed(rq *reqCtx) {
-	if rq.disruptedAt >= 0 {
-		rt.recovery.add(rt.p.Sim.Now() - rq.disruptedAt)
+// lifecycle's finish).
+func (rt *faultRuntime) completed(l *launch) {
+	if l.disruptedAt >= 0 {
+		rt.recovery.add(rt.p.Sim.Now() - l.disruptedAt)
 	}
 }
 
@@ -603,23 +522,6 @@ func (p *Platform) linkWork(a, b *cluster.Node, base time.Duration) time.Duratio
 		return base
 	}
 	return p.faults.scaleLink(a.Index, b.Index, base)
-}
-
-// entryExecReq is entryExec with fault tracking: compute on a
-// non-host entry node registers a cancellable segment so a crash of
-// that node kills and re-places the request. The scheduler host never
-// crashes (validated at runtime construction), so host-routed work —
-// including the FIFO-ablation gate — needs no token.
-func (p *Platform) entryExecReq(rq *reqCtx, phase int, entry *cluster.Node, work time.Duration, done func()) {
-	if rq == nil || entry == nil || entry == p.Cluster.X86 {
-		p.entryExec(entry, work, done)
-		return
-	}
-	tok := rq.rt.addToken(rq, phase, entry.Index, false, -1)
-	tok.job = entry.Exec(work, func() {
-		rq.rt.settle(tok)
-		done()
-	})
 }
 
 // faultMetrics folds the fault report into a serving cell's flat

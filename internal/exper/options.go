@@ -330,14 +330,23 @@ func (p *Platform) serverFor(entry *cluster.Node) *sched.Server {
 }
 
 // entryExec routes one process's x86-class compute onto its entry
-// node. The FIFO-core ablation gates the scheduler host only (the
-// paper testbed's single x86 server).
-func (p *Platform) entryExec(entry *cluster.Node, work time.Duration, done func()) {
+// node, as a segment of request l (nil for work outside the launch
+// lifecycle). The FIFO-core ablation gates the scheduler host only
+// (the paper testbed's single x86 server). The host never crashes —
+// fault validation rejects that — so its work needs no token. A
+// tracked request whose entry crashed before this segment started
+// (while it waited out a reconfiguration, say) is disrupted and
+// re-placed instead of run.
+func (p *Platform) entryExec(l *launch, entry *cluster.Node, work time.Duration, done func()) {
 	if entry == nil || entry == p.Cluster.X86 {
 		p.x86Exec(work, done)
 		return
 	}
-	entry.ExecTransient(work, done)
+	if l != nil && p.faults != nil && !p.faults.usableNode(entry.Index) {
+		p.faults.disrupt(l)
+		return
+	}
+	submit(p.track(l, entry.Index, -1), entry.Pool, work, done)
 }
 
 // x86Exec routes scheduler-host compute through the configured CPU

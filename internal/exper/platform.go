@@ -192,8 +192,8 @@ type Platform struct {
 	// fifo is the FIFO-core admission gate of the X86FIFO ablation.
 	fifo *fifoGate
 	// launchFree and armFree pool the per-request lifecycle structs
-	// (process.go), so steady-state serving recycles them instead of
-	// allocating per request.
+	// (process.go), fault-tracked or not, so steady-state serving
+	// recycles them instead of allocating per request.
 	launchFree []*launch
 	armFree    []*armRun
 	// faults is the fault-injection runtime of a churn campaign; nil on

@@ -77,23 +77,30 @@ func (p *Platform) LaunchAppOnClass(entry *cluster.Node, app *workloads.App, mod
 // capture only the struct pointer and are created once per pooled
 // struct, never per request.
 type launch struct {
-	p     *Platform
+	p *Platform
+	// entry is the request's current entry node; a fault retry may
+	// move it.
 	entry *cluster.Node
 	app   *workloads.App
 	mode  Mode
 	class string
 	start time.Duration
 	done  func(RunResult)
-	// rq is the fault-tracking context; nil on fault-free runs. A
-	// tracked request's retry continuations alias the launch's own, so
-	// the struct is not recycled in that case (the tracker may hold
-	// them past finish).
-	rq *reqCtx
+	// phase is the phase the request is in, phasePrologue or
+	// phaseKernel: the one a fault retry re-enters.
+	phase int
+	// tokens, attempts and disruptedAt are the request's fault
+	// tracking, untouched on fault-free runs: its segment tokens since
+	// the last disruption, the disruptions so far, and the time of the
+	// first one (-1 until it happens).
+	tokens      []*segToken
+	attempts    int
+	disruptedAt time.Duration
 
-	beginFn    func()
-	prologueFn func()
-	kernelFn   func()
-	finishFn   func(threshold.Target)
+	beginFn  func()
+	kernelFn func()
+	retryFn  func()
+	finishFn func(threshold.Target)
 }
 
 func (p *Platform) getLaunch() *launch {
@@ -103,26 +110,23 @@ func (p *Platform) getLaunch() *launch {
 		p.launchFree = p.launchFree[:n-1]
 		return l
 	}
-	l := &launch{p: p}
+	l := &launch{p: p, disruptedAt: -1}
 	l.beginFn = l.begin
-	l.prologueFn = l.prologue
 	l.kernelFn = l.kernel
+	l.retryFn = l.retry
 	l.finishFn = l.finish
 	return l
 }
 
+// putLaunch recycles a finished launch, tracked or not. Its token
+// slice is cleared to full capacity, so the pool keeps no stale
+// pointers; a disrupted chain that still holds one of those tokens
+// finds it dead and never reaches the launch.
 func (p *Platform) putLaunch(l *launch) {
-	l.entry, l.app, l.class, l.done, l.rq = nil, nil, "", nil, nil
+	clear(l.tokens[:cap(l.tokens)])
+	l.entry, l.app, l.class, l.done = nil, nil, "", nil
+	l.tokens, l.attempts, l.disruptedAt = l.tokens[:0], 0, -1
 	p.launchFree = append(p.launchFree, l)
-}
-
-// node is the request's current entry node: under fault injection a
-// retry may have moved it (rq.entry supersedes the original).
-func (l *launch) node() *cluster.Node {
-	if l.rq != nil {
-		return l.rq.entry
-	}
-	return l.entry
 }
 
 func (l *launch) begin() {
@@ -131,46 +135,53 @@ func (l *launch) begin() {
 	if l.mode == ModeXarTrek && !p.opts.NoPreconfig {
 		p.preconfigure(l.app)
 	}
-	// Under fault injection the request carries a tracking context: its
-	// in-flight segments are registered so a failing node, card or link
-	// can kill and re-place them. The retry continuations re-enter the
-	// phase the request was killed in, on a freshly chosen entry.
-	if p.faults != nil {
-		l.rq = p.faults.newRequest(l.entry)
-		l.rq.prologue, l.rq.kernel = l.prologueFn, l.kernelFn
-	}
 	l.prologue()
 }
 
+// prologue runs the app's non-kernel part on the entry node.
 func (l *launch) prologue() {
-	l.p.runPrologue(l.rq, l.node(), l.app, l.kernelFn)
+	l.phase = phasePrologue
+	if l.app.NonKernel <= 0 {
+		l.kernel()
+		return
+	}
+	l.p.entryExec(l, l.entry, l.app.NonKernel, l.kernelFn)
 }
 
 func (l *launch) kernel() {
-	l.p.runKernel(l.rq, l.node(), l.app, l.mode, l.class, l.finishFn)
+	l.phase = phaseKernel
+	l.p.runKernel(l, l.entry, l.app, l.mode, l.class, l.finishFn)
+}
+
+// retry re-enters the phase a fault killed, on a freshly chosen entry
+// node — which re-consults the placement policy over the surviving
+// fleet.
+func (l *launch) retry() {
+	l.entry = l.p.leastLoadedX86()
+	if l.phase == phasePrologue {
+		l.prologue()
+	} else {
+		l.kernel()
+	}
 }
 
 func (l *launch) finish(target threshold.Target) {
 	p := l.p
-	e := l.node()
-	res := RunResult{App: l.app.Name, Mode: l.mode, Start: l.start, End: p.Sim.Now(), Target: target, Entry: e.Index}
+	res := RunResult{App: l.app.Name, Mode: l.mode, Start: l.start, End: p.Sim.Now(), Target: target, Entry: l.entry.Index}
 	if l.mode == ModeXarTrek && l.app.Migratable && !p.opts.StaticThresholds {
 		// __xar_sched_fini: report the run so Algorithm 1 refines the
 		// thresholds. Errors mean the app has no threshold row
 		// (background load); ignore per the paper's design (MG-B is not
 		// instrumented).
-		_, _ = p.serverFor(e).Report(l.app.Name, target, res.Elapsed())
+		_, _ = p.serverFor(l.entry).Report(l.app.Name, target, res.Elapsed())
 	}
-	rq, done := l.rq, l.done
-	if rq != nil {
-		p.faults.completed(rq)
+	if p.faults != nil {
+		p.faults.completed(l)
 	}
-	if done != nil {
-		done(res)
+	if l.done != nil {
+		l.done(res)
 	}
-	if rq == nil {
-		p.putLaunch(l)
-	}
+	p.putLaunch(l)
 }
 
 // preconfigure starts downloading the image that carries the app's
@@ -219,19 +230,12 @@ func (p *Platform) images(app *workloads.App) (*xclbin.XCLBIN, bool) {
 	return p.arts.Compile.ImageFor(app.KernelName)
 }
 
-// runPrologue executes the app's non-kernel part on the entry node.
-func (p *Platform) runPrologue(rq *reqCtx, entry *cluster.Node, app *workloads.App, then func()) {
-	if app.NonKernel <= 0 {
-		then()
-		return
-	}
-	p.entryExecReq(rq, phasePrologue, entry, app.NonKernel, then)
-}
-
 // runKernel executes the selected function once on the mode's target.
 // class is the requesting cohort's SLO class (empty for classless
-// traffic); only the Xar-Trek scheduler consults it.
-func (p *Platform) runKernel(rq *reqCtx, entry *cluster.Node, app *workloads.App, mode Mode, class string, finish func(threshold.Target)) {
+// traffic); only the Xar-Trek scheduler consults it. l is the request
+// the execution belongs to, nil for callers outside the launch
+// lifecycle (which are never fault-tracked).
+func (p *Platform) runKernel(l *launch, entry *cluster.Node, app *workloads.App, mode Mode, class string, finish func(threshold.Target)) {
 	if p.traceHook != nil {
 		inner := finish
 		finish = func(t threshold.Target) {
@@ -241,21 +245,21 @@ func (p *Platform) runKernel(rq *reqCtx, entry *cluster.Node, app *workloads.App
 	}
 	switch mode {
 	case ModeVanillaX86:
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 	case ModeVanillaARM:
-		p.execVanillaARM(rq, app, finish)
+		p.execVanillaARM(l, app, finish)
 	case ModeVanillaFPGA:
-		p.execVanillaFPGA(rq, entry, app, finish)
+		p.execVanillaFPGA(l, entry, app, finish)
 	case ModeXarTrek:
-		p.execXarTrek(rq, entry, app, class, finish)
+		p.execXarTrek(l, entry, app, class, finish)
 	default:
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 	}
 }
 
 // execX86 runs the kernel on the entry node's CPU model.
-func (p *Platform) execX86(rq *reqCtx, entry *cluster.Node, app *workloads.App, finish func(threshold.Target)) {
-	p.entryExecReq(rq, phaseKernel, entry, app.X86KernelTime(), func() { finish(threshold.TargetX86) })
+func (p *Platform) execX86(l *launch, entry *cluster.Node, app *workloads.App, finish func(threshold.Target)) {
+	p.entryExec(l, entry, app.X86KernelTime(), func() { finish(threshold.TargetX86) })
 }
 
 // armNode resolves a fleet node identifier to its cluster node,
@@ -304,77 +308,36 @@ func (p *Platform) leastLoadedARM() *cluster.Node {
 // the relief the paper exploits. With many migrated pointer-chasing
 // instances a 1 Gbps link serialises and ARM migration stops paying
 // off (Section 4.4's profitability cliff).
-func (p *Platform) execARM(rq *reqCtx, entry *cluster.Node, app *workloads.App, node *cluster.Node, finish func(threshold.Target)) {
+func (p *Platform) execARM(l *launch, entry *cluster.Node, app *workloads.App, node *cluster.Node, finish func(threshold.Target)) {
 	if node == nil {
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 		return
 	}
-	link := p.Cluster.Link(entry, node)
-	if rq == nil {
-		a := p.getARMRun()
-		a.link, a.node, a.app, a.finish = link, node, app, finish
-		p.Sim.After(app.StateTransformTime(), a.transformFn)
-		return
-	}
-	// Fault-tracked migration. State transformation runs on the entry
-	// node; its token has no cancellable job (After timers cannot be
-	// killed), so the timer itself checks for a mid-transform
-	// disruption. The working-set transfer and the DSM stream register
-	// on the destination node as link segments (killed by a destination
-	// crash or a pair partition); the kernel registers as destination
-	// compute. Link degradation stretches new transfers via linkWork.
-	rt := rq.rt
-	st := rt.addToken(rq, phaseKernel, entry.Index, false, -1)
-	p.Sim.After(app.StateTransformTime(), func() {
-		if st.dead {
-			return
-		}
-		rt.settle(st)
-		if !rt.pathOK(entry.Index, node.Index) {
-			// The destination crashed or the pair partitioned during
-			// state transformation: the migration cannot land.
-			rt.disrupt(rq, phaseKernel)
-			return
-		}
-		xfer := rt.addToken(rq, phaseKernel, node.Index, true, entry.Index)
-		xfer.job = link.Submit(p.linkWork(entry, node, link.Net.TransferTime(app.WorkingSetBytes)), func() {
-			rt.settle(xfer)
-			pending := 2
-			part := func() {
-				pending--
-				if pending == 0 {
-					finish(threshold.TargetARM)
-				}
-			}
-			exec := rt.addToken(rq, phaseKernel, node.Index, false, -1)
-			exec.job = node.Exec(app.ARMKernelTime(), func() {
-				rt.settle(exec)
-				part()
-			})
-			if dsm := app.DSMLinkWork(); dsm > 0 {
-				dt := rt.addToken(rq, phaseKernel, node.Index, true, entry.Index)
-				dt.job = link.Submit(p.linkWork(entry, node, dsm), func() {
-					rt.settle(dt)
-					part()
-				})
-			} else {
-				part()
-			}
-		})
-	})
+	a := p.getARMRun()
+	a.l, a.entry, a.node, a.app, a.finish = l, entry, node, app, finish
+	a.link = p.Cluster.Link(entry, node)
+	// State transformation runs on the entry node as a timer, not a
+	// job; its token has no job to cancel, so transform checks it.
+	a.tok = p.track(l, entry.Index, -1)
+	p.Sim.After(app.StateTransformTime(), a.transformFn)
 }
 
-// armRun is the pooled state of one untracked ARM migration chain
-// (execARM's fault-free path): state transformation, working-set
-// transfer, then kernel and DSM stream joined by a pending count. Like
-// launch, its continuations are bound once so a migration allocates
-// nothing in steady state.
+// armRun is the pooled state of one ARM migration chain: state
+// transformation, working-set transfer, then kernel and DSM stream
+// joined by a pending count. Like launch, its continuations are bound
+// once so a migration allocates nothing in steady state. tok is the
+// state-transformation token, nil when untracked. A chain a fault
+// disrupts is abandoned, never recycled: its transform timer may still
+// fire and must find tok dead.
 type armRun struct {
 	p       *Platform
+	l       *launch
+	entry   *cluster.Node
 	link    *cluster.Link
 	node    *cluster.Node
 	app     *workloads.App
 	finish  func(threshold.Target)
+	tok     *segToken
 	pending int
 
 	transformFn func()
@@ -397,24 +360,41 @@ func (p *Platform) getARMRun() *armRun {
 }
 
 func (p *Platform) putARMRun(a *armRun) {
-	a.link, a.node, a.app, a.finish = nil, nil, nil, nil
+	a.l, a.entry, a.link, a.node, a.app, a.finish, a.tok = nil, nil, nil, nil, nil, nil, nil
 	p.armFree = append(p.armFree, a)
 }
 
 // transform fires when Popcorn state transformation ends: the DSM
-// working-set transfer enters the pair's link.
+// working-set transfer enters the pair's link, registered on the
+// destination so a destination crash or a pair partition kills it.
+// Link degradation stretches it via linkWork.
 func (a *armRun) transform() {
-	a.link.SubmitTransient(a.link.Net.TransferTime(a.app.WorkingSetBytes), a.xferFn)
+	p := a.p
+	if a.tok != nil {
+		if !a.tok.settle() {
+			// The entry crashed mid-transform; the disruption already
+			// re-placed the request.
+			return
+		}
+		if !p.faults.pathOK(a.entry.Index, a.node.Index) {
+			// The destination crashed or the pair partitioned during
+			// state transformation: the migration cannot land.
+			p.faults.disrupt(a.l)
+			return
+		}
+	}
+	submit(p.track(a.l, a.node.Index, a.entry.Index), a.link.PS, p.linkWork(a.entry, a.node, a.link.Net.TransferTime(a.app.WorkingSetBytes)), a.xferFn)
 }
 
 // xfer fires when the working set has landed: the kernel runs on the
 // node's pool while the DSM fault traffic occupies the link
 // concurrently; both must drain before the migration finishes.
 func (a *armRun) xfer() {
+	p := a.p
 	a.pending = 2
-	a.node.ExecTransient(a.app.ARMKernelTime(), a.partFn)
+	submit(p.track(a.l, a.node.Index, -1), a.node.Pool, a.app.ARMKernelTime(), a.partFn)
 	if dsm := a.app.DSMLinkWork(); dsm > 0 {
-		a.link.SubmitTransient(dsm, a.partFn)
+		submit(p.track(a.l, a.node.Index, a.entry.Index), a.link.PS, p.linkWork(a.entry, a.node, dsm), a.partFn)
 	} else {
 		a.part()
 	}
@@ -434,56 +414,42 @@ func (a *armRun) part() {
 // already-executed prologue, which the baseline also pays on ARM's
 // slower cores — approximated by the kernel-derived slowdown ratio).
 // Topologies without ARM nodes fall back to the scheduler host.
-func (p *Platform) execVanillaARM(rq *reqCtx, app *workloads.App, finish func(threshold.Target)) {
+func (p *Platform) execVanillaARM(l *launch, app *workloads.App, finish func(threshold.Target)) {
 	node := p.leastLoadedARM()
 	if node == nil {
-		p.execX86(rq, p.Cluster.X86, app, finish)
+		p.execX86(l, p.Cluster.X86, app, finish)
 		return
 	}
-	if rq == nil {
-		node.ExecTransient(app.ARMKernelTime(), func() { finish(threshold.TargetARM) })
-		return
-	}
-	tok := rq.rt.addToken(rq, phaseKernel, node.Index, false, -1)
-	tok.job = node.Exec(app.ARMKernelTime(), func() {
-		rq.rt.settle(tok)
-		finish(threshold.TargetARM)
-	})
+	submit(p.track(l, node.Index, -1), node.Pool, app.ARMKernelTime(), func() { finish(threshold.TargetARM) })
 }
 
 // execFPGAInvoke performs one hardware invocation on a device that
 // already has the kernel: host-side OpenCL setup on the entry node,
 // then PCIe in, pipeline, PCIe out.
-func (p *Platform) execFPGAInvoke(rq *reqCtx, entry *cluster.Node, app *workloads.App, devIdx int, finish func(threshold.Target)) {
+func (p *Platform) execFPGAInvoke(l *launch, entry *cluster.Node, app *workloads.App, devIdx int, finish func(threshold.Target)) {
 	if devIdx < 0 || devIdx >= len(p.Devices) {
 		devIdx = 0
 	}
 	dev := p.Devices[devIdx]
-	p.entryExecReq(rq, phaseKernel, entry, app.FPGAFixedOverhead, func() {
-		if rq != nil && !p.deviceUp(devIdx) {
+	p.entryExec(l, entry, app.FPGAFixedOverhead, func() {
+		if !p.deviceUp(devIdx) {
 			// The card died between the decision and the invocation:
 			// degrade gracefully to CPU execution.
-			rq.rt.res.FPGAFallbacks++
-			p.execX86(rq, entry, app, finish)
+			p.faults.res.FPGAFallbacks++
+			p.execX86(l, entry, app, finish)
 			return
 		}
-		var tok *segToken
-		if rq != nil {
-			tok = rq.rt.addDevToken(rq, devIdx)
-		}
+		tok := p.track(l, len(p.Cluster.Nodes)+devIdx, -1)
 		dev.Invoke(app.KernelName, app.Trips, app.BytesIn, app.BytesOut, func(err error) {
-			if tok != nil {
-				if tok.dead {
-					// The card failed mid-invocation; the disruption
-					// already re-placed the request.
-					return
-				}
-				rq.rt.settleDev(tok)
+			if tok != nil && !tok.settle() {
+				// The card failed mid-invocation; the disruption
+				// already re-placed the request.
+				return
 			}
 			if err != nil {
 				// Kernel vanished (reconfiguration race): fall back
 				// to the CPU, as the real runtime would.
-				p.execX86(rq, entry, app, finish)
+				p.execX86(l, entry, app, finish)
 				return
 			}
 			finish(threshold.TargetFPGA)
@@ -498,9 +464,9 @@ func (p *Platform) execFPGAInvoke(rq *reqCtx, entry *cluster.Node, app *workload
 // context. With a device fleet the invocation uses the lowest-indexed
 // card carrying the kernel and configures the lowest-indexed idle card
 // otherwise.
-func (p *Platform) execVanillaFPGA(rq *reqCtx, entry *cluster.Node, app *workloads.App, finish func(threshold.Target)) {
+func (p *Platform) execVanillaFPGA(l *launch, entry *cluster.Node, app *workloads.App, finish func(threshold.Target)) {
 	if len(p.Devices) == 0 || !app.HWCapable {
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 		return
 	}
 	const retry = 10 * time.Millisecond
@@ -508,7 +474,7 @@ func (p *Platform) execVanillaFPGA(rq *reqCtx, entry *cluster.Node, app *workloa
 	attempt = func() {
 		for i, dev := range p.Devices {
 			if p.deviceUp(i) && dev.HasKernel(app.KernelName) {
-				p.execFPGAInvoke(rq, entry, app, i, finish)
+				p.execFPGAInvoke(l, entry, app, i, finish)
 				return
 			}
 		}
@@ -523,7 +489,7 @@ func (p *Platform) execVanillaFPGA(rq *reqCtx, entry *cluster.Node, app *workloa
 		}
 		img, ok := p.images(app)
 		if !ok {
-			p.execX86(rq, entry, app, finish)
+			p.execX86(l, entry, app, finish)
 			return
 		}
 		for i, dev := range p.Devices {
@@ -543,9 +509,9 @@ func (p *Platform) execVanillaFPGA(rq *reqCtx, entry *cluster.Node, app *workloa
 
 // execXarTrek consults the entry node's scheduler server (Algorithm 2)
 // and runs the kernel on the decided target and placement.
-func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.App, class string, finish func(threshold.Target)) {
+func (p *Platform) execXarTrek(l *launch, entry *cluster.Node, app *workloads.App, class string, finish func(threshold.Target)) {
 	if !app.Migratable {
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 		return
 	}
 	// The requesting process is itself resident on its entry node
@@ -557,7 +523,7 @@ func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.A
 	p.deciding[entry.Index]--
 	p.addEntryLoad(entry, -1)
 	if err != nil {
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 		return
 	}
 	if p.opts.BlockOnReconfig && d.ReconfigStarted {
@@ -565,15 +531,15 @@ func (p *Platform) execXarTrek(rq *reqCtx, entry *cluster.Node, app *workloads.A
 		// on a CPU (Algorithm 2 lines 9-18), the process blocks until
 		// the kernel is resident and then runs in hardware — the
 		// traditional accelerator flow's behaviour.
-		p.execVanillaFPGA(rq, entry, app, finish)
+		p.execVanillaFPGA(l, entry, app, finish)
 		return
 	}
 	switch d.Target {
 	case threshold.TargetARM:
-		p.execARM(rq, entry, app, p.armNode(d.ARMNode), finish)
+		p.execARM(l, entry, app, p.armNode(d.ARMNode), finish)
 	case threshold.TargetFPGA:
-		p.execFPGAInvoke(rq, entry, app, d.Device, finish)
+		p.execFPGAInvoke(l, entry, app, d.Device, finish)
 	default:
-		p.execX86(rq, entry, app, finish)
+		p.execX86(l, entry, app, finish)
 	}
 }
