@@ -521,9 +521,11 @@ func benchmarkDecideLoads(b *testing.B, policy sched.PlacementPolicy, loads []in
 		b.Fatal(err)
 	}
 	nodes := make([]int, len(loads))
+	row := make([]float64, len(loads))
 	idx := sched.NewLoadIndex(len(loads))
 	for i, l := range loads {
 		nodes[i] = i + 1
+		row[i] = (time.Duration(nodes[i]) * 10 * time.Millisecond).Seconds()
 		idx.Add(i, l)
 	}
 	devs := make([]sched.Device, 4)
@@ -531,15 +533,13 @@ func benchmarkDecideLoads(b *testing.B, policy sched.PlacementPolicy, loads []in
 		devs[i] = &benchDevice{resident: true}
 	}
 	fleet := sched.Fleet{
-		ARMNodes:  nodes,
-		Loads:     idx,
-		NodeCores: func(int) int { return 96 },
-		MigrationCost: func(_ string, id int) time.Duration {
-			return time.Duration(id) * 10 * time.Millisecond
-		},
-		LinkQueue: func(id int) int { return id % 3 },
-		Devices:   devs,
-		Policy:    policy,
+		ARMNodes:     nodes,
+		Loads:        idx,
+		NodeCores:    func(int) int { return 96 },
+		MigrationRow: func(string) []float64 { return row },
+		LinkQueue:    func(id int) int { return id % 3 },
+		Devices:      devs,
+		Policy:       policy,
 	}
 	srv := sched.NewFleetServer(tab, func() int { return 40 }, fleet, nil)
 	b.ReportAllocs()

@@ -92,11 +92,9 @@ func (l *Link) Queued() int { return l.PS.Active() }
 // link (LinkSpec overrides included).
 func (l *Link) Transfer(n int64) time.Duration { return l.Net.TransferTime(n) }
 
-// linkKey identifies an unordered node pair by index.
-type linkKey struct{ lo, hi int }
-
 // Cluster is a topology materialised on a simulator: every node gets a
-// processor-sharing run queue and every node pair a shared link.
+// processor-sharing run queue and every node pair a shared link, the
+// latter created on the pair's first use.
 type Cluster struct {
 	Sim  *simtime.Simulator
 	Topo Topology
@@ -113,7 +111,14 @@ type Cluster struct {
 	Eth popcorn.NetModel
 	// EthLink is the host-ARM shared link, nil without an ARM node.
 	EthLink *simtime.PSServer
-	links   map[linkKey]*Link
+	// links is the dense triangular pair table: the link between nodes
+	// lo < hi sits at pairSlot(lo, hi). A slot stays nil until Link
+	// first touches its pair, so a fleet pays only for the pairs its
+	// requests actually cross.
+	links []*Link
+	// overrides holds each LinkSpec model by pair slot, resolved when
+	// the pair's link is created; nil without overrides.
+	overrides map[int]popcorn.NetModel
 	// byArch caches the per-ISA-class node lists (topology order).
 	// Topologies are immutable once materialised, so the serving front
 	// end's per-arrival least-loaded scan reads a prebuilt slice
@@ -136,7 +141,8 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Sim: sim, Topo: topo, links: make(map[linkKey]*Link), byArch: make(map[isa.Arch][]*Node)}
+	pairs := len(topo.Nodes) * (len(topo.Nodes) - 1) / 2
+	c := &Cluster{Sim: sim, Topo: topo, links: make([]*Link, pairs), byArch: make(map[isa.Arch][]*Node)}
 	for i, spec := range topo.Nodes {
 		m, err := spec.machine()
 		if err != nil {
@@ -152,25 +158,14 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 			c.ARM = n
 		}
 	}
-	// Materialise every node-pair link eagerly and in index order so
-	// construction is deterministic regardless of topology size.
-	overrides := make(map[linkKey]popcorn.NetModel, len(topo.Links))
-	byName := make(map[string]int, len(topo.Nodes))
-	for i, spec := range topo.Nodes {
-		byName[spec.Name] = i
-	}
-	for _, l := range topo.Links {
-		a, b := byName[l.A], byName[l.B]
-		overrides[pairKey(a, b)] = l.Net
-	}
-	for i := range c.Nodes {
-		for j := i + 1; j < len(c.Nodes); j++ {
-			key := pairKey(i, j)
-			net := topo.DefaultNet
-			if o, ok := overrides[key]; ok {
-				net = o
-			}
-			c.links[key] = &Link{Net: net, PS: simtime.NewPSServer(sim, 1)}
+	if len(topo.Links) > 0 {
+		byName := make(map[string]int, len(topo.Nodes))
+		for i, spec := range topo.Nodes {
+			byName[spec.Name] = i
+		}
+		c.overrides = make(map[int]popcorn.NetModel, len(topo.Links))
+		for _, l := range topo.Links {
+			c.overrides[pairSlot(byName[l.A], byName[l.B])] = l.Net
 		}
 	}
 	c.Eth = topo.DefaultNet
@@ -182,20 +177,35 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 	return c, nil
 }
 
-// pairKey normalises an unordered index pair.
-func pairKey(a, b int) linkKey {
+// pairSlot is the dense-table position of an unordered index pair:
+// pair (lo, hi) with lo < hi sits at hi*(hi-1)/2 + lo.
+func pairSlot(a, b int) int {
 	if a > b {
 		a, b = b, a
 	}
-	return linkKey{lo: a, hi: b}
+	return b*(b-1)/2 + a
 }
 
-// Link returns the shared interconnect between two nodes.
+// Link returns the shared interconnect between two nodes, creating it
+// on the pair's first use with its LinkSpec override resolved. A
+// link created late is in exactly the state an eagerly built one would
+// be in at that instant: NewPSServer schedules nothing and stamps its
+// clock at Now, and an idle server's advance only moves that stamp.
 func (c *Cluster) Link(a, b *Node) *Link {
 	if a.Index == b.Index {
 		panic(fmt.Sprintf("cluster: self-link on node %s", a.Name))
 	}
-	return c.links[pairKey(a.Index, b.Index)]
+	slot := pairSlot(a.Index, b.Index)
+	if l := c.links[slot]; l != nil {
+		return l
+	}
+	net, ok := c.overrides[slot]
+	if !ok {
+		net = c.Topo.DefaultNet
+	}
+	l := &Link{Net: net, PS: simtime.NewPSServer(c.Sim, 1)}
+	c.links[slot] = l
+	return l
 }
 
 // TransferEstimate is the cluster's transfer-cost query surface:

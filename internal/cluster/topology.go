@@ -26,7 +26,8 @@ type FPGASpec struct {
 }
 
 // LinkSpec overrides the interconnect between one unordered pair of
-// named nodes. Pairs without an override use the topology's DefaultNet.
+// named nodes. Pairs without an override use the topology's DefaultNet;
+// a pair may be overridden at most once, in either orientation.
 type LinkSpec struct {
 	A, B string
 	Net  popcorn.NetModel
@@ -184,6 +185,7 @@ func (t Topology) Validate() error {
 		}
 		fpgaNames[f.Name] = true
 	}
+	overridden := make(map[[2]string]bool, len(t.Links))
 	for _, l := range t.Links {
 		if !names[l.A] || !names[l.B] {
 			return fmt.Errorf("cluster: topology %q: link %s-%s names an unknown node", t.Name, l.A, l.B)
@@ -191,6 +193,16 @@ func (t Topology) Validate() error {
 		if l.A == l.B {
 			return fmt.Errorf("cluster: topology %q: self-link on %s", t.Name, l.A)
 		}
+		// One override per unordered pair: with two, NetBetween and the
+		// materialised link could each pick a different one.
+		pair := [2]string{l.A, l.B}
+		if pair[0] > pair[1] {
+			pair[0], pair[1] = pair[1], pair[0]
+		}
+		if overridden[pair] {
+			return fmt.Errorf("cluster: topology %q: link %s-%s overridden twice", t.Name, pair[0], pair[1])
+		}
+		overridden[pair] = true
 	}
 	return nil
 }

@@ -18,11 +18,11 @@ func TestDeadlineCriticalUsesLinkAwareScore(t *testing.T) {
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		Loads:         fleetLoads([]int{1, 2}, loads),
-		NodeCores:     func(int) int { return 96 },
-		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
-		LinkQueue:     func(int) int { return 0 },
+		ARMNodes:     []int{1, 2},
+		Loads:        fleetLoads([]int{1, 2}, loads),
+		NodeCores:    func(int) int { return 96 },
+		MigrationRow: costRow([]int{1, 2}, func(id int) time.Duration { return costs[id] }),
+		LinkQueue:    func(int) int { return 0 },
 	}
 	node, ok := DeadlinePolicy{}.PickARMNode(classCtx("KNL", "critical"), f)
 	if !ok || node != 1 {

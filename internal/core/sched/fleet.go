@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"time"
-
 	"xartrek/internal/core/threshold"
 	"xartrek/internal/xclbin"
 )
@@ -41,13 +39,16 @@ type Fleet struct {
 	// the capacity a policy needs to turn a process count into a
 	// processor-sharing slowdown. nil means capacity is unknown.
 	NodeCores func(id int) int
-	// MigrationCost estimates the uncontended one-way cost of
-	// migrating the named application from this server's entry node to
-	// the given ARM node: Popcorn state transformation plus the
-	// working set over the pair's link (see cluster.TransferEstimate).
-	// nil means transfer costs are unobservable; policies must treat
-	// them as zero.
-	MigrationCost func(app string, node int) time.Duration
+	// MigrationRow returns the named application's uncontended one-way
+	// migration cost, in seconds, from this server's entry node to each
+	// ARM candidate: Popcorn state transformation plus the working set
+	// over the pair's link (see cluster.TransferEstimate). Position i
+	// holds ARMNodes[i]. A link-scoring policy calls it once per
+	// decision; the row belongs to the fleet's owner and must not be
+	// modified. nil, or a nil row for an application without a
+	// profile, means transfer costs are unobservable; policies must
+	// treat them as zero.
+	MigrationRow func(app string) []float64
 	// LinkQueue reports the number of transfers currently in flight on
 	// the link between this server's entry node and the given ARM node
 	// — concurrent transfers divide the link's bandwidth. nil means

@@ -30,7 +30,7 @@ type PlacementContext struct {
 // via the threshold table — is fixed; a policy only answers "which ARM
 // node", "which FPGA card", and "which card should take a background
 // reconfiguration", scoring candidates by load, kernel residency and
-// transfer context (Fleet.MigrationCost / Fleet.LinkQueue).
+// transfer context (Fleet.MigrationRow / Fleet.LinkQueue).
 //
 // Implementations must be deterministic: identical fleet state must
 // yield identical picks, and ties must break toward the candidate
@@ -121,14 +121,14 @@ func (DefaultPolicy) ReconfigOrder(_ PlacementContext, f *Fleet, buf []int) []in
 //	transfer × (1 + linkQueue) + ARMExec × congestion(load, cores)
 //
 // where transfer is the uncontended migration cost from the entry node
-// (Fleet.MigrationCost: state transformation plus the working set over
-// the pair's link), linkQueue the number of in-flight transfers
-// sharing that link (each divides its bandwidth), and congestion the
-// processor-sharing slowdown max(1, (load+1)/cores). Ties break toward
-// the node earlier in fleet order. Fleet surfaces the policy cannot
-// observe (nil MigrationCost/LinkQueue/NodeCores) contribute nothing,
-// so on a fleet without transfer context the policy degrades to
-// least-loaded.
+// (the Fleet.MigrationRow entry: state transformation plus the working
+// set over the pair's link), linkQueue the number of in-flight
+// transfers sharing that link (each divides its bandwidth), and
+// congestion the processor-sharing slowdown max(1, (load+1)/cores).
+// Ties break toward the node earlier in fleet order. Fleet surfaces
+// the policy cannot observe (nil MigrationRow/LinkQueue/NodeCores)
+// contribute nothing, so on a fleet without transfer context the
+// policy degrades to least-loaded.
 type LinkAwarePolicy struct{}
 
 var _ PlacementPolicy = LinkAwarePolicy{}
@@ -141,31 +141,37 @@ func (LinkAwarePolicy) Name() string { return "link-aware" }
 //
 // The score does not rise with load alone — transfer cost and link
 // occupancy can outweigh it — so this pick scans every candidate
-// rather than walking the load index.
+// rather than walking the load index. The application's transfer row
+// is read once per decision, not per candidate.
 func (LinkAwarePolicy) PickARMNode(ctx PlacementContext, f *Fleet) (int, bool) {
+	var row []float64
+	if f.MigrationRow != nil {
+		row = f.MigrationRow(ctx.App)
+	}
+	armExec := ctx.Record.ARMExec.Seconds()
 	best, bestScore, found := 0, 0.0, false
 	for pos, id := range f.ARMNodes {
 		if !f.NodeUp(id) {
 			continue
 		}
-		if s := linkAwareScore(ctx, f, id, f.Loads.Load(pos)); !found || s < bestScore {
+		if s := linkAwareScore(f, row, armExec, pos, id, f.Loads.Load(pos)); !found || s < bestScore {
 			best, bestScore, found = id, s, true
 		}
 	}
 	return best, found
 }
 
-// linkAwareScore estimates the time-to-result of migrating onto one
-// candidate node carrying load resident processes, in seconds.
-func linkAwareScore(ctx PlacementContext, f *Fleet, id, load int) float64 {
-	var score float64
-	if f.MigrationCost != nil {
-		transfer := f.MigrationCost(ctx.App, id).Seconds()
-		queue := 0
+// linkAwareScore estimates the time-to-result, in seconds, of
+// migrating onto the candidate at fleet position pos (node id,
+// carrying load resident processes); row is the application's
+// transfer row, nil when transfer costs are unobservable.
+func linkAwareScore(f *Fleet, row []float64, armExec float64, pos, id, load int) float64 {
+	transfer, queue := 0.0, 0
+	if row != nil {
+		transfer = row[pos]
 		if f.LinkQueue != nil {
 			queue = f.LinkQueue(id)
 		}
-		score += transfer * float64(1+queue)
 	}
 	congestion := 1.0
 	if f.NodeCores != nil {
@@ -179,7 +185,7 @@ func linkAwareScore(ctx PlacementContext, f *Fleet, id, load int) float64 {
 		// bias, matching DefaultPolicy's ordering.
 		congestion = float64(load + 1)
 	}
-	return score + ctx.Record.ARMExec.Seconds()*congestion
+	return transfer*float64(1+queue) + armExec*congestion
 }
 
 // PickDevice implements PlacementPolicy (DefaultPolicy rule).

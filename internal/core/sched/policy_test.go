@@ -17,6 +17,16 @@ func testCtx(kernel string) PlacementContext {
 	}
 }
 
+// costRow is a Fleet.MigrationRow fake: every application's row holds
+// cost(id) for each candidate id of nodes, in fleet order.
+func costRow(nodes []int, cost func(id int) time.Duration) func(string) []float64 {
+	row := make([]float64, len(nodes))
+	for i, id := range nodes {
+		row[i] = cost(id).Seconds()
+	}
+	return func(string) []float64 { return row }
+}
+
 func TestDefaultPolicyMatchesDocumentedRule(t *testing.T) {
 	loads := map[int]int{1: 7, 3: 2, 5: 2}
 	f := &Fleet{
@@ -61,11 +71,11 @@ func TestLinkAwareRepelsSlowLink(t *testing.T) {
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	loads := map[int]int{1: 5, 2: 1}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		Loads:         fleetLoads([]int{1, 2}, loads),
-		NodeCores:     func(int) int { return 96 },
-		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
-		LinkQueue:     func(int) int { return 0 },
+		ARMNodes:     []int{1, 2},
+		Loads:        fleetLoads([]int{1, 2}, loads),
+		NodeCores:    func(int) int { return 96 },
+		MigrationRow: costRow([]int{1, 2}, func(id int) time.Duration { return costs[id] }),
+		LinkQueue:    func(int) int { return 0 },
 	}
 	if node, _ := (DefaultPolicy{}).PickARMNode(testCtx("KNL"), f); node != 2 {
 		t.Fatalf("default pick = %d, want 2 (least loaded)", node)
@@ -81,11 +91,11 @@ func TestLinkAwareWeighsLinkQueue(t *testing.T) {
 	// carries 5 transfers, each dividing its bandwidth.
 	queues := map[int]int{1: 5, 2: 0}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		Loads:         NewLoadIndex(2),
-		NodeCores:     func(int) int { return 96 },
-		MigrationCost: func(string, int) time.Duration { return time.Second },
-		LinkQueue:     func(id int) int { return queues[id] },
+		ARMNodes:     []int{1, 2},
+		Loads:        NewLoadIndex(2),
+		NodeCores:    func(int) int { return 96 },
+		MigrationRow: costRow([]int{1, 2}, func(int) time.Duration { return time.Second }),
+		LinkQueue:    func(id int) int { return queues[id] },
 	}
 	node, ok := LinkAwarePolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 2 {
@@ -99,11 +109,11 @@ func TestLinkAwareOverflowsToFarNodeWhenNearSaturated(t *testing.T) {
 	loads := map[int]int{1: 600, 2: 0}
 	costs := map[int]time.Duration{1: 100 * time.Millisecond, 2: 2 * time.Second}
 	f := &Fleet{
-		ARMNodes:      []int{1, 2},
-		Loads:         fleetLoads([]int{1, 2}, loads),
-		NodeCores:     func(int) int { return 96 },
-		MigrationCost: func(_ string, id int) time.Duration { return costs[id] },
-		LinkQueue:     func(int) int { return 0 },
+		ARMNodes:     []int{1, 2},
+		Loads:        fleetLoads([]int{1, 2}, loads),
+		NodeCores:    func(int) int { return 96 },
+		MigrationRow: costRow([]int{1, 2}, func(id int) time.Duration { return costs[id] }),
+		LinkQueue:    func(int) int { return 0 },
 	}
 	node, ok := LinkAwarePolicy{}.PickARMNode(testCtx("KNL"), f)
 	if !ok || node != 2 {

@@ -120,3 +120,22 @@ func BenchmarkRequestLifecycleFPGA(b *testing.B) {
 func BenchmarkRequestLifecycleFPGATracked(b *testing.B) {
 	benchmarkRequestLifecycle(b, cluster.ScaleOutTopology("life-fpga", 2, 0, 1), 0, true)
 }
+
+// benchmarkDecidePlatform measures one Algorithm 2 decision per op on
+// tenants-churn's fleet (48 ARM nodes, 8 programmed cards, deadline
+// policy) from entry x86-03, cycling the class's app mix: the
+// scheduler layer of a real platform, device kernel lookups included.
+func benchmarkDecidePlatform(b *testing.B, class string) {
+	d := newPlatformDecider(b, class)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.decide(b, i)
+	}
+}
+
+// BenchmarkDecidePlatform* track the decision layer on real devices:
+// the critical class scores every ARM node by link-aware time to
+// result, the batch class packs onto the most loaded one.
+func BenchmarkDecidePlatformCritical(b *testing.B) { benchmarkDecidePlatform(b, "critical") }
+func BenchmarkDecidePlatformBatch(b *testing.B)    { benchmarkDecidePlatform(b, "batch") }

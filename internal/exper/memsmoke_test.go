@@ -24,7 +24,7 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the million-request memory smoke")
 	}
 	arts := testArtifacts(t)
-	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack256.json")
+	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack256.json", nil)
 
 	r := rep.Cells[0].Serving
 	if r.LatencyMode != LatencySketch {
@@ -59,11 +59,30 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 // plus their sketches — still O(shards x in-flight), nowhere near the
 // ~350 MiB an O(total-requests) engine would need for this cell.
 func TestMultiMillionShardedMemorySmoke(t *testing.T) {
+	rack1024MemorySmoke(t, "rack1024-4m", 192<<20, nil)
+}
+
+// TestUnshardedRack1024MemorySmoke runs the rack1024 cell with its
+// shards option removed: one timeline over all 1024 nodes. Its pair
+// table has 523,776 slots, and links are created only for the pairs
+// requests cross (entry to ARM), so the budget sits well below what
+// the eager all-pairs table needed (~200 MiB peak heap with one idle
+// processor-sharing server per pair).
+func TestUnshardedRack1024MemorySmoke(t *testing.T) {
+	rack1024MemorySmoke(t, "rack1024-unsharded", 160<<20, func(spec *CampaignSpec) {
+		spec.Cells[0].Options.Shards = 0
+	})
+}
+
+// rack1024MemorySmoke runs the checked-in rack1024 cell, after an
+// optional spec edit, and asserts its shape and a peak-heap budget.
+func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, edit func(*CampaignSpec)) {
+	t.Helper()
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the multi-million-request memory smoke")
 	}
 	arts := testArtifacts(t)
-	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack1024.json")
+	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack1024.json", edit)
 
 	r := rep.Cells[0].Serving
 	if r.LatencyMode != LatencySketch {
@@ -76,21 +95,20 @@ func TestMultiMillionShardedMemorySmoke(t *testing.T) {
 		t.Fatalf("degenerate result: completed=%d p99=%v", r.Completed, r.P99)
 	}
 
-	const heapBudget = 192 << 20
 	peakMB := float64(peak) / (1 << 20)
-	t.Logf("rack1024-4m: offered=%d completed=%d p50=%v p99=%v", r.Offered, r.Completed, r.P50, r.P99)
-	t.Logf("rack1024-4m: wall=%v rate=%.0f req/wall-s peak-heap=%.1f MiB", wall.Round(time.Millisecond),
+	t.Logf("%s: offered=%d completed=%d p50=%v p99=%v", label, r.Offered, r.Completed, r.P50, r.P99)
+	t.Logf("%s: wall=%v rate=%.0f req/wall-s peak-heap=%.1f MiB", label, wall.Round(time.Millisecond),
 		float64(r.Offered)/wall.Seconds(), peakMB)
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
 }
 
-// runCampaignWithPeakHeap runs one checked-in campaign spec while a
-// sampler goroutine tracks the peak heap. ReadMemStats between GCs
-// tracks live-plus-floating garbage, which is the budget that actually
-// matters for not getting OOM-killed.
-func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string) (*Report, time.Duration, uint64) {
+// runCampaignWithPeakHeap runs one checked-in campaign spec, after an
+// optional edit, while a sampler goroutine tracks the peak heap.
+// ReadMemStats between GCs tracks live-plus-floating garbage, which is
+// the budget that actually matters for not getting OOM-killed.
+func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edit func(*CampaignSpec)) (*Report, time.Duration, uint64) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(campaignsDir, specFile))
 	if err != nil {
@@ -100,6 +118,9 @@ func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string) (*R
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if edit != nil {
+		edit(spec)
 	}
 
 	var peak atomic.Uint64

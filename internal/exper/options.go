@@ -174,15 +174,15 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	// differently. Loads are the same everywhere: one ARM index serves
 	// the whole server fleet.
 	p.servers = make([]*sched.Server, len(c.Nodes))
+	p.transfer = make([]migrationRows, len(c.Nodes))
 	for _, n := range p.x86Nodes {
 		node := n
+		p.transfer[node.Index] = migrationRows{p: p, entry: node}
 		fleet := sched.Fleet{
-			ARMNodes:  armNodes,
-			Loads:     p.armLoads,
-			NodeCores: func(id int) int { return c.Nodes[id].Cores },
-			MigrationCost: func(app string, id int) time.Duration {
-				return p.migrationCost(node, app, id)
-			},
+			ARMNodes:     armNodes,
+			Loads:        p.armLoads,
+			NodeCores:    func(id int) int { return c.Nodes[id].Cores },
+			MigrationRow: p.transfer[node.Index].row,
 			LinkQueue: func(id int) int {
 				return c.Link(node, c.Nodes[id]).Queued()
 			},
@@ -212,6 +212,35 @@ func (p *Platform) migrationCost(entry *cluster.Node, app string, node int) time
 		return 0
 	}
 	return a.StateTransformTime() + p.Cluster.TransferEstimate(entry, p.Cluster.Nodes[node], a.WorkingSetBytes)
+}
+
+// migrationRows serves one entry node's Fleet.MigrationRow. Each
+// application's row is built from migrationCost on the first decision
+// that scores it, so policies that never weigh links build none.
+type migrationRows struct {
+	p     *Platform
+	entry *cluster.Node
+	byApp map[string][]float64
+}
+
+// row returns the application's transfer row in ARM fleet order, nil
+// for an application without a profile (whose costs are all zero).
+func (m *migrationRows) row(app string) []float64 {
+	if r, ok := m.byApp[app]; ok {
+		return r
+	}
+	if _, ok := m.p.appByName[app]; !ok {
+		return nil
+	}
+	r := make([]float64, len(m.p.armNodes))
+	for i, n := range m.p.armNodes {
+		r[i] = m.p.migrationCost(m.entry, app, n.Index).Seconds()
+	}
+	if m.byApp == nil {
+		m.byApp = make(map[string][]float64)
+	}
+	m.byApp[app] = r
+	return r
 }
 
 // placementPolicy resolves an Options.Policy name. For PolicyAffinity

@@ -164,8 +164,11 @@ type Platform struct {
 	// for non-x86 nodes); servers[X86.Index] == Server.
 	servers []*sched.Server
 	// appByName indexes the artifact set's applications for the
-	// transfer-cost closures the scheduler fleet consumes.
+	// transfer rows the scheduler fleet consumes.
 	appByName map[string]*workloads.App
+	// transfer holds, per x86 node index, the entry's lazily built
+	// migration-cost rows (Fleet.MigrationRow of its server).
+	transfer []migrationRows
 	// pins is the kernel→card assignment of the affinity policy (nil
 	// under every other policy); preconfiguration routes through it so
 	// the instrumentation-inserted download honours the partition too.

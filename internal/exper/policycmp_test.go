@@ -16,7 +16,7 @@ var (
 
 // testSplitArtifacts builds (once) the per-kernel-image artifact set
 // the policy-comparison campaign runs on.
-func testSplitArtifacts(t *testing.T) *Artifacts {
+func testSplitArtifacts(t testing.TB) *Artifacts {
 	t.Helper()
 	splitArtsOnce.Do(func() {
 		apps, err := workloads.Registry()

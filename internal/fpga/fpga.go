@@ -333,10 +333,12 @@ func (f *Fabric) Kernels() []string {
 	return out
 }
 
-// HasKernel reports whether the named kernel is usable right now.
+// HasKernel reports whether the named kernel is usable right now —
+// exactly when CU would succeed, answered from the region state and
+// the CU map without building CU's error or scanning for the least
+// busy unit. Placement asks this of every card on every request.
 func (f *Fabric) HasKernel(kernel string) bool {
-	_, err := f.CU(kernel)
-	return err == nil
+	return f.state == regionConfigured && len(f.cus[kernel]) > 0
 }
 
 // Program starts a partial reconfiguration with the image. During the
