@@ -46,6 +46,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -83,35 +84,17 @@ func run(args []string, out io.Writer) error {
 	table := fs.Int("table", 0, "regenerate one table (1-4)")
 	figure := fs.Int("figure", 0, "regenerate one figure (3-10)")
 	serving := fs.Bool("serving", false, "run the open-loop serving campaign")
-	policy := fs.String("policy", "", "placement policy for the serving grid (default, link-aware, affinity)")
+	policy := fs.String("policy", "", "placement policy for the serving grid (default, link-aware, affinity, deadline)")
 	shards := fs.Int("shards", 0, "shard count for the serving grid, clamped per cell to its entry hosts (0 or 1 = single timeline)")
 	campaign := fs.String("campaign", "", "execute a JSON campaign spec file (see examples/campaigns)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint directory for -campaign (resume an interrupted run)")
 	all := fs.Bool("all", false, "regenerate everything")
 	runs := fs.Int("runs", 10, "repetitions for randomized experiments")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: must be non-negative", *shards)
-	}
-	if *runs < 1 {
-		fs.Usage()
-		return usageError{fmt.Sprintf("-runs %d: need at least one run", *runs)}
-	}
-	if !*all && *table == 0 && *figure == 0 && !*serving && *campaign == "" {
-		fs.Usage()
-		return fmt.Errorf("pick -all, -table N, -figure N, -serving, or -campaign spec.json")
-	}
-
-	apps, err := workloads.Registry()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, "xarbench: building artifacts (compiler steps A-G)...")
-	arts, err := exper.BuildArtifacts(apps)
-	if err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err.Error()}
 	}
 
 	type experiment struct {
@@ -133,8 +116,44 @@ func run(args []string, out io.Writer) error {
 		{"figure", 9, figure9},
 		{"figure", 10, figure10},
 	}
+	known := func(kind string, id int) bool {
+		return id == 0 || slices.ContainsFunc(experiments, func(e experiment) bool { return e.kind == kind && e.id == id })
+	}
 
-	matched := false
+	// Flags the command cannot run with fail here, before anything is
+	// built or printed.
+	usage := func(format string, a ...any) error {
+		fs.Usage()
+		return usageError{fmt.Sprintf(format, a...)}
+	}
+	switch {
+	case *shards < 0:
+		return usage("-shards %d: must be non-negative", *shards)
+	case *runs < 1:
+		return usage("-runs %d: need at least one run", *runs)
+	case !*all && *table == 0 && *figure == 0 && !*serving && *campaign == "":
+		return usage("pick -all, -table N, -figure N, -serving, or -campaign spec.json")
+	case !known("table", *table):
+		return usage("-table %d: no such table (1-4)", *table)
+	case !known("figure", *figure):
+		return usage("-figure %d: no such figure (3-10)", *figure)
+	case *checkpoint != "" && *campaign == "":
+		return usage("-checkpoint requires -campaign")
+	}
+	if err := exper.CheckPolicy(*policy); err != nil {
+		return usage("-policy: %v", err)
+	}
+
+	apps, err := workloads.Registry()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "xarbench: building artifacts (compiler steps A-G)...")
+	arts, err := exper.BuildArtifacts(apps)
+	if err != nil {
+		return err
+	}
+
 	for _, e := range experiments {
 		want := *all ||
 			(e.kind == "table" && *table == e.id) ||
@@ -142,14 +161,12 @@ func run(args []string, out io.Writer) error {
 		if !want {
 			continue
 		}
-		matched = true
 		fmt.Fprintf(out, "\n== %s %d ==\n", e.kind, e.id)
 		if err := e.fn(out, arts, *runs); err != nil {
 			return fmt.Errorf("%s %d: %w", e.kind, e.id, err)
 		}
 	}
 	if *all || *serving {
-		matched = true
 		fmt.Fprintf(out, "\n== serving ==\n")
 		if err := servingCampaign(out, arts, *policy, *shards); err != nil {
 			return fmt.Errorf("serving: %w", err)
@@ -164,15 +181,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *campaign != "" {
-		matched = true
 		if err := runCampaignFile(out, arts, *campaign, *checkpoint); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
-	} else if *checkpoint != "" {
-		return fmt.Errorf("-checkpoint requires -campaign")
-	}
-	if !matched {
-		return fmt.Errorf("no experiment matches the requested table/figure")
 	}
 	return nil
 }

@@ -8,11 +8,25 @@ import (
 	"testing"
 )
 
-func TestRunRequiresSelection(t *testing.T) {
+// runUsage runs xarbench with args and asserts a usage error (exit
+// status 2) mentioning want, raised before anything was printed.
+func runUsage(t *testing.T, want string, args ...string) {
+	t.Helper()
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
-		t.Fatal("no selection accepted")
+	err := run(args, &out)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%q: err = %v, want containing %q", args, err, want)
 	}
+	if code := exitCode(err); code != 2 {
+		t.Fatalf("%q: exit status %d, want 2 (usage)", args, code)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%q: printed before failing:\n%s", args, out.String())
+	}
+}
+
+func TestRunRequiresSelection(t *testing.T) {
+	runUsage(t, "pick -all")
 }
 
 func TestRunSingleTable(t *testing.T) {
@@ -41,10 +55,8 @@ func TestRunSingleFigure(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-table", "9"}, &out); err == nil {
-		t.Fatal("accepted nonexistent table 9")
-	}
+	runUsage(t, "no such table", "-table", "9")
+	runUsage(t, "no such figure", "-figure", "2")
 }
 
 func TestTable3Static(t *testing.T) {
@@ -127,35 +139,29 @@ func TestServingShardsClampToTopology(t *testing.T) {
 }
 
 func TestShardsRejectsNegative(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-serving", "-shards", "-2"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "non-negative") {
-		t.Fatalf("err = %v, want non-negative rejection", err)
-	}
+	runUsage(t, "non-negative", "-serving", "-shards", "-2")
 }
 
+// TestRunsBelowOneIsUsageError pins -runs below one, and every other
+// flag value the command cannot run with, as a usage error raised
+// before any artifact is built or any table printed.
 func TestRunsBelowOneIsUsageError(t *testing.T) {
 	for _, runs := range []string{"0", "-3"} {
-		var out strings.Builder
-		err := run([]string{"-figure", "3", "-runs", runs}, &out)
-		if err == nil || !strings.Contains(err.Error(), "at least one run") {
-			t.Fatalf("-runs %s: err = %v, want a run-count rejection", runs, err)
-		}
-		if code := exitCode(err); code != 2 {
-			t.Fatalf("-runs %s: exit status %d, want 2 (usage)", runs, code)
-		}
+		runUsage(t, "at least one run", "-figure", "3", "-runs", runs)
 	}
+	smoke := filepath.Join("..", "..", "examples", "campaigns", "smoke.json")
+	runUsage(t, "unknown placement policy", "-all", "-policy", "bogus")
+	runUsage(t, "unknown placement policy", "-table", "1", "-policy", "bogus")
+	runUsage(t, "unknown placement policy", "-campaign", smoke, "-policy", "bogus")
+	runUsage(t, "-checkpoint requires -campaign", "-table", "3", "-checkpoint", t.TempDir())
+	runUsage(t, "invalid value", "-runs", "x", "-all")
 	if code := exitCode(errors.New("figure 3: boom")); code != 1 {
 		t.Fatalf("runtime error exit status %d, want 1", code)
 	}
 }
 
 func TestServingRejectsUnknownPolicy(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-serving", "-policy", "bogus"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "unknown placement policy") {
-		t.Fatalf("err = %v, want unknown placement policy", err)
-	}
+	runUsage(t, "unknown placement policy", "-serving", "-policy", "bogus")
 }
 
 // TestRunCampaignSpecFile exercises -campaign end to end: a grid cell

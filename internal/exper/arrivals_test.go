@@ -263,14 +263,14 @@ func TestArrivalDealExact(t *testing.T) {
 	cfg := arrivalKinds()["cohort"]
 	cfg.Topo, cfg.Mode = cluster.ScaleOutTopology("rack6", 6, 6, 2), ModeXarTrek
 	arts := testArtifacts(t)
-	un, err := runServing(arts, cfg)
+	un, err := RunServing(arts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 3} {
 		sh := cfg
 		sh.Opts.Shards = n
-		r, err := runServing(arts, sh)
+		r, err := RunServing(arts, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestCohortOfferedCountsShed(t *testing.T) {
 	cfg := arrivalKinds()["cohort"]
 	cfg.Topo, cfg.Mode = cluster.ScaleOutTopology("rack4", 2, 2, 1), ModeXarTrek
 	cfg.Admission = &elastic.AdmissionSpec{QueueCap: 2}
-	r, err := runServing(testArtifacts(t), cfg)
+	r, err := RunServing(testArtifacts(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,23 +14,23 @@ import (
 	"xartrek/internal/tenancy"
 )
 
-// Campaign cell kinds. Every Run* entry point of the package is a thin
-// adapter over a one-cell campaign of the matching kind; new scenarios
-// are added as spec data, not API surface.
+// Campaign cell kinds. Each kind names the engine a cell runs; new
+// scenarios are added as spec data, not API surface.
 const (
-	// KindSet is a fixed-workload measurement (RunSet, Figures 3-5).
+	// KindSet is a fixed-workload measurement (RunSetOpts, Figures 3-5).
 	KindSet = "set"
 	// KindThroughput is a multi-image face-detection throughput run
-	// (RunThroughput, Figure 6).
+	// (RunThroughputOpts, Figure 6).
 	KindThroughput = "throughput"
-	// KindWaves is the periodic wave workload (RunWaves, Figure 7).
+	// KindWaves is the periodic wave workload (RunWavesOpts, Figure 7).
 	KindWaves = "waves"
 	// KindServing is one open-loop serving run (RunServing).
 	KindServing = "serving"
 	// KindPolicyComparison is a serving run repeated once per placement
-	// policy with everything else held fixed (RunPolicyComparison). With
-	// no explicit policy axis it expands to every built-in policy on the
-	// canonical cross-rack topology.
+	// policy with everything else held fixed (one RunServing per
+	// policy, as RunPolicyComparison does). With no explicit policy
+	// axis it expands to every built-in policy on the canonical
+	// cross-rack topology.
 	KindPolicyComparison = "policy-comparison"
 	// KindKnee is a capacity-planning cell: it binary-searches offered
 	// load for the maximum rate whose serving run meets an SLO
@@ -94,6 +94,15 @@ type TopologySpec struct {
 func (ts *TopologySpec) Build() (cluster.Topology, error) {
 	if ts == nil {
 		return cluster.PaperTopology(), nil
+	}
+	counts := [...]struct {
+		field string
+		n     int
+	}{{"x86", ts.X86}, {"arm", ts.ARM}, {"arm_near", ts.ARMNear}, {"arm_far", ts.ARMFar}, {"fpgas", ts.FPGAs}}
+	for _, c := range counts {
+		if c.n < 0 {
+			return cluster.Topology{}, fmt.Errorf("exper: topology %s %d is negative", c.field, c.n)
+		}
 	}
 	var topo cluster.Topology
 	switch ts.Kind {
@@ -243,23 +252,6 @@ type CellSpec struct {
 	Waves    int      `json:"waves,omitempty"`
 	PerWave  int      `json:"per_wave,omitempty"`
 	Interval Duration `json:"interval,omitempty"`
-
-	// Adapter-injected, pre-resolved arguments. The legacy Run*
-	// entry points route through RunCampaign by injecting their exact
-	// call arguments here, bypassing name resolution — which keeps
-	// their results byte-identical to the pre-campaign engine even for
-	// values a JSON spec cannot express (hand-built topologies,
-	// explicit app pointers).
-	servingCfg    *ServingConfig
-	setCfg        *setArgs
-	throughputCfg *throughputArgs
-	wavesCfg      *wavesArgs
-}
-
-// injected reports whether the cell carries adapter-resolved arguments
-// (which are validated by the runners themselves).
-func (c *CellSpec) injected() bool {
-	return c.servingCfg != nil || c.setCfg != nil || c.throughputCfg != nil || c.wavesCfg != nil
 }
 
 // CampaignSpec is a declarative, JSON-serializable experiment campaign:
@@ -312,12 +304,8 @@ func (c *CellSpec) checkPeakRate(rate float64) error {
 	return nil
 }
 
-// validate checks one cell's declaration. Adapter-injected cells carry
-// already-validated runner arguments and skip the spec-level checks.
+// validate checks one cell's declaration.
 func (c CellSpec) validate() error {
-	if c.injected() {
-		return nil
-	}
 	if c.Rate != 0 && len(c.Rates) > 0 {
 		return fmt.Errorf("rate and rates are mutually exclusive")
 	}
@@ -331,11 +319,8 @@ func (c CellSpec) validate() error {
 		return fmt.Errorf("seed and seeds are mutually exclusive")
 	}
 	for _, p := range append([]string{c.Policy}, c.Policies...) {
-		switch p {
-		case "", PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline:
-		default:
-			return fmt.Errorf("unknown policy %q (want %s, %s, %s or %s)",
-				p, PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline)
+		if err := CheckPolicy(p); err != nil {
+			return err
 		}
 	}
 	for _, m := range append([]string{c.Mode}, c.Modes...) {
@@ -581,10 +566,6 @@ func (s CampaignSpec) Expand() ([]CellSpec, error) {
 	}
 	var out []CellSpec
 	for _, c := range s.Cells {
-		if c.injected() {
-			out = append(out, c)
-			continue
-		}
 		rates := c.Rates
 		if len(rates) == 0 {
 			rates = []float64{c.Rate}

@@ -67,36 +67,8 @@ type RunOpts struct {
 	// this exact campaign, the completed cells are loaded instead of
 	// recomputed and only the remainder runs — the final report is
 	// byte-identical to an uninterrupted run's. A checkpoint written by
-	// a different campaign is refused. Requires a declarative spec
-	// (adapter-injected cells are rejected).
+	// a different campaign is refused.
 	Checkpoint string
-}
-
-// adapter-injected argument bundles (see CellSpec): the exact
-// signatures of the legacy entry points.
-type setArgs struct {
-	set       []*workloads.App
-	mode      Mode
-	totalLoad int
-	opts      Options
-}
-
-type throughputArgs struct {
-	app       *workloads.App
-	mode      Mode
-	load      int
-	duration  time.Duration
-	maxImages int
-	opts      Options
-}
-
-type wavesArgs struct {
-	mode     Mode
-	waves    int
-	perWave  int
-	interval time.Duration
-	seed     int64
-	opts     Options
 }
 
 // runnableCell is one fully resolved campaign cell: topology built,
@@ -118,15 +90,12 @@ type runnableCell struct {
 }
 
 // resolveCell turns one expanded (scalar) cell spec into a runnable
-// cell. Adapter-injected cells pass through untouched. traces caches
-// loaded/generated arrival traces across the campaign's cells, so a
-// grid axis over one trace_file parses the log once (the cached slice
-// is shared — safe, the serving engine never mutates cfg.Trace).
+// cell. traces caches loaded/generated arrival traces across the
+// campaign's cells, so a grid axis over one trace_file parses the log
+// once (the cached slice is shared — safe, the serving engine never
+// mutates cfg.Trace).
 func resolveCell(index int, spec CellSpec, arts *Artifacts, baseDir string, traces map[string][]time.Duration) (*runnableCell, error) {
 	c := &runnableCell{index: index, spec: spec}
-	if spec.injected() {
-		return c, nil
-	}
 	if spec.Options != nil {
 		c.opts = *spec.Options
 	}
@@ -229,115 +198,73 @@ func resolveTrace(spec CellSpec, baseDir string, cache map[string][]time.Duratio
 	return nil, nil
 }
 
-// run executes one resolved cell. Cells with SplitImages use the
-// per-kernel-image artifact set.
+// run executes one resolved cell as one call of its kind's engine.
+// Cells with SplitImages use the per-kernel-image artifact set. The
+// identity fields a kind does not use stay zero: only serving-class
+// cells have a topology, and only serving cells a rate.
 func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 	use := arts
 	if c.spec.SplitImages {
 		use = splitArts
 	}
-	res := CellResult{Index: c.index, Name: c.spec.Name, Kind: c.spec.Kind, Seed: c.spec.Seed}
-	switch {
-	case c.spec.Kind == KindKnee:
+	spec := &c.spec
+	res := CellResult{Index: c.index, Name: spec.Name, Kind: spec.Kind, Topology: c.topo.Name,
+		Mode: c.mode.String(), RatePerSec: spec.Rate, Seed: spec.Seed}
+	// The figure-class engines take the cell's policy through their
+	// options; serving configs carry it themselves.
+	opts := c.opts
+	opts.Policy = resolvePolicy(spec.Policy, opts.Policy)
+	switch spec.Kind {
+	case KindKnee:
 		r, err := runKnee(use, c)
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Name = r.Name
-		res.Topology = c.topo.Name
-		res.Mode = c.mode.String()
-		res.Policy = r.Policy
-		res.Metrics = kneeMetrics(r)
-		res.Knee = &r
-	case c.spec.servingCfg != nil || c.spec.Kind == KindServing || c.spec.Kind == KindPolicyComparison:
+		res.Name, res.Policy, res.Metrics, res.Knee = r.Name, r.Policy, kneeMetrics(r), &r
+	case KindServing, KindPolicyComparison:
 		cfg := ServingConfig{
-			Name:       c.spec.Name,
+			Name:       spec.Name,
 			Topo:       c.topo,
 			Mode:       c.mode,
-			RatePerSec: c.spec.Rate,
-			Duration:   time.Duration(c.spec.Duration),
-			Seed:       c.spec.Seed,
+			RatePerSec: spec.Rate,
+			Duration:   time.Duration(spec.Duration),
+			Seed:       spec.Seed,
 			Trace:      c.trace,
-			Policy:     c.spec.Policy,
+			Policy:     spec.Policy,
 			Opts:       c.opts,
-			Faults:     c.spec.Faults,
-			Admission:  c.spec.Admission,
-			Autoscaler: c.spec.Autoscaler,
-			Workload:   c.spec.Workload,
-		}
-		if c.spec.servingCfg != nil {
-			cfg = *c.spec.servingCfg
+			Faults:     spec.Faults,
+			Admission:  spec.Admission,
+			Autoscaler: spec.Autoscaler,
+			Workload:   spec.Workload,
 		}
 		if c.ck != nil && cfg.Opts.Shards > 1 {
 			cfg.shardCk = &shardCheckpoint{ck: c.ck, cell: c.index}
 		}
-		r, err := runServing(use, cfg)
+		r, err := RunServing(use, cfg)
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Name = r.Name
-		res.Topology = cfg.Topo.Name
-		res.Mode = cfg.Mode.String()
-		res.Policy = r.Policy
-		res.RatePerSec = cfg.RatePerSec
-		res.Seed = cfg.Seed
-		res.Metrics = servingMetrics(r)
-		res.Serving = &r
-	case c.spec.setCfg != nil || c.spec.Kind == KindSet:
-		set, mode, totalLoad, opts := c.apps, c.mode, c.spec.TotalLoad, c.opts
-		if a := c.spec.setCfg; a != nil {
-			set, mode, totalLoad, opts = a.set, a.mode, a.totalLoad, a.opts
-		} else {
-			opts.Policy = resolvePolicy(c.spec.Policy, opts.Policy)
-		}
-		r, err := runSet(use, set, mode, totalLoad, opts)
+		res.Name, res.Policy, res.Metrics, res.Serving = r.Name, r.Policy, servingMetrics(r), &r
+	case KindSet:
+		r, err := RunSetOpts(use, c.apps, c.mode, spec.TotalLoad, opts)
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Mode = mode.String()
-		res.Metrics = setMetrics(r)
-		res.Set = &r
-	case c.spec.throughputCfg != nil || c.spec.Kind == KindThroughput:
-		var app *workloads.App
-		var mode Mode
-		var load, maxImages int
-		var duration time.Duration
-		var opts Options
-		if a := c.spec.throughputCfg; a != nil {
-			app, mode, load, duration, maxImages, opts = a.app, a.mode, a.load, a.duration, a.maxImages, a.opts
-		} else {
-			app, mode, load, duration, opts = c.app, c.mode, c.spec.Load, time.Duration(c.spec.Duration), c.opts
-			opts.Policy = resolvePolicy(c.spec.Policy, opts.Policy)
-			maxImages = c.spec.MaxImages
-			if maxImages <= 0 {
-				maxImages = 1 << 30
-			}
-		}
-		r, err := runThroughput(use, app, mode, load, duration, maxImages, opts)
+		res.Metrics, res.Set = setMetrics(r), &r
+	case KindThroughput:
+		r, err := RunThroughputOpts(use, c.app, c.mode, spec.Load, time.Duration(spec.Duration), spec.MaxImages, opts)
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Mode = mode.String()
-		res.Metrics = throughputMetrics(r)
-		res.Throughput = &r
-	case c.spec.wavesCfg != nil || c.spec.Kind == KindWaves:
-		mode, waves, perWave := c.mode, c.spec.Waves, c.spec.PerWave
-		interval, seed, opts := time.Duration(c.spec.Interval), c.spec.Seed, c.opts
-		if a := c.spec.wavesCfg; a != nil {
-			mode, waves, perWave, interval, seed, opts = a.mode, a.waves, a.perWave, a.interval, a.seed, a.opts
-		} else {
-			opts.Policy = resolvePolicy(c.spec.Policy, opts.Policy)
-		}
-		r, err := runWaves(use, mode, waves, perWave, interval, seed, opts)
+		res.Metrics, res.Throughput = throughputMetrics(r), &r
+	case KindWaves:
+		r, err := RunWavesOpts(use, c.mode, spec.Waves, spec.PerWave, time.Duration(spec.Interval), spec.Seed, opts)
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Mode = mode.String()
-		res.Seed = seed
-		res.Metrics = wavesMetrics(r)
-		res.Waves = &r
+		res.Metrics, res.Waves = wavesMetrics(r), &r
 	default:
-		return CellResult{}, fmt.Errorf("cell %d: unknown kind %q", c.index, c.spec.Kind)
+		return CellResult{}, fmt.Errorf("cell %d: unknown kind %q", c.index, spec.Kind)
 	}
 	return res, nil
 }
@@ -349,8 +276,9 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 // cells across the bounded worker pool. Results land in expansion
 // order and a fixed spec yields byte-identical output regardless of
 // GOMAXPROCS; RunOpts.OnCell streams completed cells in that same
-// order. Every legacy Run* entry point is a thin adapter over a
-// one-cell (or one-cell-per-config) invocation of this runner.
+// order. Each cell is one call of its kind's engine (RunServing,
+// RunSetOpts, RunThroughputOpts, RunWavesOpts, or a knee search over
+// RunServing).
 func RunCampaign(arts *Artifacts, spec CampaignSpec, ropts RunOpts) (*Report, error) {
 	cells, err := spec.Expand()
 	if err != nil {
@@ -414,11 +342,6 @@ func RunCampaign(arts *Artifacts, spec CampaignSpec, ropts RunOpts) (*Report, er
 		}
 		r, err := resolved[i].run(arts, splitArts)
 		if err != nil {
-			if resolved[i].spec.injected() {
-				// Adapter path: surface the runner's error verbatim, as
-				// the legacy entry point would have.
-				return err
-			}
 			return fmt.Errorf("exper: campaign %q cell %d: %w", spec.Name, i, err)
 		}
 		if ck != nil {

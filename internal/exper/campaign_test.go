@@ -195,10 +195,22 @@ func TestCampaignValidation(t *testing.T) {
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), TraceFile: "x", Rates: []float64{1, 2}}, "mutually exclusive"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, TraceRescale: 2}, "trace_rescale applies only to trace_file"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rates: []float64{8, 0}}, "non-positive rate"},
-		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Policy: "bogus"}, "unknown policy"},
-		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Policies: []string{PolicyDefault, "nope"}}, "unknown policy"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Policy: "bogus"}, "unknown placement policy"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Policies: []string{PolicyDefault, "nope"}}, "unknown placement policy"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Modes: []string{"xar-trek", "vanila-x86"}}, "unknown mode"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1, Topology: &TopologySpec{Kind: "scale-out"}}, "needs a name"},
+		// Negative node counts name their field instead of building a
+		// fleet without that tier.
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "scale-out", Name: "r", X86: 2, ARM: -5, FPGAs: -1}}, "topology arm -5 is negative"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "scale-out", Name: "r", X86: -1, ARM: 2}}, "topology x86 -1 is negative"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "scale-out", Name: "r", X86: 2, ARM: 2, FPGAs: -1}}, "topology fpgas -1 is negative"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: -2, ARMFar: 2}}, "topology arm_near -2 is negative"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: 2, ARMFar: -3}}, "topology arm_far -3 is negative"},
 		{CellSpec{Kind: KindSet}, "apps or set_size"},
 		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, SetSize: 3}, "mutually exclusive"},
 		{CellSpec{Kind: KindThroughput, Duration: Duration(time.Second)}, "needs an app"},
@@ -325,9 +337,10 @@ func TestParseModeRoundTripsEveryMode(t *testing.T) {
 	}
 }
 
-// The legacy entry points are adapters over RunCampaign; these tests
-// pin the other direction — a spec-declared cell (names resolved from
-// JSON-able data) reproduces the adapter's result byte-identically.
+// RunCampaign turns each spec cell into one call of its kind's engine
+// (RunServing, RunSetOpts, RunThroughputOpts, RunWavesOpts); these
+// tests pin that a spec-declared cell, its names resolved from
+// JSON-able data, reproduces the direct engine call byte-identically.
 
 func TestSpecServingCellMatchesRunServing(t *testing.T) {
 	arts := testArtifacts(t)
@@ -436,6 +449,9 @@ func TestSpecThroughputAndWavesCellsMatchAdapters(t *testing.T) {
 			Duration: Duration(30 * time.Second), MaxImages: 100},
 		{Kind: KindWaves, Mode: "vanilla-x86", Waves: 4, PerWave: 5,
 			Interval: Duration(15 * time.Second), Seed: 2021},
+		// No max_images: uncapped, as RunThroughput's maxImages 0 is.
+		{Kind: KindThroughput, App: "FaceDet320", Mode: "xar-trek",
+			Duration: Duration(30 * time.Second)},
 	}}
 	rep, err := RunCampaign(arts, spec, RunOpts{})
 	if err != nil {
@@ -458,6 +474,13 @@ func TestSpecThroughputAndWavesCellsMatchAdapters(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*rep.Cells[1].Waves, waves) {
 		t.Fatalf("waves cell diverged:\n%+v\n%+v", *rep.Cells[1].Waves, waves)
+	}
+	uncapped, err := RunThroughput(arts, fd, ModeXarTrek, 0, 30*time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncapped.Images == 0 || !reflect.DeepEqual(*rep.Cells[2].Throughput, uncapped) {
+		t.Fatalf("uncapped throughput cell diverged:\n%+v\n%+v", *rep.Cells[2].Throughput, uncapped)
 	}
 }
 
@@ -724,11 +747,38 @@ func TestRunServingSweepEmptyConfigsIsNoOp(t *testing.T) {
 	}
 }
 
+// TestRunServingSweepReturnsLowestIndexError pins the sweep's error
+// contract: with bad configs at indices 1 and 3, the sweep returns
+// index 1's error exactly as RunServing produces it, whatever the
+// worker count.
+func TestRunServingSweepReturnsLowestIndexError(t *testing.T) {
+	arts := testArtifacts(t)
+	good := ServingConfig{Topo: cluster.ScaleOutTopology("rack4", 2, 2, 1), Mode: ModeXarTrek,
+		RatePerSec: 2, Duration: 5 * time.Second, Seed: 1}
+	cfgs := []ServingConfig{good, good, good, good}
+	cfgs[1].Policy = "bogus-1"
+	cfgs[3].Policy = "bogus-3"
+	_, want := RunServing(arts, cfgs[1])
+	if want == nil {
+		t.Fatal("bad config accepted")
+	}
+	for _, procs := range []int{1, 8} {
+		withGOMAXPROCS(procs, func() {
+			out, err := RunServingSweep(arts, cfgs)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("GOMAXPROCS=%d: err = %v, want %v", procs, err, want)
+			}
+			if out != nil {
+				t.Fatalf("GOMAXPROCS=%d: failed sweep returned results", procs)
+			}
+		})
+	}
+}
+
 func TestRunCampaignUnnamedSpecKeepsCellErrorContext(t *testing.T) {
 	arts := testArtifacts(t)
-	// A failing spec-declared cell keeps its cell index even when the
-	// campaign has no name (only adapter-injected cells surface errors
-	// verbatim).
+	// A failing cell's error carries its cell index even when the
+	// campaign has no name.
 	_, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{{
 		Kind: KindServing, Duration: Duration(time.Second),
 		Trace: []Duration{Duration(-time.Second)},

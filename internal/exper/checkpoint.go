@@ -30,9 +30,7 @@ import (
 //
 // A checkpoint is only valid for the exact campaign that wrote it:
 // resume verifies the fingerprint and refuses to mix results from a
-// different spec. Adapter-injected cells (the legacy Run* entry
-// points) carry Go pointers a spec file cannot express and are
-// rejected up front.
+// different spec.
 
 // checkpointManifest identifies the campaign a checkpoint directory
 // belongs to.
@@ -50,15 +48,8 @@ type checkpoint struct {
 	dir string
 }
 
-// campaignFingerprint hashes the expanded campaign. Injected cells are
-// rejected: their run arguments live outside the spec, so no
-// fingerprint could witness them.
+// campaignFingerprint hashes the expanded campaign.
 func campaignFingerprint(name string, cells []CellSpec) (string, error) {
-	for i := range cells {
-		if cells[i].injected() {
-			return "", fmt.Errorf("checkpointing requires a declarative spec (cell %d carries adapter-injected arguments)", i)
-		}
-	}
 	blob, err := json.Marshal(struct {
 		Name  string     `json:"name"`
 		Cells []CellSpec `json:"cells"`

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"xartrek/internal/cluster"
 	"xartrek/internal/faults"
 )
 
@@ -181,20 +180,6 @@ func TestCampaignCheckpointRefusesForeignDir(t *testing.T) {
 	_, err := RunCampaign(arts, other, RunOpts{Checkpoint: dir})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("foreign checkpoint dir not refused: %v", err)
-	}
-}
-
-// TestCampaignCheckpointRejectsInjectedCells pins that the legacy
-// adapter entry points cannot be checkpointed: their arguments live
-// outside the spec, so no fingerprint could validate a resume.
-func TestCampaignCheckpointRejectsInjectedCells(t *testing.T) {
-	arts := testArtifacts(t)
-	cfg := ServingConfig{Topo: cluster.ScaleOutTopology("rack4", 2, 2, 1), Mode: ModeXarTrek, RatePerSec: 2,
-		Duration: 5 * time.Second, Seed: 1}
-	_, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{{Kind: KindServing, servingCfg: &cfg}}},
-		RunOpts{Checkpoint: t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "adapter-injected") {
-		t.Fatalf("injected cell not rejected: %v", err)
 	}
 }
 

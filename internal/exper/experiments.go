@@ -75,20 +75,9 @@ func RunSet(arts *Artifacts, set []*workloads.App, mode Mode, totalLoad int) (Se
 	return RunSetOpts(arts, set, mode, totalLoad, Options{})
 }
 
-// RunSetOpts is RunSet under ablation options. It is a thin adapter
-// over RunCampaign (one KindSet cell).
+// RunSetOpts is RunSet under ablation options: the fixed-workload
+// engine, which the campaign runner's set cells call too.
 func RunSetOpts(arts *Artifacts, set []*workloads.App, mode Mode, totalLoad int, opts Options) (SetResult, error) {
-	cell := CellSpec{Kind: KindSet, setCfg: &setArgs{set: set, mode: mode, totalLoad: totalLoad, opts: opts}}
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{cell}}, RunOpts{})
-	if err != nil {
-		return SetResult{}, err
-	}
-	return *rep.Cells[0].Set, nil
-}
-
-// runSet is the fixed-workload engine behind the RunSetOpts adapter
-// and the campaign runner's set cells.
-func runSet(arts *Artifacts, set []*workloads.App, mode Mode, totalLoad int, opts Options) (SetResult, error) {
 	p := NewPlatformOpts(arts, opts)
 	res := SetResult{Mode: mode, SetSize: len(set), Load: totalLoad}
 	if res.Load < len(set) {
@@ -275,27 +264,19 @@ func (p *Platform) LaunchThroughput(app *workloads.App, mode Mode, at, duration 
 }
 
 // RunThroughput measures face-detection throughput under a fixed
-// background load (one bar of Figure 6).
+// background load (one bar of Figure 6): the images processed within
+// duration, at most maxImages of them (≤ 0 means no cap).
 func RunThroughput(arts *Artifacts, app *workloads.App, mode Mode, load int, duration time.Duration, maxImages int) (ThroughputResult, error) {
 	return RunThroughputOpts(arts, app, mode, load, duration, maxImages, Options{})
 }
 
-// RunThroughputOpts is RunThroughput under ablation options. It is a
-// thin adapter over RunCampaign (one KindThroughput cell).
+// RunThroughputOpts is RunThroughput under ablation options: the
+// throughput engine, which the campaign runner's throughput cells call
+// too.
 func RunThroughputOpts(arts *Artifacts, app *workloads.App, mode Mode, load int, duration time.Duration, maxImages int, opts Options) (ThroughputResult, error) {
-	cell := CellSpec{Kind: KindThroughput, throughputCfg: &throughputArgs{
-		app: app, mode: mode, load: load, duration: duration, maxImages: maxImages, opts: opts,
-	}}
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{cell}}, RunOpts{})
-	if err != nil {
-		return ThroughputResult{}, err
+	if maxImages <= 0 {
+		maxImages = 1 << 30
 	}
-	return *rep.Cells[0].Throughput, nil
-}
-
-// runThroughput is the throughput engine behind the RunThroughputOpts
-// adapter and the campaign runner's throughput cells.
-func runThroughput(arts *Artifacts, app *workloads.App, mode Mode, load int, duration time.Duration, maxImages int, opts Options) (ThroughputResult, error) {
 	p := NewPlatformOpts(arts, opts)
 	var bg *background
 	if load > 0 {
@@ -336,22 +317,9 @@ func RunWaves(arts *Artifacts, mode Mode, waves, perWave int, interval time.Dura
 	return RunWavesOpts(arts, mode, waves, perWave, interval, seed, Options{})
 }
 
-// RunWavesOpts is RunWaves under ablation options. It is a thin
-// adapter over RunCampaign (one KindWaves cell).
+// RunWavesOpts is RunWaves under ablation options: the periodic-wave
+// engine, which the campaign runner's waves cells call too.
 func RunWavesOpts(arts *Artifacts, mode Mode, waves, perWave int, interval time.Duration, seed int64, opts Options) (WaveResult, error) {
-	cell := CellSpec{Kind: KindWaves, wavesCfg: &wavesArgs{
-		mode: mode, waves: waves, perWave: perWave, interval: interval, seed: seed, opts: opts,
-	}}
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{cell}}, RunOpts{})
-	if err != nil {
-		return WaveResult{}, err
-	}
-	return *rep.Cells[0].Waves, nil
-}
-
-// runWaves is the periodic-wave engine behind the RunWavesOpts adapter
-// and the campaign runner's waves cells.
-func runWaves(arts *Artifacts, mode Mode, waves, perWave int, interval time.Duration, seed int64, opts Options) (WaveResult, error) {
 	p := NewPlatformOpts(arts, opts)
 	rng := rand.New(rand.NewSource(seed))
 	res := WaveResult{Mode: mode}

@@ -48,7 +48,7 @@ func runKnee(arts *Artifacts, c *runnableCell) (KneeResult, error) {
 	knee, probes, err := spec.Knee.Search(func(rate float64) (elastic.Probe, error) {
 		cfg := base
 		cfg.RatePerSec = rate
-		r, err := runServing(arts, cfg)
+		r, err := RunServing(arts, cfg)
 		if err != nil {
 			return elastic.Probe{}, err
 		}

@@ -259,9 +259,20 @@ func (p *Platform) placementPolicy(name string, images []*xclbin.XCLBIN) (sched.
 	case PolicyDeadline:
 		return sched.DeadlinePolicy{}, nil, nil
 	default:
-		return nil, nil, fmt.Errorf("exper: unknown placement policy %q (want %s, %s, %s or %s)",
-			name, PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline)
+		return nil, nil, fmt.Errorf("exper: %w", CheckPolicy(name))
 	}
+}
+
+// CheckPolicy reports whether name selects a placement policy: empty
+// (PolicyDefault), PolicyDefault, PolicyLinkAware, PolicyAffinity or
+// PolicyDeadline.
+func CheckPolicy(name string) error {
+	switch name {
+	case "", PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline:
+		return nil
+	}
+	return fmt.Errorf("unknown placement policy %q (want %s, %s, %s or %s)",
+		name, PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline)
 }
 
 // partitionKernels assigns image i to card i%n and pins each kernel to

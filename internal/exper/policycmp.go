@@ -37,19 +37,14 @@ func Policies() []string {
 // named policy (in the given order) and returns results index-aligned
 // with the names. Everything but the placement policy — topology,
 // arrival stream, seed — is held fixed, so differences in tail latency
-// and reconfiguration churn are attributable to placement alone. It is
-// a thin adapter over RunCampaign (via RunServingSweep, one serving
-// cell per policy); spec files express the same sweep as one
-// KindPolicyComparison cell.
+// and reconfiguration churn are attributable to placement alone. It
+// is RunServingSweep with one config per policy; spec files express
+// the same sweep as one KindPolicyComparison cell.
 func RunPolicyComparison(arts *Artifacts, cfg ServingConfig, policies []string) ([]ServingResult, error) {
 	cfgs := make([]ServingConfig, len(policies))
 	for i, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		if c.Name == "" {
-			c.Name = c.Topo.Name
-		}
-		cfgs[i] = c
+		cfgs[i] = cfg
+		cfgs[i].Policy = pol
 	}
 	return RunServingSweep(arts, cfgs)
 }

@@ -10,6 +10,7 @@ import (
 	"xartrek/internal/core/sched"
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
+	"xartrek/internal/par"
 	"xartrek/internal/simtime"
 	"xartrek/internal/tenancy"
 	"xartrek/internal/workloads"
@@ -324,23 +325,13 @@ func (cfg ServingConfig) source(pool []*workloads.App, ten *tenantRun) (*arrival
 	return s, nil
 }
 
-// RunServing executes one open-loop serving run. It is a thin adapter
-// over RunCampaign: the config becomes a one-cell campaign, so the
-// serving engine has exactly one execution path.
+// RunServing executes one open-loop serving run: the serving engine,
+// which the campaign runner's serving, policy-comparison and knee
+// cells call too. An unnamed config takes its topology's name.
+// Configs with Opts.Shards > 1 route to the sharded engine
+// (sharded.go); everything else — including shards=1 — takes the
+// single-timeline path below, byte-identical to the pre-shard engine.
 func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: []CellSpec{{Kind: KindServing, servingCfg: &cfg}}}, RunOpts{})
-	if err != nil {
-		return ServingResult{}, err
-	}
-	return *rep.Cells[0].Serving, nil
-}
-
-// runServing is the serving engine behind the RunServing adapter and
-// the campaign runner's serving/policy-comparison cells. Cells with
-// Opts.Shards > 1 route to the sharded engine (sharded.go); everything
-// else — including shards=1 — takes the single-timeline path below,
-// byte-identical to the pre-shard engine.
-func runServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Topo.Name
 	}
@@ -536,27 +527,20 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	return res, lat, tdigs, nil
 }
 
-// RunServingSweep fans a serving campaign across the worker pool: each
-// config is an isolated simulation, results land in config order, and
-// a fixed seed yields byte-identical output regardless of GOMAXPROCS.
-// It is a thin adapter over RunCampaign with one serving cell per
-// config.
+// RunServingSweep runs RunServing over every config across the worker
+// pool: each config is an isolated simulation, results land in config
+// order, and a fixed seed yields byte-identical output regardless of
+// GOMAXPROCS. When several configs fail, the lowest-index error is
+// returned as RunServing produced it.
 func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, error) {
-	if len(cfgs) == 0 {
-		return make([]ServingResult, 0), nil
-	}
-	cells := make([]CellSpec, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		cells[i] = CellSpec{Kind: KindServing, servingCfg: &cfg}
-	}
-	rep, err := RunCampaign(arts, CampaignSpec{Cells: cells}, RunOpts{})
+	out := make([]ServingResult, len(cfgs))
+	err := par.ForEach(len(cfgs), func(i int) error {
+		var err error
+		out[i], err = RunServing(arts, cfgs[i])
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]ServingResult, len(rep.Cells))
-	for i, c := range rep.Cells {
-		out[i] = *c.Serving
 	}
 	return out, nil
 }

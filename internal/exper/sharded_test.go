@@ -220,14 +220,14 @@ func TestShardedSketchMatchesExact(t *testing.T) {
 	}
 	cfg.Opts.Shards = 4
 	dists, uninstall := captureExactDists(t)
-	exact, err := runServing(arts, cfg)
+	exact, err := RunServing(arts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uninstall()
 	sk := cfg
 	sk.Opts.LatencyMode = LatencySketch
-	sketched, err := runServing(arts, sk)
+	sketched, err := RunServing(arts, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	cfg.Opts.Shards = 4
 	run := func() []byte {
-		res, err := runServing(arts, cfg)
+		res, err := RunServing(arts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +519,8 @@ func TestShardsSpecValidation(t *testing.T) {
 }
 
 // TestShardsRuntimeRejections pins the engine-level guards reached
-// when runServing is called directly (bypassing spec validation).
+// when a config goes straight to RunServing, with no spec validation
+// in front of it.
 func TestShardsRuntimeRejections(t *testing.T) {
 	arts := testArtifacts(t)
 	base := ServingConfig{
@@ -531,7 +532,7 @@ func TestShardsRuntimeRejections(t *testing.T) {
 	}
 	over := base
 	over.Opts.Shards = 3
-	if _, err := runServing(arts, over); err == nil || !strings.Contains(err.Error(), "exceed") {
+	if _, err := RunServing(arts, over); err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("shards > entry nodes: error = %v, want partition rejection", err)
 	}
 }

@@ -152,7 +152,7 @@ func TestWorkloadShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	cfg.Opts.Shards = 4
 	run := func() []byte {
-		res, err := runServing(arts, cfg)
+		res, err := RunServing(arts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestWorkloadFreeReportsUnchanged(t *testing.T) {
 		t.Errorf("workload-free CellSpec JSON mentions workload: %s", cellBlob)
 	}
 	arts := testArtifacts(t)
-	res, err := runServing(arts, ServingConfig{
+	res, err := RunServing(arts, ServingConfig{
 		Topo: cluster.ScaleOutTopology("rack4", 2, 2, 1), Mode: ModeXarTrek,
 		RatePerSec: 2, Duration: 10 * time.Second, Seed: 1,
 	})
@@ -436,7 +436,7 @@ func TestWorkloadRuntimeRejections(t *testing.T) {
 	bad := base
 	bad.Workload = testWorkload()
 	bad.Workload.Cohorts[0].Apps = []tenancy.AppShare{{Name: "NoSuchApp"}}
-	if _, err := runServing(arts, bad); err == nil ||
+	if _, err := RunServing(arts, bad); err == nil ||
 		!strings.Contains(err.Error(), `cohort "interactive"`) ||
 		!strings.Contains(err.Error(), "NoSuchApp") {
 		t.Fatalf("unknown app: error = %v, want cohort-qualified rejection", err)
@@ -444,7 +444,7 @@ func TestWorkloadRuntimeRejections(t *testing.T) {
 	traced := base
 	traced.Workload = testWorkload()
 	traced.Trace = []time.Duration{time.Second}
-	if _, err := runServing(arts, traced); err == nil ||
+	if _, err := RunServing(arts, traced); err == nil ||
 		!strings.Contains(err.Error(), "incompatible with an arrival trace") {
 		t.Fatalf("workload+trace: error = %v, want incompatibility rejection", err)
 	}

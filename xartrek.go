@@ -42,10 +42,11 @@
 //	fmt.Println(rep.Cells[0].Metrics["p99_ms"])
 //
 // The same spec runs from a JSON file via ParseCampaign or
-// `xarbench -campaign spec.json`; see examples/campaigns. Every
-// classic Run* entry point (RunSet, RunThroughput, RunWaves,
-// RunServing, RunServingSweep, RunPolicyComparison) is a documented
-// thin adapter over a one-cell campaign.
+// `xarbench -campaign spec.json`; see examples/campaigns. The classic
+// Run* entry points (RunSet, RunThroughput, RunWaves, RunServing,
+// RunServingSweep, RunPolicyComparison) are the engines themselves:
+// RunCampaign resolves each spec cell into one call of its kind's
+// engine, so a cell and the matching direct call agree byte for byte.
 package xartrek
 
 import (
@@ -241,7 +242,7 @@ const (
 // deterministically into cells, cells fan across CPU cores, results
 // land in expansion order (byte-identical for a fixed spec regardless
 // of GOMAXPROCS), and RunOpts.OnCell streams completed cells in that
-// order. Every Run* entry point below is a thin adapter over it.
+// order. Each cell is one call of the Run* engine of its kind.
 func RunCampaign(arts *Artifacts, spec CampaignSpec, opts RunOpts) (*Report, error) {
 	return exper.RunCampaign(arts, spec, opts)
 }
@@ -348,8 +349,8 @@ func BurstyTrace(seed int64, horizon time.Duration, burstRate float64, burstLen 
 // RunPolicyComparison runs one serving configuration once per named
 // placement policy (see Policies) with everything else held fixed,
 // attributing tail-latency and churn differences to placement alone.
-// It is a thin adapter over RunCampaign (one serving cell per policy;
-// spec files express the same sweep as one KindPolicyComparison cell).
+// It is RunServingSweep with one config per policy; spec files express
+// the same sweep as one KindPolicyComparison cell.
 func RunPolicyComparison(arts *Artifacts, cfg ServingConfig, policies []string) ([]ServingResult, error) {
 	return exper.RunPolicyComparison(arts, cfg, policies)
 }
@@ -359,15 +360,15 @@ func Policies() []string { return exper.Policies() }
 
 // RunServing executes one open-loop serving run: Poisson (or
 // trace-driven) request arrivals against a chosen topology, reporting
-// throughput and p50/p95/p99 completion latency. It is a thin adapter
-// over RunCampaign (one KindServing cell).
+// throughput and p50/p95/p99 completion latency. Campaign serving,
+// policy-comparison and knee cells run through it.
 func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	return exper.RunServing(arts, cfg)
 }
 
-// RunServingSweep fans a serving campaign across CPU cores with
-// deterministic, GOMAXPROCS-independent output. It is a thin adapter
-// over RunCampaign (one KindServing cell per config).
+// RunServingSweep runs RunServing over every config across CPU cores
+// with deterministic, GOMAXPROCS-independent output: results in config
+// order, and the lowest-index error as RunServing returned it.
 func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, error) {
 	return exper.RunServingSweep(arts, cfgs)
 }
@@ -394,8 +395,8 @@ func DialScheduler(addr string) (*SchedTCPClient, error) { return sched.Dial(add
 
 // RunSet launches an application set at time zero under the mode with
 // background load topped up to totalLoad processes, returning the
-// set's average execution time (Figures 3-5's measurement). It is a
-// thin adapter over RunCampaign (one KindSet cell).
+// set's average execution time (Figures 3-5's measurement). Campaign
+// set cells run through the same engine.
 func RunSet(arts *Artifacts, set []*App, mode Mode, totalLoad int) (SetResult, error) {
 	return exper.RunSet(arts, set, mode, totalLoad)
 }
@@ -406,14 +407,15 @@ func RandomSet(rng *rand.Rand, pool []*App, n int) []*App {
 }
 
 // RunThroughput measures multi-image face-detection throughput under a
-// fixed background load (Figure 6). It is a thin adapter over
-// RunCampaign (one KindThroughput cell).
+// fixed background load (Figure 6): the images processed within
+// duration, at most maxImages of them (≤ 0 means no cap). Campaign
+// throughput cells run through the same engine.
 func RunThroughput(arts *Artifacts, app *App, mode Mode, load int, duration time.Duration, maxImages int) (ThroughputResult, error) {
 	return exper.RunThroughput(arts, app, mode, load, duration, maxImages)
 }
 
-// RunWaves runs the periodic wave workload (Figure 7). It is a thin
-// adapter over RunCampaign (one KindWaves cell).
+// RunWaves runs the periodic wave workload (Figure 7). Campaign waves
+// cells run through the same engine.
 func RunWaves(arts *Artifacts, mode Mode, waves, perWave int, interval time.Duration, seed int64) (WaveResult, error) {
 	return exper.RunWaves(arts, mode, waves, perWave, interval, seed)
 }
