@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"xartrek/internal/exper"
+	"xartrek/internal/isa"
 	"xartrek/internal/workloads"
 )
 
@@ -27,9 +28,61 @@ var manifestPath = filepath.Join("testdata", "goldens.sha256")
 // each); the CI memory job runs them under heap budgets, unhashed.
 var manifestSkips = map[string]bool{"rack256.json": true, "rack1024.json": true}
 
+// servingClass reports whether a cell kind runs the open-loop serving
+// engine, the kinds that take options.latency_mode and options.shards.
+func servingClass(kind string) bool {
+	return kind == exper.KindServing || kind == exper.KindPolicyComparison || kind == exper.KindKnee
+}
+
+// withOptions returns a copy of the cell's options, so an edit never
+// reaches a pointer another cell shares.
+func withOptions(c *exper.CellSpec) *exper.Options {
+	var o exper.Options
+	if c.Options != nil {
+		o = *c.Options
+	}
+	c.Options = &o
+	return &o
+}
+
+// campaignVariants are the spec edits the manifest pins beside each
+// campaign as checked in. An edit reports whether it changed the cell;
+// a variant that changes no cell of a file adds no line for it.
+var campaignVariants = []struct {
+	suffix string
+	edit   func(t *testing.T, c *exper.CellSpec) bool
+}{
+	{"", func(*testing.T, *exper.CellSpec) bool { return true }},
+	// Every serving-class cell in sketch latency mode.
+	{" (sketch)", func(_ *testing.T, c *exper.CellSpec) bool {
+		if !servingClass(c.Kind) {
+			return false
+		}
+		withOptions(c).LatencyMode = exper.LatencySketch
+		return true
+	}},
+	// Every shardable serving-class cell (no faults, admission or
+	// autoscaler) at min(4, x86 nodes) shards.
+	{" (shards)", func(t *testing.T, c *exper.CellSpec) bool {
+		if !servingClass(c.Kind) || (c.Faults != nil && !c.Faults.Empty()) || c.Admission.Enabled() || c.Autoscaler.Enabled() {
+			return false
+		}
+		topo := exper.PolicyComparisonTopology()
+		if c.Topology != nil || c.Kind != exper.KindPolicyComparison {
+			var err error
+			if topo, err = c.Topology.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		withOptions(c).Shards = min(4, topo.CountOfArch(isa.X86_64))
+		return true
+	}},
+}
+
 // goldenOutputs renders every golden the manifest pins: the stdout of
 // two xarbench invocations and the marshalled report of each
-// checked-in campaign spec.
+// checked-in campaign spec, as checked in and under each of
+// campaignVariants.
 func goldenOutputs(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -58,24 +111,35 @@ func goldenOutputs(t *testing.T) map[string][]byte {
 		if manifestSkips[name] {
 			continue
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
+		for _, v := range campaignVariants {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := exper.ParseCampaign(f)
+			f.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			changed := false
+			for i := range spec.Cells {
+				if v.edit(t, &spec.Cells[i]) {
+					changed = true
+				}
+			}
+			if !changed {
+				continue
+			}
+			rep, err := exper.RunCampaign(arts, *spec, exper.RunOpts{BaseDir: dir})
+			if err != nil {
+				t.Fatalf("%s%s: %v", name, v.suffix, err)
+			}
+			js, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["campaign "+name+v.suffix] = js
 		}
-		spec, err := exper.ParseCampaign(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rep, err := exper.RunCampaign(arts, *spec, exper.RunOpts{BaseDir: dir})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["campaign "+name] = js
 	}
 	return out
 }
