@@ -315,6 +315,35 @@ func TestLinkPartitionExcludesARMPlacement(t *testing.T) {
 	}
 }
 
+// TestHugeLinkDegradeFactorRejected drives link degradation past what
+// a transfer time can hold: a factor of 1e12 on every host-to-ARM pair
+// used to overflow the scaled transfer and panic in the simulator. It
+// must fail validation instead, while the largest accepted factor runs.
+func TestHugeLinkDegradeFactorRejected(t *testing.T) {
+	arts := testArtifacts(t)
+	cell := func(factor float64) ServingConfig {
+		spec := &faults.Spec{}
+		for _, arm := range []string{"arm-00", "arm-01", "arm-02"} {
+			spec.Events = append(spec.Events, faults.Event{Kind: faults.LinkDegrade, A: "x86-00", B: arm, Factor: factor})
+		}
+		return ServingConfig{
+			Name: "degrade", Topo: cluster.ScaleOutTopology("rack4", 1, 3, 0), Mode: ModeXarTrek,
+			RatePerSec: 4, Duration: 120 * time.Second, Seed: 7, Faults: spec,
+		}
+	}
+	_, err := RunServing(arts, cell(1e12))
+	if err == nil || !strings.Contains(err.Error(), "event 0: link-degrade x86-00-arm-00 factor 1e+12") {
+		t.Fatalf("factor 1e12: err = %v, want the event named", err)
+	}
+	r, err := RunServing(arts, cell(1e6))
+	if err != nil {
+		t.Fatalf("factor 1e6: %v", err)
+	}
+	if r.Completed == 0 {
+		t.Fatal("factor 1e6: nothing completed")
+	}
+}
+
 // TestFaultReportDoesNotPinRuntime holds a churn cell's result and
 // checks that the fault runtime behind it — and with it the platform —
 // can still be collected: the report must not point into the runtime.

@@ -109,6 +109,11 @@ const (
 	LinkRestore Kind = "link-restore"
 )
 
+// maxLinkFactor bounds a link-degrade factor. A million-fold slowdown
+// already stretches a 0.2 s transfer to 55 h, past every horizon;
+// factors from about 1e11 overflow the scaled transfer time.
+const maxLinkFactor = 1e6
+
 // Event is one scheduled fault: at virtual time At, Kind happens to the
 // named target.
 type Event struct {
@@ -122,7 +127,8 @@ type Event struct {
 	// A and B name the endpoints of link-class events.
 	A string `json:"a,omitempty"`
 	B string `json:"b,omitempty"`
-	// Factor is the link-degrade transfer-time multiplier (>= 1).
+	// Factor is the link-degrade transfer-time multiplier, in
+	// [1, 1e6].
 	Factor float64 `json:"factor,omitempty"`
 }
 
@@ -270,8 +276,9 @@ func (ev Event) validate() error {
 		return fmt.Errorf("%s: self-link %s", ev.Kind, pairString(ev.A, ev.B))
 	}
 	if ev.Kind == LinkDegrade {
-		if ev.Factor < 1 {
-			return fmt.Errorf("link-degrade factor %v must be >= 1", ev.Factor)
+		// The negated range test rejects NaN too.
+		if !(ev.Factor >= 1 && ev.Factor <= maxLinkFactor) {
+			return fmt.Errorf("link-degrade %s factor %v must be >= 1 and <= %g", pairString(ev.A, ev.B), ev.Factor, maxLinkFactor)
 		}
 	} else if ev.Factor != 0 {
 		return fmt.Errorf("%s does not take a factor", ev.Kind)

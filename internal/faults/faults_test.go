@@ -2,6 +2,7 @@ package faults
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,8 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 		{Spec{Events: []Event{{Kind: NodeDrain, Node: "n", A: "a", B: "b"}}}, "does not take link endpoints"},
 		{Spec{Events: []Event{{Kind: LinkRestore, A: "a", B: "a"}}}, "self-link"},
 		{Spec{Events: []Event{{Kind: LinkDegrade, A: "a", B: "b", Factor: 0.5}}}, "must be >= 1"},
+		{Spec{Events: []Event{{Kind: LinkDegrade, A: "a", B: "b", Factor: 1e6 + 1}}}, "event 0: link-degrade a-b factor 1.000001e+06 must be >= 1 and <= 1e+06"},
+		{Spec{Events: []Event{{Kind: NodeDown, Node: "n"}, {Kind: LinkDegrade, A: "a", B: "b", Factor: math.NaN()}}}, "event 1: link-degrade a-b factor NaN"},
 		{Spec{Events: []Event{{Kind: NodeDown, Node: "n", Factor: 2}}}, "does not take a factor"},
 		{Spec{Churn: []Churn{{Targets: []string{"n"}, MTBF: sec(1), MTTR: sec(1)}}}, "no kind"},
 		{Spec{Churn: []Churn{{Kind: "link", Targets: []string{"n"}, MTBF: sec(1), MTTR: sec(1)}}}, "unknown churn kind"},
