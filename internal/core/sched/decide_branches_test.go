@@ -9,10 +9,11 @@ import (
 )
 
 // TestDecideCoversEveryAlgorithm2Branch drives every branch of
-// Algorithm 2's predicate space through Server.Decide, under both the
-// fixed-testbed server (NewServer) and a single-node fleet server
-// (NewFleetServer) — which must make identical decisions by the
-// DefaultPolicy equivalence argument (DESIGN.md §8).
+// Algorithm 2's predicate space through Server.Decide and checks each
+// branch's target and reconfiguration, under both the paper-testbed
+// server (NewServer) and a single-node fleet server built directly
+// with NewFleetServer. NewServer is the one-node fleet, so the two
+// must decide identically; the pair pins that wiring.
 func TestDecideCoversEveryAlgorithm2Branch(t *testing.T) {
 	mkTable := func(fpgaThr, armThr int) *threshold.Table {
 		tab := threshold.NewTable()

@@ -21,8 +21,7 @@ import (
 //     idle device.
 //
 // On a single-ARM-node, single-device fleet both rules collapse to the
-// paper's fixed targets, so decisions are bit-identical to the
-// pre-fleet server.
+// paper's fixed targets; NewServer is that fleet.
 type Fleet struct {
 	// ARMNodes lists the identifiers of ARM-class nodes eligible for
 	// software migration, in deterministic (topology) order.
@@ -109,64 +108,32 @@ func NewFleetServer(table *threshold.Table, load LoadFunc, fleet Fleet, images [
 	if fleet.Loads == nil {
 		fleet.Loads = NewLoadIndex(len(fleet.ARMNodes))
 	}
-	s := &Server{table: table, load: load, images: images, fleet: &fleet}
-	if len(fleet.Devices) > 0 {
-		s.dev = fleet.Devices[0]
-	}
-	return s
+	return &Server{table: table, load: load, images: images, fleet: &fleet}
 }
 
 // Policy returns the server's active placement policy (DefaultPolicy
-// for nil-policy fleets and for the fixed-testbed NewServer wiring).
+// for nil-policy fleets).
 func (s *Server) Policy() PlacementPolicy {
-	if s.fleet != nil && s.fleet.Policy != nil {
+	if s.fleet.Policy != nil {
 		return s.fleet.Policy
 	}
 	return DefaultPolicy{}
 }
 
-// deviceUp reports device availability through the fleet surface
-// (always true for the fixed-testbed NewServer wiring).
-func (s *Server) deviceUp(i int) bool {
-	return s.fleet == nil || s.fleet.DeviceUp(i)
-}
-
-// devices returns the device fleet: the configured Fleet's list, or the
-// single NewServer device.
-func (s *Server) devices() []Device {
-	if s.fleet != nil {
-		return s.fleet.Devices
-	}
-	if s.dev == nil {
-		return nil
-	}
-	return []Device{s.dev}
-}
-
 // placeDevice locates the card serving a hardware invocation ("Query
-// Available HW Kernels" across the fleet): the policy's pick over a
-// fleet, the single NewServer device otherwise.
+// Available HW Kernels" across the fleet): the policy's pick, or false
+// with no cards.
 func (s *Server) placeDevice(ctx PlacementContext) (int, bool) {
-	if s.fleet == nil {
-		if s.dev != nil && s.dev.HasKernel(ctx.Kernel) {
-			return 0, true
-		}
-		return 0, false
-	}
 	if len(s.fleet.Devices) == 0 {
 		return 0, false
 	}
 	return s.Policy().PickDevice(ctx, s.fleet)
 }
 
-// placeARM selects the ARM-class placement. Without a fleet (the fixed
-// testbed) the single ARM server is node 0; with an empty candidate
-// list it reports false and the caller must not choose the ARM class.
-// Non-degenerate fleets delegate to the placement policy.
+// placeARM selects the ARM-class placement: the policy's pick, or
+// false with an empty candidate list, when the caller must not choose
+// the ARM class.
 func (s *Server) placeARM(ctx PlacementContext) (int, bool) {
-	if s.fleet == nil {
-		return 0, true
-	}
 	if len(s.fleet.ARMNodes) == 0 {
 		return 0, false
 	}

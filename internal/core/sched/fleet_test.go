@@ -91,9 +91,9 @@ func TestFleetReconfigSkipsBusyDevices(t *testing.T) {
 }
 
 func TestFleetSingleNodeMatchesFixedServer(t *testing.T) {
-	// The fleet server over one ARM node and one device must make the
-	// same decisions as the historical NewServer wiring across the
-	// whole load range.
+	// NewServer is the fleet server over one ARM node (identifier 0)
+	// and at most one device: a fleet built directly that way must make
+	// the same decisions across the whole load range.
 	for load := 0; load <= 40; load++ {
 		devA := &fakeDevice{kernels: map[string]bool{"KNL": true}}
 		devB := &fakeDevice{kernels: map[string]bool{"KNL": true}}

@@ -57,11 +57,11 @@ type Decision struct {
 	// ARMNode is the concrete placement of an ARM-class decision: the
 	// identifier from Fleet.ARMNodes (a cluster node index under the
 	// experiment platforms, so the paper testbed's ARM server is 1).
-	// Servers built without a fleet always report 0, meaning "the
-	// single ARM server".
+	// NewServer's one-node fleet always reports 0, meaning "the single
+	// ARM server".
 	ARMNode int
 	// Device is the index into Fleet.Devices of an FPGA-class
-	// decision (0 without a fleet).
+	// decision.
 	Device int
 }
 
@@ -104,12 +104,10 @@ type Server struct {
 	mu     sync.Mutex
 	table  *threshold.Table
 	load   LoadFunc
-	dev    Device
 	images []*xclbin.XCLBIN
 	stats  Stats
-	// fleet, when set, generalizes placement over a multi-node,
-	// multi-device topology (see NewFleetServer); nil means the fixed
-	// paper testbed wired through NewServer.
+	// fleet is the ARM nodes and FPGA cards placement scores over (see
+	// NewFleetServer); NewServer's is the fixed paper testbed.
 	fleet *Fleet
 	// reconfigScratch is the reusable buffer ReconfigOrder fills, so
 	// the decision hot path stays allocation-free (s.mu guards it).
@@ -119,14 +117,20 @@ type Server struct {
 	energy *energyPolicy
 }
 
-// NewServer assembles a scheduler server.
+// NewServer assembles a scheduler server for the fixed paper testbed:
+// a fleet server over one ARM node (identifier 0) and at most one
+// card.
 //
 // table is the threshold table from step G; load samples x86LOAD; dev
 // controls the FPGA (nil for CPU-only platforms); images are the
 // XCLBIN files generated by step F, consulted when a requested kernel
 // must be configured.
 func NewServer(table *threshold.Table, load LoadFunc, dev Device, images []*xclbin.XCLBIN) *Server {
-	return &Server{table: table, load: load, dev: dev, images: images}
+	fleet := Fleet{ARMNodes: []int{0}}
+	if dev != nil {
+		fleet.Devices = []Device{dev}
+	}
+	return NewFleetServer(table, load, fleet, images)
 }
 
 // Stats returns a snapshot of scheduling counters.
@@ -246,7 +250,7 @@ func (s *Server) countDecision(t threshold.Target) {
 // is busy reconfiguring (counted as ReconfigsAllBusy), or the image is
 // unknown. It reports whether a download started.
 func (s *Server) startReconfig(ctx PlacementContext) bool {
-	devs := s.devices()
+	devs := s.fleet.Devices
 	if len(devs) == 0 {
 		return false
 	}
@@ -257,25 +261,18 @@ func (s *Server) startReconfig(ctx PlacementContext) bool {
 	for i, dev := range devs {
 		// A pending download on an unavailable card will not deliver a
 		// usable kernel, so it does not justify skipping.
-		if s.deviceUp(i) && dev.KernelPending(ctx.Kernel) {
+		if s.fleet.DeviceUp(i) && dev.KernelPending(ctx.Kernel) {
 			s.stats.ReconfigsSkippedPending++
 			return false
 		}
 	}
-	var order []int
-	if s.fleet != nil {
-		s.reconfigScratch = s.Policy().ReconfigOrder(ctx, s.fleet, s.reconfigScratch[:0])
-		order = s.reconfigScratch
-	} else {
-		s.reconfigScratch = append(s.reconfigScratch[:0], 0)
-		order = s.reconfigScratch
-	}
-	for _, idx := range order {
+	s.reconfigScratch = s.Policy().ReconfigOrder(ctx, s.fleet, s.reconfigScratch[:0])
+	for _, idx := range s.reconfigScratch {
 		if idx < 0 || idx >= len(devs) {
 			continue
 		}
 		dev := devs[idx]
-		if !s.deviceUp(idx) || dev.Reconfiguring() {
+		if !s.fleet.DeviceUp(idx) || dev.Reconfiguring() {
 			continue
 		}
 		// Line 11-12/16-17: program the device and re-query

@@ -198,6 +198,28 @@ func resolveTrace(spec CellSpec, baseDir string, cache map[string][]time.Duratio
 	return nil, nil
 }
 
+// servingConfig is the serving run a serving-class cell describes, at
+// the cell's rate. A knee cell's probes set the rate (knee cells carry
+// no trace, by validation).
+func (c *runnableCell) servingConfig() ServingConfig {
+	spec := &c.spec
+	return ServingConfig{
+		Name:       spec.Name,
+		Topo:       c.topo,
+		Mode:       c.mode,
+		RatePerSec: spec.Rate,
+		Duration:   time.Duration(spec.Duration),
+		Seed:       spec.Seed,
+		Trace:      c.trace,
+		Policy:     spec.Policy,
+		Opts:       c.opts,
+		Faults:     spec.Faults,
+		Admission:  spec.Admission,
+		Autoscaler: spec.Autoscaler,
+		Workload:   spec.Workload,
+	}
+}
+
 // run executes one resolved cell as one call of its kind's engine.
 // Cells with SplitImages use the per-kernel-image artifact set. The
 // identity fields a kind does not use stay zero: only serving-class
@@ -222,21 +244,7 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 		}
 		res.Name, res.Policy, res.Metrics, res.Knee = r.Name, r.Policy, kneeMetrics(r), &r
 	case KindServing, KindPolicyComparison:
-		cfg := ServingConfig{
-			Name:       spec.Name,
-			Topo:       c.topo,
-			Mode:       c.mode,
-			RatePerSec: spec.Rate,
-			Duration:   time.Duration(spec.Duration),
-			Seed:       spec.Seed,
-			Trace:      c.trace,
-			Policy:     spec.Policy,
-			Opts:       c.opts,
-			Faults:     spec.Faults,
-			Admission:  spec.Admission,
-			Autoscaler: spec.Autoscaler,
-			Workload:   spec.Workload,
-		}
+		cfg := c.servingConfig()
 		if c.ck != nil && cfg.Opts.Shards > 1 {
 			cfg.shardCk = &shardCheckpoint{ck: c.ck, cell: c.index}
 		}

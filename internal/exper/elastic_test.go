@@ -322,9 +322,10 @@ func TestAutoscalerScalesUpUnderSustainedLoad(t *testing.T) {
 	}
 }
 
-func TestAutoscalerBurstScaleUpDownAndRecovery(t *testing.T) {
-	arts := testArtifacts(t)
-	r, err := RunServing(arts, ServingConfig{
+// burstAutoscalerConfig is a 5 s burst on a 4-node entry fleet that
+// the autoscaler grows from one node and drains back afterwards.
+func burstAutoscalerConfig() ServingConfig {
+	return ServingConfig{
 		Topo: cluster.ScaleOutTopology("rack4x", 4, 0, 0), Mode: ModeVanillaX86,
 		Trace:    steadyTrace(0, 5*time.Second, 25*time.Millisecond),
 		Duration: 25 * time.Second, Seed: 2021,
@@ -332,7 +333,12 @@ func TestAutoscalerBurstScaleUpDownAndRecovery(t *testing.T) {
 			Policy: elastic.ScaleTargetUtilization, Epoch: esec(1),
 			MinNodes: 1, MaxNodes: 4,
 		},
-	})
+	}
+}
+
+func TestAutoscalerBurstScaleUpDownAndRecovery(t *testing.T) {
+	arts := testArtifacts(t)
+	r, err := RunServing(arts, burstAutoscalerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +425,6 @@ func TestElasticDrainExcludesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := &elasticRuntime{p: p, inactive: make([]bool, len(p.Cluster.Nodes))}
-	p.elastic = rt
 	host := p.Cluster.X86
 	other := p.Cluster.NodesOfArch(host.Arch)[1]
 	// Load the host so the empty non-host node is the natural pick.
@@ -429,14 +433,14 @@ func TestElasticDrainExcludesPlacement(t *testing.T) {
 	if got := p.leastLoadedX86(); got != other {
 		t.Fatalf("baseline placement picked %s, want the idle node %s", got.Name, other.Name)
 	}
-	rt.inactive[other.Index] = true
-	if p.entryEligible(other) {
+	p.off[other.Index] |= offParked
+	if p.entryOK(p.slot[other.Index]) {
 		t.Fatal("drained node still entry-eligible")
 	}
 	if got := p.leastLoadedX86(); got != host {
 		t.Fatalf("placement picked drained node %s", got.Name)
 	}
-	rt.inactive[other.Index] = false
+	p.off[other.Index] &^= offParked
 	if got := p.leastLoadedX86(); got != other {
 		t.Fatalf("rejoined node not placed to: got %s", got.Name)
 	}
@@ -445,7 +449,7 @@ func TestElasticDrainExcludesPlacement(t *testing.T) {
 // TestUndrainStaleQueueState pins the epoch sampler's bookkeeping for
 // a node that drains while still holding resident work and later
 // rejoins: its job-seconds are snapshotted every epoch even while
-// inactive, so the rejoin epoch sees only that epoch's work — not the
+// parked, so the rejoin epoch sees only that epoch's work — not the
 // whole drained period's backlog dumped into one sample.
 func TestUndrainStaleQueueState(t *testing.T) {
 	arts := testArtifacts(t)
@@ -476,12 +480,12 @@ func TestUndrainStaleQueueState(t *testing.T) {
 	}
 	p.Sim.RunUntil(1 * time.Second)
 	rt.sample(1 * time.Second)
-	rt.inactive[other.Index] = true // drain with resident work
+	p.off[other.Index] |= offParked // drain with resident work
 	p.Sim.RunUntil(2 * time.Second)
 	rt.sample(2 * time.Second)
 	p.Sim.RunUntil(3 * time.Second)
 	rt.sample(3 * time.Second)
-	rt.inactive[other.Index] = false // rejoin
+	p.off[other.Index] &^= offParked // rejoin
 	p.Sim.RunUntil(4 * time.Second)
 	rt.sample(4 * time.Second)
 	if len(utils) != 4 {
@@ -499,19 +503,15 @@ func TestUndrainStaleQueueState(t *testing.T) {
 	}
 }
 
-// TestDrainRacesInFlightRetries runs churn and the autoscaler
-// together: a node crash disrupts resident requests whose retries are
-// in flight while the autoscaler is draining the fleet, so retry
-// re-placement races elastic drains. The run must stay deterministic
-// across GOMAXPROCS and actually exercise both machineries.
-func TestDrainRacesInFlightRetries(t *testing.T) {
-	arts := testArtifacts(t)
+// drainRaceSpec is a one-cell campaign whose node crash lands while the
+// autoscaler drains the fleet after a burst.
+func drainRaceSpec() CampaignSpec {
 	burst := steadyTrace(0, 5*time.Second, 25*time.Millisecond)
 	trace := make([]Duration, len(burst))
 	for i, d := range burst {
 		trace[i] = Duration(d)
 	}
-	spec := CampaignSpec{Name: "drain-race", Cells: []CellSpec{{
+	return CampaignSpec{Name: "drain-race", Cells: []CellSpec{{
 		Name: "race", Kind: KindServing,
 		Topology: &TopologySpec{Kind: "scale-out", Name: "rack4x", X86: 4},
 		Mode:     "vanilla-x86",
@@ -528,6 +528,16 @@ func TestDrainRacesInFlightRetries(t *testing.T) {
 			HighUtil: 3.0, LowUtil: 2.0, MinNodes: 1, MaxNodes: 4,
 		},
 	}}}
+}
+
+// TestDrainRacesInFlightRetries runs churn and the autoscaler
+// together: a node crash disrupts resident requests whose retries are
+// in flight while the autoscaler is draining the fleet, so retry
+// re-placement races elastic drains. The run must stay deterministic
+// across GOMAXPROCS and actually exercise both machineries.
+func TestDrainRacesInFlightRetries(t *testing.T) {
+	arts := testArtifacts(t)
+	spec := drainRaceSpec()
 	var par1, par8 *Report
 	withGOMAXPROCS(1, func() {
 		var err error

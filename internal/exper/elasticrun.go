@@ -12,11 +12,10 @@ import (
 
 // elasticRuntime executes one cell's overload-control plan against a
 // platform: per-entry-node admission control and/or the autoscaler
-// control loop. Like the fault runtime it belongs to one platform (and
+// control loop, which parks and unparks entry nodes in the platform's
+// fleet health. Like the fault runtime it belongs to one platform (and
 // one simulator), so no locking is needed — campaign parallelism is
-// across cells, never within one. A nil runtime (the default) leaves
-// every hook a no-op, keeping runs without elastic specs byte-identical
-// to the pre-elastic engine.
+// across cells, never within one.
 type elasticRuntime struct {
 	p         *Platform
 	admission *elastic.AdmissionSpec
@@ -28,15 +27,12 @@ type elasticRuntime struct {
 	// entries is the x86 entry fleet in cluster-node order; the
 	// scheduler host is always active, the rest join and drain by
 	// autoscaler decision (lowest index joins first, highest drains
-	// first — deterministic).
+	// first — deterministic). A drained node is parked (offParked):
+	// resident work keeps running, but the entry pick excludes it from
+	// new placements, arrivals and retry re-placement alike.
 	entries []*cluster.Node
-	// inactive marks elastically drained nodes by cluster node index.
-	// An elastic drain reuses the fault subsystem's drain semantics:
-	// resident work keeps running, but entryEligible excludes the node
-	// from new placements (arrivals and retry re-placement alike).
-	inactive []bool
 	// prevJob snapshots each entry's PSServer.JobSeconds at the last
-	// epoch, for the utilization delta. Inactive nodes are snapshotted
+	// epoch, for the utilization delta. Parked nodes are snapshotted
 	// too, so a node that drains with resident work and later rejoins
 	// does not dump its backlog's job-seconds into one epoch.
 	prevJob []float64
@@ -62,11 +58,10 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 		return nil, err
 	}
 	rt := &elasticRuntime{
-		p:        p,
-		horizon:  horizon,
-		entries:  p.Cluster.NodesOfArch(isa.X86_64),
-		inactive: make([]bool, len(p.Cluster.Nodes)),
-		prevJob:  make([]float64, len(p.Cluster.Nodes)),
+		p:       p,
+		horizon: horizon,
+		entries: p.Cluster.NodesOfArch(isa.X86_64),
+		prevJob: make([]float64, len(p.Cluster.Nodes)),
 	}
 	if admission.Enabled() {
 		rt.admission = admission
@@ -89,7 +84,7 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 			active--
 			continue
 		}
-		rt.inactive[n.Index] = true
+		p.off[n.Index] |= offParked
 	}
 	var tick func()
 	tick = func() {
@@ -109,24 +104,10 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 // testLatencySink.
 var debugElasticSample func(now time.Duration, smp elastic.Sample)
 
-// entryOK reports whether an entry node accepts new placements under
-// the autoscaler's current fleet (the elastic half of the drain gate;
-// entryEligible ANDs it with the fault gate).
-func (rt *elasticRuntime) entryOK(id int) bool { return !rt.inactive[id] }
-
-// usable reports whether an entry node counts toward sampled capacity:
-// elastically active and not crashed by a fault. Fault-drained nodes
-// still count — their capacity serves resident work.
-func (rt *elasticRuntime) usable(n *cluster.Node) bool {
-	if rt.inactive[n.Index] {
-		return false
-	}
-	return rt.p.faults == nil || rt.p.faults.usableNode(n.Index)
-}
-
 // sample takes one epoch observation, feeds the controller and applies
 // the decided joins/drains to the entry fleet.
 func (rt *elasticRuntime) sample(now time.Duration) {
+	off := rt.p.off
 	var work, cores, queue float64
 	nodes := 0
 	for _, n := range rt.entries {
@@ -135,10 +116,12 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 		rt.prevJob[n.Index] = js
 		// Work done anywhere in the entry fleet counts — a crashed
 		// node ran real jobs until its crash — while capacity counts
-		// only nodes that can serve right now, so losing a node mid-
-		// epoch shows up as a utilization jump at the next sample.
+		// only nodes that can serve right now (not parked or crashed;
+		// a fault-drained node's capacity still serves resident work),
+		// so losing a node mid-epoch shows up as a utilization jump at
+		// the next sample.
 		work += delta
-		if !rt.usable(n) {
+		if off[n.Index]&(offParked|offCrashed) != 0 {
 			continue
 		}
 		nodes++
@@ -163,8 +146,8 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 			if delta == 0 {
 				break
 			}
-			if rt.inactive[n.Index] {
-				rt.inactive[n.Index] = false
+			if off[n.Index]&offParked != 0 {
+				off[n.Index] &^= offParked
 				delta--
 			}
 		}
@@ -174,10 +157,10 @@ func (rt *elasticRuntime) sample(now time.Duration) {
 		// candidate exists among the others).
 		for i := len(rt.entries) - 1; i >= 0 && delta < 0; i-- {
 			n := rt.entries[i]
-			if n == rt.p.Cluster.X86 || rt.inactive[n.Index] {
+			if n == rt.p.Cluster.X86 || off[n.Index]&offParked != 0 {
 				continue
 			}
-			rt.inactive[n.Index] = true
+			off[n.Index] |= offParked
 			delta++
 		}
 	}
@@ -235,12 +218,6 @@ func (rt *elasticRuntime) finalize(res *ServingResult, horizon time.Duration) {
 	if rt.ctrl != nil {
 		res.Elastic = rt.ctrl.Finalize(horizon)
 	}
-}
-
-// elasticEligible is the autoscaler's half of the entry-eligibility
-// gate (nil-runtime means every node is active).
-func (p *Platform) elasticEligible(n *cluster.Node) bool {
-	return p.elastic == nil || p.elastic.entryOK(n.Index)
 }
 
 // elasticMetrics folds the overload and autoscaler reports into a

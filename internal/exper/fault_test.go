@@ -428,8 +428,8 @@ func TestNoWorkOnCrashedNode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := 0
 			debugServingStep = func(p *Platform) {
-				for i, down := range p.faults.nodeDown {
-					if down && p.Cluster.Nodes[i].Load() > 0 {
+				for i, off := range p.off {
+					if off&offCrashed != 0 && p.Cluster.Nodes[i].Load() > 0 {
 						if bad == 0 {
 							t.Errorf("t=%v: crashed %s runs %d job(s)", p.Sim.Now(), p.Cluster.Nodes[i].Name, p.Cluster.Nodes[i].Load())
 						}
@@ -486,6 +486,23 @@ func checkTokenRegistry(t *testing.T, p *Platform) {
 	}
 }
 
+// partitionSweepConfig is a cell whose only faults are partitions, so
+// only the link sweep kills anything: every 100 ms one host-to-ARM pair
+// is cut for 50 ms.
+func partitionSweepConfig() ServingConfig {
+	cut := &faults.Spec{}
+	for i := 0; i < 200; i++ {
+		at, arm := time.Duration(i)*100*time.Millisecond, fmt.Sprintf("arm-%02d", i%4)
+		cut.Events = append(cut.Events,
+			faults.Event{At: faults.Duration(at), Kind: faults.LinkPartition, A: "x86-00", B: arm},
+			faults.Event{At: faults.Duration(at + 50*time.Millisecond), Kind: faults.LinkRestore, A: "x86-00", B: arm})
+	}
+	return ServingConfig{
+		Name: "partitions", Topo: cluster.ScaleOutTopology("rack8", 4, 4, 2), Mode: ModeXarTrek,
+		RatePerSec: 40, Duration: 20 * time.Second, Seed: 1, Faults: cut,
+	}
+}
+
 // TestTrackedLaunchRecycling steps the checked-in fault cell, the
 // crash-churn cell and a partition-only cell event by event:
 // fault-tracked launches are recycled at finish like untracked ones,
@@ -533,19 +550,7 @@ func TestTrackedLaunchRecycling(t *testing.T) {
 	if _, _, _, err := runServingCore(testSplitArtifacts(t), crashChurnConfig(ModeVanillaFPGA, Options{}), false); err != nil {
 		t.Fatal(err)
 	}
-	// Partitions alone, so only the link sweep kills anything: every
-	// 100 ms one host-to-ARM pair is cut for 50 ms.
-	cut := &faults.Spec{}
-	for i := 0; i < 200; i++ {
-		at, arm := time.Duration(i)*100*time.Millisecond, fmt.Sprintf("arm-%02d", i%4)
-		cut.Events = append(cut.Events,
-			faults.Event{At: faults.Duration(at), Kind: faults.LinkPartition, A: "x86-00", B: arm},
-			faults.Event{At: faults.Duration(at + 50*time.Millisecond), Kind: faults.LinkRestore, A: "x86-00", B: arm})
-	}
-	res, _, _, err = runServingCore(testArtifacts(t), ServingConfig{
-		Name: "partitions", Topo: cluster.ScaleOutTopology("rack8", 4, 4, 2), Mode: ModeXarTrek,
-		RatePerSec: 40, Duration: 20 * time.Second, Seed: 1, Faults: cut,
-	}, false)
+	res, _, _, err = runServingCore(testArtifacts(t), partitionSweepConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,26 +99,21 @@ func pairOf(a, b int) linkPair {
 }
 
 // faultRuntime executes one cell's fault timeline against a platform:
-// it tracks node/device/link health, registers in-flight work, kills
-// and re-places it when its substrate fails, and accumulates the
-// resilience metrics. One runtime belongs to one platform (and one
-// simulator), so no locking is needed — campaign parallelism is
-// across cells, never within one.
+// it writes node, card and link health into the platform's fleet
+// state, registers in-flight work, kills and re-places it when its
+// substrate fails, and accumulates the resilience metrics. One runtime
+// belongs to one platform (and one simulator), so no locking is needed
+// — campaign parallelism is across cells, never within one.
 type faultRuntime struct {
 	p          *Platform
 	maxRetries int
 	backoff    time.Duration
 	horizon    time.Duration
 
-	nodeDown     []bool
-	nodeDraining []bool
-	devDown      []bool
-	// downSince / devDownSince record when a target went down (-1
-	// while up), for the down-seconds integrals.
+	// downSince / devDownSince record when a target went down, for
+	// the down-seconds integrals.
 	downSince    []time.Duration
 	devDownSince []time.Duration
-	linkFactor   map[linkPair]float64
-	partitioned  map[linkPair]bool
 
 	// tokens[i] holds the live segments resident on node i (compute,
 	// plus transfers whose destination is i); cards follow the nodes,
@@ -156,13 +151,8 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		maxRetries:   spec.Retries(),
 		backoff:      spec.Backoff(),
 		horizon:      horizon,
-		nodeDown:     make([]bool, len(p.Cluster.Nodes)),
-		nodeDraining: make([]bool, len(p.Cluster.Nodes)),
-		devDown:      make([]bool, len(p.Devices)),
 		downSince:    make([]time.Duration, len(p.Cluster.Nodes)),
 		devDownSince: make([]time.Duration, len(p.Devices)),
-		linkFactor:   make(map[linkPair]float64),
-		partitioned:  make(map[linkPair]bool),
 		tokens:       make([][]*segToken, len(p.Cluster.Nodes)+len(p.Devices)),
 		sketch:       sketch,
 		recovery:     newLatDigest(sketch),
@@ -212,6 +202,7 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		}
 		events = append(events, r)
 	}
+	p.cut, p.slowed = make(map[linkPair]bool), make(map[linkPair]float64)
 	for _, r := range events {
 		r := r
 		p.Sim.At(time.Duration(r.ev.At), func() { rt.apply(r.ev, r.node, r.dev, r.pair) })
@@ -219,100 +210,64 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 	return rt, nil
 }
 
-// apply executes one timeline event at its firing time.
+// apply executes one timeline event at its firing time, writing the
+// platform's fleet health.
 func (rt *faultRuntime) apply(ev faults.Event, node, dev int, pair linkPair) {
+	p := rt.p
 	rt.res.Events++
-	now := rt.p.Sim.Now()
+	now := p.Sim.Now()
 	switch ev.Kind {
 	case faults.NodeDown:
-		if rt.nodeDown[node] {
+		if p.off[node]&offCrashed != 0 {
 			return
 		}
-		rt.nodeDown[node] = true
+		p.off[node] |= offCrashed
 		rt.downSince[node] = now
 		rt.kill(node, nil)
 	case faults.NodeUp:
-		if !rt.nodeDown[node] {
+		if p.off[node]&offCrashed == 0 {
 			return
 		}
-		rt.nodeDown[node] = false
+		p.off[node] &^= offCrashed
 		rt.res.NodeDownSeconds += (now - rt.downSince[node]).Seconds()
 	case faults.NodeDrain:
-		rt.nodeDraining[node] = true
+		p.off[node] |= offDrained
 	case faults.NodeUndrain:
-		rt.nodeDraining[node] = false
+		p.off[node] &^= offDrained
 	case faults.FPGADown:
-		if rt.devDown[dev] {
+		if p.cardDown[dev] {
 			return
 		}
-		rt.devDown[dev] = true
+		p.cardDown[dev] = true
 		rt.devDownSince[dev] = now
 		// In-flight invocations are lost and their requests re-placed
 		// — which re-consults the scheduler with the card now
 		// unavailable, so the kernel degrades to ARM/x86 execution.
-		rt.res.FPGAFallbacks += rt.kill(len(rt.nodeDown)+dev, nil)
+		rt.res.FPGAFallbacks += rt.kill(len(p.Cluster.Nodes)+dev, nil)
 	case faults.FPGAUp:
-		if !rt.devDown[dev] {
+		if !p.cardDown[dev] {
 			return
 		}
 		// The card reloads its last configuration from flash, so
 		// HasKernel answers as before the failure; only the fleet
 		// availability bit flips back.
-		rt.devDown[dev] = false
+		p.cardDown[dev] = false
 		rt.res.DeviceDownSeconds += (now - rt.devDownSince[dev]).Seconds()
 	case faults.LinkDegrade:
-		rt.linkFactor[pair] = ev.Factor
+		p.slowed[pair] = ev.Factor
 	case faults.LinkPartition:
-		if rt.partitioned[pair] {
+		if p.cut[pair] {
 			return
 		}
-		rt.partitioned[pair] = true
+		p.cut[pair] = true
 		// Transfers crossing the pair die on both endpoints.
 		crossing := func(t *segToken) bool { return t.other >= 0 && pairOf(t.reg, t.other) == pair }
 		rt.kill(pair.lo, crossing)
 		rt.kill(pair.hi, crossing)
 	case faults.LinkRestore:
-		delete(rt.linkFactor, pair)
-		delete(rt.partitioned, pair)
+		delete(p.slowed, pair)
+		delete(p.cut, pair)
 	}
-}
-
-// --- health queries -------------------------------------------------
-
-// usableNode reports whether a node can keep executing resident work
-// (draining nodes can; crashed ones cannot).
-func (rt *faultRuntime) usableNode(id int) bool { return !rt.nodeDown[id] }
-
-// placeable reports whether a node accepts new placements.
-func (rt *faultRuntime) placeable(id int) bool {
-	return !rt.nodeDown[id] && !rt.nodeDraining[id]
-}
-
-// reachableFrom is the scheduler fleet's NodeAvailable surface for one
-// entry node: the candidate accepts placements and the pair link is
-// not partitioned.
-func (rt *faultRuntime) reachableFrom(entry, id int) bool {
-	return rt.placeable(id) && !rt.partitioned[pairOf(entry, id)]
-}
-
-// pathOK reports whether a migration from a to b can proceed right
-// now: the destination is up and the pair is not partitioned.
-func (rt *faultRuntime) pathOK(a, b int) bool {
-	return rt.usableNode(b) && !rt.partitioned[pairOf(a, b)]
-}
-
-// deviceUp reports card availability.
-func (rt *faultRuntime) deviceUp(i int) bool {
-	return i >= 0 && i < len(rt.devDown) && !rt.devDown[i]
-}
-
-// scaleLink applies the pair's current degradation factor to an
-// uncontended transfer time.
-func (rt *faultRuntime) scaleLink(a, b int, base time.Duration) time.Duration {
-	if f, ok := rt.linkFactor[pairOf(a, b)]; ok && f > 1 {
-		return time.Duration(float64(base) * f)
-	}
-	return base
 }
 
 // --- token registry -------------------------------------------------
@@ -431,14 +386,6 @@ func (rt *faultRuntime) disrupt(l *launch) {
 	rt.p.Sim.After(delay, l.retryFn)
 }
 
-// completed records a finished request (called from the launch
-// lifecycle's finish).
-func (rt *faultRuntime) completed(l *launch) {
-	if l.disruptedAt >= 0 {
-		rt.recovery.add(rt.p.Sim.Now() - l.disruptedAt)
-	}
-}
-
 // observeClass collects the per-application completion latency.
 func (rt *faultRuntime) observeClass(app string, lat time.Duration) {
 	d, ok := rt.classLat[app]
@@ -453,12 +400,12 @@ func (rt *faultRuntime) observeClass(app string, lat time.Duration) {
 // copy, so a result that outlives the cell does not keep the runtime —
 // and through it the whole platform — reachable.
 func (rt *faultRuntime) finalize(offered, completed int) *FaultResult {
-	for i, down := range rt.nodeDown {
-		if down {
+	for i, off := range rt.p.off {
+		if off&offCrashed != 0 {
 			rt.res.NodeDownSeconds += (rt.horizon - rt.downSince[i]).Seconds()
 		}
 	}
-	for i, down := range rt.devDown {
+	for i, down := range rt.p.cardDown {
 		if down {
 			rt.res.DeviceDownSeconds += (rt.horizon - rt.devDownSince[i]).Seconds()
 		}
@@ -490,38 +437,15 @@ func (rt *faultRuntime) sinkExact(cell string) {
 	}
 }
 
-// --- platform hooks -------------------------------------------------
-
-// faultNodeAvailable is the fleet NodeAvailable closure surface for
-// one entry node (nil-runtime means everything is available).
-func (p *Platform) faultNodeAvailable(entry *cluster.Node, id int) bool {
-	return p.faults == nil || p.faults.reachableFrom(entry.Index, id)
-}
-
-// deviceUp reports whether device i is currently usable.
-func (p *Platform) deviceUp(i int) bool {
-	return p.faults == nil || p.faults.deviceUp(i)
-}
-
-// entryEligible reports whether an x86 node accepts new arrivals: not
-// crashed or fault-drained, and not elastically drained by the
-// autoscaler. Retry re-placement routes through leastLoadedX86 and
-// therefore through this gate too, so a retry racing a scale-down
-// cannot land on the node being drained.
-func (p *Platform) entryEligible(n *cluster.Node) bool {
-	if p.faults != nil && !p.faults.placeable(n.Index) {
-		return false
-	}
-	return p.elasticEligible(n)
-}
-
-// linkWork applies any active degradation to an uncontended transfer
-// time on the a-b pair link.
+// linkWork applies the a-b pair's degradation factor, if any, to an
+// uncontended transfer time.
 func (p *Platform) linkWork(a, b *cluster.Node, base time.Duration) time.Duration {
-	if p.faults == nil {
-		return base
+	if len(p.slowed) > 0 {
+		if f, ok := p.slowed[pairOf(a.Index, b.Index)]; ok && f > 1 {
+			return time.Duration(float64(base) * f)
+		}
 	}
-	return p.faults.scaleLink(a.Index, b.Index, base)
+	return base
 }
 
 // faultMetrics folds the fault report into a serving cell's flat

@@ -31,19 +31,7 @@ type KneeResult struct {
 // (elastic.ErrUnbracketed) fails the cell, which fails the campaign.
 func runKnee(arts *Artifacts, c *runnableCell) (KneeResult, error) {
 	spec := c.spec
-	base := ServingConfig{
-		Name:       spec.Name,
-		Topo:       c.topo,
-		Mode:       c.mode,
-		Duration:   time.Duration(spec.Duration),
-		Seed:       spec.Seed,
-		Policy:     spec.Policy,
-		Opts:       c.opts,
-		Faults:     spec.Faults,
-		Admission:  spec.Admission,
-		Autoscaler: spec.Autoscaler,
-		Workload:   spec.Workload,
-	}
+	base := c.servingConfig()
 	var atKnee *ServingResult
 	knee, probes, err := spec.Knee.Search(func(rate float64) (elastic.Probe, error) {
 		cfg := base

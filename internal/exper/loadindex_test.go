@@ -15,7 +15,7 @@ func scanLeastLoadedX86(p *Platform) *cluster.Node {
 	var best *cluster.Node
 	bestLoad := 0
 	for _, n := range p.x86Nodes {
-		if !p.entryEligible(n) {
+		if p.off[n.Index] != 0 {
 			continue
 		}
 		if l := p.nodeLoad(n); best == nil || l < bestLoad {
@@ -33,7 +33,7 @@ func scanLeastLoadedX86(p *Platform) *cluster.Node {
 func scanLeastLoadedARM(p *Platform) *cluster.Node {
 	var best *cluster.Node
 	for _, n := range p.armNodes {
-		if p.faults != nil && !p.faults.placeable(n.Index) {
+		if p.off[n.Index]&(offCrashed|offDrained) != 0 {
 			continue
 		}
 		if best == nil || n.Load() < best.Load() {

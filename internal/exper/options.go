@@ -140,6 +140,7 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	p := &Platform{Sim: sim, Cluster: c, Devices: devs, arts: arts, opts: opts}
 	p.deciding = make([]int, len(c.Nodes))
 	p.slot = make([]int, len(c.Nodes))
+	p.off, p.cardDown = make([]offReason, len(c.Nodes)), make([]bool, len(devs))
 	p.x86Nodes, p.armNodes = c.NodesOfArch(isa.X86_64), c.NodesOfArch(isa.ARM64)
 	p.entryLoads, p.armLoads = p.indexLoads(p.x86Nodes), p.indexLoads(p.armNodes)
 	if len(devs) > 0 {
@@ -188,11 +189,12 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 			},
 			Devices: fleetDevs,
 			Policy:  policy,
-			// Availability routes through the fault runtime; without one
-			// every candidate is always available, so the closures are
-			// behaviourally identical to leaving them nil.
-			NodeAvailable:   func(id int) bool { return p.faultNodeAvailable(node, id) },
-			DeviceAvailable: func(i int) bool { return p.deviceUp(i) },
+			// A candidate takes placements while it is neither crashed
+			// nor drained and its pair with the entry is not cut.
+			NodeAvailable: func(id int) bool {
+				return p.off[id]&(offCrashed|offDrained) == 0 && !p.severed(node.Index, id)
+			},
+			DeviceAvailable: func(i int) bool { return !p.cardDown[i] },
 		}
 		p.servers[node.Index] = sched.NewFleetServer(table, func() int { return p.nodeLoad(node) }, fleet, images)
 	}
@@ -335,14 +337,16 @@ func (p *Platform) addEntryLoad(n *cluster.Node, delta int) {
 	}
 }
 
-// entryOK is the entry index's availability filter (entryEligible by
-// position).
-func (p *Platform) entryOK(pos int) bool { return p.entryEligible(p.x86Nodes[pos]) }
+// entryOK is the entry index's availability filter: the node has no
+// reason to refuse new arrivals — not crashed, drained or parked. Retry
+// re-placement picks through it too, so a retry racing a scale-down
+// cannot land on the node being parked.
+func (p *Platform) entryOK(pos int) bool { return p.off[p.x86Nodes[pos].Index] == 0 }
 
 // armOK is the ARM index's filter for the no-scheduler baselines: the
-// node accepts new placements.
+// node is neither crashed nor drained.
 func (p *Platform) armOK(pos int) bool {
-	return p.faults == nil || p.faults.placeable(p.armNodes[pos].Index)
+	return p.off[p.armNodes[pos].Index]&(offCrashed|offDrained) == 0
 }
 
 // nodeLoad samples the paper's process-count metric on one x86 node:
@@ -382,7 +386,7 @@ func (p *Platform) entryExec(l *launch, entry *cluster.Node, work time.Duration,
 		p.x86Exec(work, done)
 		return
 	}
-	if l != nil && p.faults != nil && !p.faults.usableNode(entry.Index) {
+	if l != nil && p.off[entry.Index]&offCrashed != 0 {
 		p.faults.disrupt(l)
 		return
 	}

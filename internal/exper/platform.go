@@ -199,15 +199,42 @@ type Platform struct {
 	// recycles them instead of allocating per request.
 	launchFree []*launch
 	armFree    []*armRun
-	// faults is the fault-injection runtime of a churn campaign; nil on
-	// fault-free runs, and every fault hook no-ops on nil so fault-free
-	// output stays byte-identical to the pre-fault engine.
+	// off, cardDown, cut and slowed are the fleet's health: per node
+	// index the reasons the node takes no new work, per card whether
+	// it failed, the partitioned node pairs, and each degraded pair's
+	// transfer-time factor. They read "all up" on a run without a
+	// fault or autoscaler spec; only faultRuntime.apply and the
+	// autoscaler write them.
+	off      []offReason
+	cardDown []bool
+	cut      map[linkPair]bool
+	slowed   map[linkPair]float64
+	// faults is the fault-injection runtime of a churn campaign (the
+	// timeline, in-flight work registry and resilience report); nil on
+	// fault-free runs.
 	faults *faultRuntime
 	// elastic is the overload-control runtime (admission control and
 	// the autoscaler loop); nil unless the cell carries an elastic
-	// spec, and every hook no-ops on nil for the same byte-identity
-	// guarantee.
+	// spec.
 	elastic *elasticRuntime
+}
+
+// offReason is a set of reasons a node takes no new work.
+type offReason uint8
+
+const (
+	// offCrashed: a fault crashed the node; its resident work is lost.
+	offCrashed offReason = 1 << iota
+	// offDrained: a fault drains the node; resident work keeps running.
+	offDrained
+	// offParked: the autoscaler drained the entry node out of its
+	// fleet; resident work keeps running.
+	offParked
+)
+
+// severed reports whether the a-b pair is partitioned.
+func (p *Platform) severed(a, b int) bool {
+	return len(p.cut) > 0 && p.cut[pairOf(a, b)]
 }
 
 // NewPlatform instantiates the paper testbed for one experiment run.

@@ -5,7 +5,6 @@ import (
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/core/threshold"
-	"xartrek/internal/isa"
 	"xartrek/internal/workloads"
 	"xartrek/internal/xclbin"
 )
@@ -175,8 +174,9 @@ func (l *launch) finish(target threshold.Target) {
 		// instrumented).
 		_, _ = p.serverFor(l.entry).Report(l.app.Name, target, res.Elapsed())
 	}
-	if p.faults != nil {
-		p.faults.completed(l)
+	if l.disruptedAt >= 0 {
+		// A disrupted request that still completed: its recovery time.
+		p.faults.recovery.add(p.Sim.Now() - l.disruptedAt)
 	}
 	if l.done != nil {
 		l.done(res)
@@ -262,17 +262,6 @@ func (p *Platform) execX86(l *launch, entry *cluster.Node, app *workloads.App, f
 	p.entryExec(l, entry, app.X86KernelTime(), func() { finish(threshold.TargetX86) })
 }
 
-// armNode resolves a fleet node identifier to its cluster node,
-// falling back to the first ARM server for out-of-range ids.
-func (p *Platform) armNode(id int) *cluster.Node {
-	if id >= 0 && id < len(p.Cluster.Nodes) {
-		if n := p.Cluster.Nodes[id]; n.Arch == isa.ARM64 {
-			return n
-		}
-	}
-	return p.Cluster.ARM
-}
-
 // leastLoadedX86 picks the entry node the serving front end assigns an
 // arriving request to: the eligible node with the least entry-index
 // load — nodeLoad plus the placements already made at the current
@@ -309,10 +298,6 @@ func (p *Platform) leastLoadedARM() *cluster.Node {
 // instances a 1 Gbps link serialises and ARM migration stops paying
 // off (Section 4.4's profitability cliff).
 func (p *Platform) execARM(l *launch, entry *cluster.Node, app *workloads.App, node *cluster.Node, finish func(threshold.Target)) {
-	if node == nil {
-		p.execX86(l, entry, app, finish)
-		return
-	}
 	a := p.getARMRun()
 	a.l, a.entry, a.node, a.app, a.finish = l, entry, node, app, finish
 	a.link = p.Cluster.Link(entry, node)
@@ -376,7 +361,7 @@ func (a *armRun) transform() {
 			// re-placed the request.
 			return
 		}
-		if !p.faults.pathOK(a.entry.Index, a.node.Index) {
+		if p.off[a.node.Index]&offCrashed != 0 || p.severed(a.entry.Index, a.node.Index) {
 			// The destination crashed or the pair partitioned during
 			// state transformation: the migration cannot land.
 			p.faults.disrupt(a.l)
@@ -432,7 +417,7 @@ func (p *Platform) execFPGAInvoke(l *launch, entry *cluster.Node, app *workloads
 	}
 	dev := p.Devices[devIdx]
 	p.entryExec(l, entry, app.FPGAFixedOverhead, func() {
-		if !p.deviceUp(devIdx) {
+		if p.cardDown[devIdx] {
 			// The card died between the decision and the invocation:
 			// degrade gracefully to CPU execution.
 			p.faults.res.FPGAFallbacks++
@@ -473,7 +458,7 @@ func (p *Platform) execVanillaFPGA(l *launch, entry *cluster.Node, app *workload
 	var attempt func()
 	attempt = func() {
 		for i, dev := range p.Devices {
-			if p.deviceUp(i) && dev.HasKernel(app.KernelName) {
+			if !p.cardDown[i] && dev.HasKernel(app.KernelName) {
 				p.execFPGAInvoke(l, entry, app, i, finish)
 				return
 			}
@@ -482,7 +467,7 @@ func (p *Platform) execVanillaFPGA(l *launch, entry *cluster.Node, app *workload
 			// A download that will deliver this kernel is already in
 			// flight on some card (and the card is usable): wait for it
 			// instead of duplicating the image onto another card.
-			if p.deviceUp(i) && dev.KernelPending(app.KernelName) {
+			if !p.cardDown[i] && dev.KernelPending(app.KernelName) {
 				p.Sim.After(retry, attempt)
 				return
 			}
@@ -493,7 +478,7 @@ func (p *Platform) execVanillaFPGA(l *launch, entry *cluster.Node, app *workload
 			return
 		}
 		for i, dev := range p.Devices {
-			if !p.deviceUp(i) || dev.Reconfiguring() {
+			if p.cardDown[i] || dev.Reconfiguring() {
 				continue
 			}
 			if err := dev.Program(img, attempt); err == nil {
@@ -536,7 +521,7 @@ func (p *Platform) execXarTrek(l *launch, entry *cluster.Node, app *workloads.Ap
 	}
 	switch d.Target {
 	case threshold.TargetARM:
-		p.execARM(l, entry, app, p.armNode(d.ARMNode), finish)
+		p.execARM(l, entry, app, p.Cluster.Nodes[d.ARMNode], finish)
 	case threshold.TargetFPGA:
 		p.execFPGAInvoke(l, entry, app, d.Device, finish)
 	default:
