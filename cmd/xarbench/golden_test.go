@@ -25,7 +25,8 @@ var update = flag.Bool("update", false, "rewrite testdata/goldens.sha256")
 var manifestPath = filepath.Join("testdata", "goldens.sha256")
 
 // manifestSkips are the campaign files too slow for go test (seconds
-// each); the CI memory job runs them under heap budgets, unhashed.
+// each); the CI memory job runs them under heap budgets and pins their
+// report digests (internal/exper/memsmoke_test.go).
 var manifestSkips = map[string]bool{"rack256.json": true, "rack1024.json": true}
 
 // servingClass reports whether a cell kind runs the open-loop serving
@@ -34,8 +35,8 @@ func servingClass(kind string) bool {
 	return kind == exper.KindServing || kind == exper.KindPolicyComparison || kind == exper.KindKnee
 }
 
-// withOptions returns a copy of the cell's options, so an edit never
-// reaches a pointer another cell shares.
+// withOptions gives the cell its own copy of its options and returns
+// it, so an edit never reaches a pointer another cell shares.
 func withOptions(c *exper.CellSpec) *exper.Options {
 	var o exper.Options
 	if c.Options != nil {
