@@ -347,6 +347,11 @@ func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 // invariant tests' view of the engine between events.
 var debugServingStep func(p *Platform)
 
+// testServingDone, when set (tests only), receives every serving
+// timeline's platform and offered count at its horizon. Sharded
+// sub-runs call it concurrently.
+var testServingDone func(p *Platform, offered int)
+
 // runServingCore executes one serving timeline and returns the sealed
 // latency digest — plus the per-class digests of a workload-driven
 // run — alongside the result, so the sharded reducer can merge
@@ -494,6 +499,9 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		}
 	}
 	p.RunFor(cfg.Duration)
+	if testServingDone != nil {
+		testServingDone(p, src.offered)
+	}
 	res.Offered = src.offered
 	res.Completed = lat.count()
 	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()

@@ -69,6 +69,9 @@ type Simulator struct {
 	nextSeq uint64
 	// free holds recycled Event structs for reuse by At.
 	free []*Event
+	// stepped counts the events fired and fromHeap those of them
+	// popped from the event heap (EventCounts).
+	stepped, fromHeap uint64
 }
 
 // New returns a simulator with the clock at zero and no pending events.
@@ -156,6 +159,8 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	e := s.queue.popMin()
+	s.stepped++
+	s.fromHeap++
 	s.now = e.when
 	fn := e.fn
 	// Recycle before running: a Cancel from inside fn (or on any
@@ -189,6 +194,12 @@ func (s *Simulator) RunUntil(t time.Duration) {
 		s.now = t
 	}
 }
+
+// EventCounts reports the events fired so far and, of those, the ones
+// popped from the event heap. Both are deterministic functions of the
+// schedule, so they gate the engine's per-request cost where wall time
+// is too noisy to.
+func (s *Simulator) EventCounts() (stepped, fromHeap uint64) { return s.stepped, s.fromHeap }
 
 // Pending reports the number of scheduled events. It is O(1): a
 // cancelled event leaves the queue at cancellation time.
