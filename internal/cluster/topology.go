@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"xartrek/internal/isa"
 	"xartrek/internal/popcorn"
@@ -203,6 +204,25 @@ func (t Topology) Validate() error {
 			return fmt.Errorf("cluster: topology %q: link %s-%s overridden twice", t.Name, pair[0], pair[1])
 		}
 		overridden[pair] = true
+		if err := checkNet(l.Net); err != nil {
+			return fmt.Errorf("cluster: topology %q: link %s-%s %w", t.Name, l.A, l.B, err)
+		}
+	}
+	if err := checkNet(t.DefaultNet); err != nil {
+		return fmt.Errorf("cluster: topology %q: default net %w", t.Name, err)
+	}
+	return nil
+}
+
+// checkNet rejects an interconnect model that is a spec error rather
+// than a slow link: a bandwidth that is not positive and finite (NaN
+// included) or a negative RTT.
+func checkNet(n popcorn.NetModel) error {
+	if !(n.BandwidthBps > 0) || math.IsInf(n.BandwidthBps, 1) {
+		return fmt.Errorf("has bandwidth %v B/s, want positive and finite", n.BandwidthBps)
+	}
+	if n.LatencyRTT < 0 {
+		return fmt.Errorf("has negative RTT %v", n.LatencyRTT)
 	}
 	return nil
 }

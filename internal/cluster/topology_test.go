@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,17 @@ func TestTopologyValidateRejectsBadShapes(t *testing.T) {
 			Nodes: []NodeSpec{{Name: "n", Arch: isa.X86_64, Cores: 1}},
 			FPGAs: []FPGASpec{{Name: "u50"}, {Name: "u50"}},
 		}, "duplicate FPGA"},
+		// A net no transfer can cross names the overridden pair or the
+		// default net; it would otherwise run as a free link.
+		{"zero-bandwidth-link", CrossRackTopology("x", 1, 0, 2, 0, popcorn.NetModel{LatencyRTT: time.Millisecond}),
+			"link x86-00-armb-00 has bandwidth 0 B/s"},
+		{"negative-bandwidth-link", CrossRackTopology("x", 1, 0, 2, 0, popcorn.NetModel{BandwidthBps: -5}),
+			"link x86-00-armb-00 has bandwidth -5 B/s"},
+		{"negative-rtt-link", CrossRackTopology("x", 1, 0, 2, 0, popcorn.NetModel{LatencyRTT: -time.Millisecond, BandwidthBps: 1e4}),
+			"link x86-00-armb-00 has negative RTT -1ms"},
+		{"zero-default-net", withDefaultNet(popcorn.NetModel{}), "default net has bandwidth 0 B/s"},
+		{"nan-default-net", withDefaultNet(popcorn.NetModel{BandwidthBps: math.NaN()}), "default net has bandwidth NaN B/s"},
+		{"inf-default-net", withDefaultNet(popcorn.NetModel{BandwidthBps: math.Inf(1)}), "default net has bandwidth +Inf B/s"},
 	}
 	for _, tc := range cases {
 		err := tc.topo.Validate()
@@ -110,6 +122,13 @@ func TestTopologyValidateRejectsBadShapes(t *testing.T) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// withDefaultNet is a two-node scale-out whose pair uses net.
+func withDefaultNet(net popcorn.NetModel) Topology {
+	t := ScaleOutTopology("r", 1, 1, 0)
+	t.DefaultNet = net
+	return t
 }
 
 func TestLinkOverrideApplies(t *testing.T) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -104,5 +105,25 @@ func TestLinkQueuedTracksInFlightTransfers(t *testing.T) {
 	sim.Run()
 	if done != 2 || link.Queued() != 0 {
 		t.Fatalf("after drain: done=%d queued=%d", done, link.Queued())
+	}
+}
+
+// TestTransferTimeSaturates: on an extreme but valid link the transfer
+// time saturates at the largest Duration, so the transfer never
+// completes instead of wrapping negative and running for free.
+func TestTransferTimeSaturates(t *testing.T) {
+	topo := CrossRackTopology("xr", 1, 0, 1, 0, popcorn.NetModel{LatencyRTT: time.Millisecond, BandwidthBps: 1e-300})
+	c, err := FromTopology(simtime.New(), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{1, 1 << 30} {
+		if got := c.TransferEstimate(c.Nodes[0], c.Nodes[1], n); got != math.MaxInt64 {
+			t.Errorf("%d bytes at 1e-300 B/s: %v, want the largest Duration", n, got)
+		}
+	}
+	late := popcorn.NetModel{LatencyRTT: math.MaxInt64 - time.Second, BandwidthBps: 1}
+	if got := late.TransferTime(10); got != math.MaxInt64 {
+		t.Errorf("RTT near the top plus 10 s: %v, want the largest Duration", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xartrek/internal/cluster"
+	"xartrek/internal/core/threshold"
 	"xartrek/internal/faults"
 )
 
@@ -51,52 +52,112 @@ func BenchmarkEntryPick32(b *testing.B)   { benchmarkEntryPick(b, 32) }
 func BenchmarkEntryPick256(b *testing.B)  { benchmarkEntryPick(b, 256) }
 func BenchmarkEntryPick1024(b *testing.B) { benchmarkEntryPick(b, 1024) }
 
-// benchmarkRequestLifecycle measures one request through the launch
-// lifecycle with no arrival stream: each op launches the next app of
-// the set under Xar-Trek on x86-01 (a non-host entry, whose work can be
-// fault-tracked) and steps the simulator until the request's done
-// fires. load long-running jobs stay resident on the entry node for
-// the whole benchmark. tracked installs a fault runtime whose only
-// event lies beyond any time the benchmark reaches, so every request
-// carries fault tracking and none is disrupted.
-func benchmarkRequestLifecycle(b *testing.B, topo cluster.Topology, load int, tracked bool) {
-	arts := testArtifacts(b)
+// lifecycleRig drives single requests through the launch lifecycle
+// with no arrival stream: each request launches on x86-01 (a non-host
+// entry, whose work can be fault-tracked) and the simulator steps until
+// its done fires. load long-running jobs stay resident on the entry
+// node throughout. tracked installs a fault runtime whose only event
+// lies beyond any time the rig reaches, so every request carries fault
+// tracking and none is disrupted.
+type lifecycleRig struct {
+	p        *Platform
+	entry    *cluster.Node
+	finished bool
+	last     RunResult
+	done     func(RunResult)
+}
+
+func newLifecycleRig(tb testing.TB, topo cluster.Topology, load int, tracked bool) *lifecycleRig {
+	arts := testArtifacts(tb)
 	p, err := NewPlatformTopo(arts, topo, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	entry := p.x86Nodes[1]
+	r := &lifecycleRig{p: p, entry: p.x86Nodes[1]}
 	for j := 0; j < load; j++ {
-		entry.ExecTransient(10000*time.Hour, nil)
+		r.entry.ExecTransient(10000*time.Hour, nil)
 	}
 	if tracked {
 		never := time.Duration(1) << 62
 		spec := &faults.Spec{Events: []faults.Event{
-			{At: faults.Duration(never - 1), Kind: faults.NodeDown, Node: entry.Name},
+			{At: faults.Duration(never - 1), Kind: faults.NodeDown, Node: r.entry.Name},
 		}}
 		if p.faults, err = newFaultRuntime(p, spec, 1, never, false); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	apps := arts.Apps
-	finished := false
-	done := func(RunResult) { finished = true }
+	r.done = func(res RunResult) { r.finished, r.last = true, res }
+	return r
+}
+
+// request runs the i-th request (the next app of the set, cycling)
+// under mode to completion.
+func (r *lifecycleRig) request(tb testing.TB, i int, mode Mode) {
+	apps := r.p.arts.Apps
+	r.finished = false
+	r.p.LaunchAppOnClass(r.entry, apps[i%len(apps)], mode, "", r.p.Sim.Now(), r.done)
+	for !r.finished && r.p.Sim.Step() {
+	}
+	if !r.finished {
+		tb.Fatal("request never finished")
+	}
+}
+
+// benchmarkRequestLifecycle measures one Xar-Trek request per op
+// through a lifecycleRig.
+func benchmarkRequestLifecycle(b *testing.B, topo cluster.Topology, load int, tracked bool) {
+	r := newLifecycleRig(b, topo, load, tracked)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		finished = false
-		p.LaunchAppOnClass(entry, apps[i%len(apps)], ModeXarTrek, "", p.Sim.Now(), done)
-		for !finished && p.Sim.Step() {
-		}
-		if !finished {
-			b.Fatal("request never finished")
-		}
+		r.request(b, i, ModeXarTrek)
 	}
 	b.StopTimer()
-	if entry.Load() < load {
-		b.Fatalf("resident load drained by %v of virtual time", p.Sim.Now())
+	if r.entry.Load() < load {
+		b.Fatalf("resident load drained by %v of virtual time", r.p.Sim.Now())
 	}
-	b.ReportMetric(p.Sim.Now().Seconds()/float64(b.N), "vsec/op")
+	b.ReportMetric(r.p.Sim.Now().Seconds()/float64(b.N), "vsec/op")
+}
+
+// TestRequestLifecycleDoesNotAllocate gates the request path: once
+// the pools are warm, a request through LaunchAppOnClass allocates
+// nothing, whether Xar-Trek migrates it to ARM (40 resident jobs load
+// the entry) or it runs on its x86 entry (vanilla-x86), and with or
+// without fault tracking — tokens, cancellable jobs and continuations
+// all come from pools or are bound once.
+func TestRequestLifecycleDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mode    Mode
+		target  threshold.Target
+		tracked bool
+	}{
+		{"arm", ModeXarTrek, threshold.TargetARM, false},
+		{"arm-tracked", ModeXarTrek, threshold.TargetARM, true},
+		{"x86", ModeVanillaX86, threshold.TargetX86, false},
+		{"x86-tracked", ModeVanillaX86, threshold.TargetX86, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLifecycleRig(t, cluster.ScaleOutTopology("life-arm", 2, 2, 0), 40, tc.tracked)
+			i, hits := 0, 0
+			req := func() {
+				r.request(t, i, tc.mode)
+				if r.last.Target == tc.target {
+					hits++
+				}
+				i++
+			}
+			for k := 0; k < 64; k++ {
+				req()
+			}
+			if allocs := testing.AllocsPerRun(500, req); allocs != 0 {
+				t.Errorf("allocs per request = %v, want 0", allocs)
+			}
+			if hits == 0 {
+				t.Fatalf("no request ran on %v", tc.target)
+			}
+		})
+	}
 }
 
 // BenchmarkRequestLifecycle* track the lifecycle layer (prologue,

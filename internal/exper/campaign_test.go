@@ -211,6 +211,17 @@ func TestCampaignValidation(t *testing.T) {
 			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: -2, ARMFar: 2}}, "topology arm_near -2 is negative"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
 			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: 2, ARMFar: -3}}, "topology arm_far -3 is negative"},
+		// A cross-rack link no transfer can cross names its pair; it
+		// used to run as a free link.
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 1, ARMFar: 2,
+				Cross: &NetSpec{RTT: Duration(time.Millisecond)}}}, "link x86-00-armb-00 has bandwidth 0 B/s"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 1, ARMFar: 2,
+				Cross: &NetSpec{RTT: Duration(time.Millisecond), BandwidthBps: -5}}}, "link x86-00-armb-00 has bandwidth -5 B/s"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 1, ARMFar: 2,
+				Cross: &NetSpec{RTT: Duration(-time.Millisecond), BandwidthBps: 1e4}}}, "link x86-00-armb-00 has negative RTT"},
 		{CellSpec{Kind: KindSet}, "apps or set_size"},
 		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, SetSize: 3}, "mutually exclusive"},
 		{CellSpec{Kind: KindThroughput, Duration: Duration(time.Second)}, "needs an app"},

@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/faults"
+	"xartrek/internal/popcorn"
 )
 
 // fsec builds a faults.Duration from seconds.
@@ -344,6 +346,31 @@ func TestHugeLinkDegradeFactorRejected(t *testing.T) {
 	}
 }
 
+// TestSlowLinkDegradeRunsToHorizon runs a cross-rack cell whose far
+// ARM rack sits behind 1e4 B/s links, both degraded a million-fold at
+// t=0. Transfers pile up on the degraded pairs; their completion times
+// must saturate past the horizon, where the scaled transfer and the
+// completion wait used to overflow Duration and panic the simulator.
+func TestSlowLinkDegradeRunsToHorizon(t *testing.T) {
+	spec := &faults.Spec{}
+	for _, arm := range []string{"armb-00", "armb-01"} {
+		spec.Events = append(spec.Events, faults.Event{Kind: faults.LinkDegrade, A: "x86-00", B: arm, Factor: 1e6})
+	}
+	r, err := RunServing(testArtifacts(t), ServingConfig{
+		Name: "slow-degrade", Mode: ModeXarTrek, RatePerSec: 60, Duration: 20 * time.Second, Seed: 1, Faults: spec,
+		Topo: cluster.CrossRackTopology("xr", 1, 0, 2, 0, popcorn.NetModel{LatencyRTT: time.Millisecond, BandwidthBps: 1e4}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Sched.ToARM == 0 {
+		t.Fatal("no request migrated over the degraded links")
+	}
+	if r.Completed == 0 || r.Completed >= r.Offered {
+		t.Fatalf("completed %d of %d offered, want some but not the migrated ones", r.Completed, r.Offered)
+	}
+}
+
 // TestFaultReportDoesNotPinRuntime holds a churn cell's result and
 // checks that the fault runtime behind it — and with it the platform —
 // can still be collected: the report must not point into the runtime.
@@ -472,15 +499,26 @@ func checkTokenRegistry(t *testing.T, p *Platform) {
 			}
 		}
 	}
+	pooled := make(map[*segToken]bool, len(p.faults.free))
+	for _, tok := range p.faults.free {
+		if tok.l != nil || tok.job != nil || tok.next != nil {
+			t.Fatalf("t=%v: pooled token keeps its segment", p.Sim.Now())
+		}
+		pooled[tok] = true
+	}
 	for reg, toks := range p.faults.tokens {
 		for i, tok := range toks {
 			switch {
 			case tok == nil || tok.dead:
 				t.Fatalf("t=%v: registry %d slot %d holds a dead token", p.Sim.Now(), reg, i)
+			case pooled[tok]:
+				t.Fatalf("t=%v: registry %d slot %d holds a pooled token", p.Sim.Now(), reg, i)
 			case tok.reg != reg || tok.slot != i:
 				t.Fatalf("t=%v: token at registry %d slot %d claims %d/%d", p.Sim.Now(), reg, i, tok.reg, tok.slot)
 			case free[tok.l]:
 				t.Fatalf("t=%v: live token belongs to a pooled launch", p.Sim.Now())
+			case !slices.Contains(tok.l.tokens, tok):
+				t.Fatalf("t=%v: live token missing from its launch", p.Sim.Now())
 			}
 		}
 	}

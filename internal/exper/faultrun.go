@@ -2,6 +2,8 @@ package exper
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -72,12 +74,21 @@ const maxRetryBackoff = 10 * time.Second
 // segToken registers one cancellable work segment of a request (a PS
 // job on a node, a transfer on a link, the state-transformation timer,
 // or an FPGA invocation) with the fault runtime, so a fault event can
-// kill exactly the work resident on its target.
+// kill exactly the work resident on its target. Tokens are pooled on
+// the runtime: the segment's holder (the PS completion, the transform
+// timer or the device callback) settles its token as its last use of
+// it, which returns it to the pool, while a token a fault killed is
+// never reused — an abandoned callback may still read it — and is left
+// to the GC.
 type segToken struct {
 	l *launch
-	// job is the cancellable PS job; nil for the state-transformation
-	// timer and device invocations, whose callbacks check dead instead.
+	// job is the pooled PS job running the segment, valid until its
+	// done returns or it is cancelled; nil for the state-transformation
+	// timer and device invocations, whose callbacks settle the token
+	// themselves.
 	job *simtime.PSJob
+	// next is the continuation fire runs once the job completes.
+	next func()
 	// reg is the owning registry: the segment's node (a transfer's
 	// destination), or len(nodes)+card for an FPGA invocation.
 	reg int
@@ -86,6 +97,8 @@ type segToken struct {
 	// slot is the token's position in its registry slice.
 	slot int
 	dead bool
+	// fireFn is fire bound once: the job's completion callback.
+	fireFn func()
 }
 
 // linkPair is an unordered node-index pair.
@@ -119,6 +132,8 @@ type faultRuntime struct {
 	// plus transfers whose destination is i); cards follow the nodes,
 	// so tokens[len(nodes)+d] holds the in-flight invocations on card d.
 	tokens [][]*segToken
+	// free pools settled tokens for track.
+	free []*segToken
 
 	res FaultResult
 	// sketch selects GK-sketch accumulation for the recovery and
@@ -282,29 +297,49 @@ func (p *Platform) track(l *launch, reg, other int) *segToken {
 		return nil
 	}
 	rt := p.faults
-	tok := &segToken{l: l, reg: reg, other: other, slot: len(rt.tokens[reg])}
+	var tok *segToken
+	if n := len(rt.free); n > 0 {
+		tok = rt.free[n-1]
+		rt.free[n-1] = nil
+		rt.free = rt.free[:n-1]
+	} else {
+		tok = &segToken{}
+		tok.fireFn = tok.fire
+	}
+	tok.l, tok.reg, tok.other, tok.slot, tok.dead = l, reg, other, len(rt.tokens[reg]), false
 	rt.tokens[reg] = append(rt.tokens[reg], tok)
 	l.tokens = append(l.tokens, tok)
 	return tok
 }
 
-// submit runs one segment of work on a node's run queue or a link.
-// Untracked (tok nil) it is a transient job. Tracked, it is a
-// cancellable job whose token settles before done runs.
+// submit runs one segment of work on a node's run queue or a link as a
+// pooled job. Tracked (tok non-nil), the job is cancellable and its
+// token settles before done runs.
 func submit(tok *segToken, ps *simtime.PSServer, work time.Duration, done func()) {
 	if tok == nil {
 		ps.SubmitTransient(work, done)
 		return
 	}
-	tok.job = ps.Submit(work, func() {
-		tok.settle()
-		done()
-	})
+	tok.next = done
+	tok.job = ps.SubmitTransient(work, tok.fireFn)
+}
+
+// fire completes a tracked job: unless a fault killed the segment
+// first, the token settles and the chain continues.
+func (t *segToken) fire() {
+	next := t.next
+	if t.settle() {
+		next()
+	}
 }
 
 // settle retires a token whose segment completed and reports whether
 // the request's chain continues: false when a fault killed the segment
-// first, which abandoned the chain.
+// first, which abandoned the chain. It is the holder's last use of the
+// token: a settled token leaves its registry and its launch — the
+// launch keeping the order of the rest, because disrupt cancels them
+// in that order and each cancel draws a sequence number — and goes
+// back to the runtime's pool.
 func (t *segToken) settle() bool {
 	if t.dead {
 		return false
@@ -317,6 +352,11 @@ func (t *segToken) settle() bool {
 	s[i].slot = i
 	s[last] = nil
 	rt.tokens[t.reg] = s[:last]
+	l := t.l
+	i = slices.Index(l.tokens, t)
+	l.tokens = slices.Delete(l.tokens, i, i+1)
+	t.l, t.job, t.next = nil, nil, nil
+	rt.free = append(rt.free, t)
 	return true
 }
 
@@ -354,12 +394,10 @@ func (rt *faultRuntime) kill(reg int, hit func(*segToken) bool) int {
 // budget the request is lost.
 func (rt *faultRuntime) disrupt(l *launch) {
 	for _, t := range l.tokens {
-		if t.dead {
-			continue
-		}
 		t.dead = true
 		if t.job != nil {
 			t.job.Cancel()
+			t.job = nil
 		}
 	}
 	l.tokens = l.tokens[:0]
@@ -438,11 +476,16 @@ func (rt *faultRuntime) sinkExact(cell string) {
 }
 
 // linkWork applies the a-b pair's degradation factor, if any, to an
-// uncontended transfer time.
+// uncontended transfer time, saturating at the largest Duration: a
+// transfer stretched past it never completes instead of wrapping
+// negative.
 func (p *Platform) linkWork(a, b *cluster.Node, base time.Duration) time.Duration {
 	if len(p.slowed) > 0 {
 		if f, ok := p.slowed[pairOf(a.Index, b.Index)]; ok && f > 1 {
-			return time.Duration(float64(base) * f)
+			if w := float64(base) * f; w < math.MaxInt64 {
+				return time.Duration(w)
+			}
+			return math.MaxInt64
 		}
 	}
 	return base

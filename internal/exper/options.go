@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -213,7 +214,12 @@ func (p *Platform) migrationCost(entry *cluster.Node, app string, node int) time
 	if !ok || node < 0 || node >= len(p.Cluster.Nodes) {
 		return 0
 	}
-	return a.StateTransformTime() + p.Cluster.TransferEstimate(entry, p.Cluster.Nodes[node], a.WorkingSetBytes)
+	xfer := p.Cluster.TransferEstimate(entry, p.Cluster.Nodes[node], a.WorkingSetBytes)
+	if cost := a.StateTransformTime() + xfer; cost >= xfer {
+		return cost
+	}
+	// A transfer saturated at the largest Duration stays there.
+	return math.MaxInt64
 }
 
 // migrationRows serves one entry node's Fleet.MigrationRow. Each

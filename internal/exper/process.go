@@ -100,6 +100,9 @@ type launch struct {
 	kernelFn func()
 	retryFn  func()
 	finishFn func(threshold.Target)
+	// x86Fn finishes the request on an x86 target: the completion
+	// execX86 hands the entry node's run queue.
+	x86Fn func()
 }
 
 func (p *Platform) getLaunch() *launch {
@@ -114,6 +117,7 @@ func (p *Platform) getLaunch() *launch {
 	l.kernelFn = l.kernel
 	l.retryFn = l.retry
 	l.finishFn = l.finish
+	l.x86Fn = func() { l.finish(threshold.TargetX86) }
 	return l
 }
 
@@ -166,6 +170,9 @@ func (l *launch) retry() {
 
 func (l *launch) finish(target threshold.Target) {
 	p := l.p
+	if p.traceHook != nil {
+		p.traceHook(target.String())
+	}
 	res := RunResult{App: l.app.Name, Mode: l.mode, Start: l.start, End: p.Sim.Now(), Target: target, Entry: l.entry.Index}
 	if l.mode == ModeXarTrek && l.app.Migratable && !p.opts.StaticThresholds {
 		// __xar_sched_fini: report the run so Algorithm 1 refines the
@@ -234,9 +241,10 @@ func (p *Platform) images(app *workloads.App) (*xclbin.XCLBIN, bool) {
 // class is the requesting cohort's SLO class (empty for classless
 // traffic); only the Xar-Trek scheduler consults it. l is the request
 // the execution belongs to, nil for callers outside the launch
-// lifecycle (which are never fault-tracked).
+// lifecycle (which are never fault-tracked); a request's finish is
+// always its own l.finishFn, which reports to the trace hook itself.
 func (p *Platform) runKernel(l *launch, entry *cluster.Node, app *workloads.App, mode Mode, class string, finish func(threshold.Target)) {
-	if p.traceHook != nil {
+	if p.traceHook != nil && l == nil {
 		inner := finish
 		finish = func(t threshold.Target) {
 			p.traceHook(t.String())
@@ -257,9 +265,15 @@ func (p *Platform) runKernel(l *launch, entry *cluster.Node, app *workloads.App,
 	}
 }
 
-// execX86 runs the kernel on the entry node's CPU model.
+// execX86 runs the kernel on the entry node's CPU model. A request's
+// finish is its launch's own, whose x86 completion the launch binds
+// once; only callers outside the lifecycle allocate one here.
 func (p *Platform) execX86(l *launch, entry *cluster.Node, app *workloads.App, finish func(threshold.Target)) {
-	p.entryExec(l, entry, app.X86KernelTime(), func() { finish(threshold.TargetX86) })
+	if l != nil {
+		p.entryExec(l, entry, app.X86KernelTime(), l.x86Fn)
+		return
+	}
+	p.entryExec(nil, entry, app.X86KernelTime(), func() { finish(threshold.TargetX86) })
 }
 
 // leastLoadedX86 picks the entry node the serving front end assigns an
@@ -361,6 +375,7 @@ func (a *armRun) transform() {
 			// re-placed the request.
 			return
 		}
+		a.tok = nil
 		if p.off[a.node.Index]&offCrashed != 0 || p.severed(a.entry.Index, a.node.Index) {
 			// The destination crashed or the pair partitioned during
 			// state transformation: the migration cannot land.

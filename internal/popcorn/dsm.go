@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -194,13 +195,23 @@ func EthernetGbps1() NetModel {
 	return NetModel{LatencyRTT: 100 * time.Microsecond, BandwidthBps: 125e6}
 }
 
-// TransferTime is the time to move n bytes across the link.
+// TransferTime is the time to move n bytes across the link. It
+// saturates at the largest Duration instead of wrapping: a transfer too
+// slow to represent — or over a link without positive bandwidth, which
+// topology validation rejects — never completes.
 func (nm NetModel) TransferTime(n int64) time.Duration {
 	if n < 0 {
 		n = 0
 	}
 	sec := float64(n) / nm.BandwidthBps
-	return nm.LatencyRTT + time.Duration(sec*float64(time.Second))
+	ns := sec * float64(time.Second)
+	if !(ns >= 0 && ns < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	if d := nm.LatencyRTT + time.Duration(ns); d >= nm.LatencyRTT {
+		return d
+	}
+	return math.MaxInt64
 }
 
 // MigrationEngine combines the state transformer, the DSM traffic

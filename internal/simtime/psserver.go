@@ -86,10 +86,11 @@ type PSJob struct {
 	done     func()
 	finished bool
 	index    int // heap index, -1 once removed
-	// transient marks a job submitted without a handle: once its done
-	// callback returns the struct goes back to the server's free list.
-	// Handle-carrying jobs are never recycled — a caller may hold the
-	// pointer forever (Remaining stays meaningful after completion).
+	// transient marks a pooled job (SubmitTransient): once it leaves
+	// service — its done callback returned, or it was cancelled — the
+	// struct goes back to the server's free list. Submit's jobs are
+	// never recycled: a caller may hold the pointer forever (Remaining
+	// stays meaningful after completion).
 	transient bool
 	// frozen is the remaining work (seconds) captured when the job
 	// left the server, so Remaining stays meaningful afterwards.
@@ -149,14 +150,16 @@ func (p *PSServer) Submit(work time.Duration, done func()) *PSJob {
 	return p.submit(work, done, false)
 }
 
-// SubmitTransient adds a job like Submit but hands out no handle: the
-// job cannot be cancelled or queried, and in exchange the server
-// recycles its struct after the completion callback returns. Arrival-
-// heavy simulations route their fire-and-forget work (the overwhelming
-// majority of submissions) through here, so steady-state service costs
-// no per-job allocation.
-func (p *PSServer) SubmitTransient(work time.Duration, done func()) {
-	p.submit(work, done, true)
+// SubmitTransient adds a job like Submit, but the server recycles its
+// struct as soon as the job leaves service: after the completion
+// callback returns, or at Cancel. The returned handle is valid until
+// then — the caller may Cancel the pending job, and must not touch the
+// handle once done has returned or the job was cancelled. Arrival-heavy
+// simulations route their work (the overwhelming majority of
+// submissions) through here, cancellable or fire-and-forget, so
+// steady-state service costs no per-job allocation.
+func (p *PSServer) SubmitTransient(work time.Duration, done func()) *PSJob {
+	return p.submit(work, done, true)
 }
 
 func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJob {
@@ -196,7 +199,8 @@ func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJo
 	return j
 }
 
-// Cancel removes the job without running its completion callback.
+// Cancel removes the job without running its completion callback. A
+// job SubmitTransient issued goes back to the server's free list.
 func (j *PSJob) Cancel() {
 	if j.finished {
 		return
@@ -210,6 +214,10 @@ func (j *PSJob) Cancel() {
 		p.onActive(-1)
 	}
 	p.reschedule()
+	if j.transient {
+		j.done = nil
+		p.free = append(p.free, j)
+	}
 }
 
 // remainingNow is the job's residual work against the current
@@ -282,7 +290,9 @@ func (p *PSServer) advance() {
 
 // reschedule computes the next completion and schedules it, moving the
 // pending completion event in place when one exists (identical
-// ordering to cancel-and-reschedule, half the heap traffic).
+// ordering to cancel-and-reschedule, half the heap traffic). A
+// completion beyond the clock's range is scheduled at its end, where no
+// horizon reaches it, instead of wrapping into the past.
 func (p *PSServer) reschedule() {
 	if p.heap.len() == 0 {
 		p.next.Cancel()
@@ -290,12 +300,17 @@ func (p *PSServer) reschedule() {
 	}
 	soonest := p.heap.min().remainingNow()
 	waitSec := soonest / p.rate()
-	wait := time.Duration(math.Ceil(waitSec * float64(time.Second)))
-	if ref, ok := p.sim.Retarget(p.next, p.sim.Now()+wait, p.completeFn); ok {
+	wait := math.Ceil(waitSec * float64(time.Second))
+	now := p.sim.Now()
+	at := time.Duration(math.MaxInt64)
+	if wait < float64(math.MaxInt64-now) {
+		at = now + time.Duration(wait)
+	}
+	if ref, ok := p.sim.Retarget(p.next, at, p.completeFn); ok {
 		p.next = ref
 		return
 	}
-	p.next = p.sim.After(wait, p.completeFn)
+	p.next = p.sim.At(at, p.completeFn)
 }
 
 // completeDue finishes every job whose work has drained, then
@@ -338,7 +353,7 @@ func (p *PSServer) completeDue() {
 		}
 	}
 	for i, j := range finished {
-		// Transient jobs have no outstanding handle by construction, so
+		// A transient job's handle expires when its done returns, so
 		// once the batch's callbacks have run their structs are free to
 		// serve the next submissions.
 		if j.transient {

@@ -349,21 +349,35 @@ func TestSimulatorCancelInsideOwnCallback(t *testing.T) {
 }
 
 // The scheduling core must not allocate in steady state: events come
-// from the pool and the typed heap boxes nothing.
+// from the pool, the typed heap boxes nothing, and neither the now
+// lane nor a Feed slot grows once warm. Each op fires a future event
+// from the heap, a zero-delay event from the now lane and one instant
+// of an endless Feed stream from its slot.
 func TestSimulatorSteadyStateAllocs(t *testing.T) {
 	s := New()
 	fn := func() {}
+	next := time.Duration(0)
+	s.Feed(func() (time.Duration, func(), bool) {
+		next += time.Microsecond
+		return next, fn, true
+	})
+	ops := 0
+	op := func() {
+		ops++
+		s.After(time.Microsecond, fn)
+		s.After(0, fn)
+		s.RunUntil(s.Now() + time.Microsecond)
+	}
 	// Warm the pool.
 	for i := 0; i < 16; i++ {
-		s.After(time.Microsecond, fn)
+		op()
 	}
-	s.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.After(time.Microsecond, fn)
-		s.Step()
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
+	}
+	stepped, heapPops := s.EventCounts()
+	if want := uint64(3 * ops); stepped != want || heapPops != uint64(ops) {
+		t.Fatalf("EventCounts = %d stepped, %d heap pops; want %d and %d", stepped, heapPops, want, ops)
 	}
 }
 
