@@ -12,6 +12,67 @@ import (
 // eventCountsGolden pins the event costs TestEventCountsPinned checks.
 const eventCountsGolden = "testdata/event_counts.txt"
 
+// servingCell is one serving-class cell of a small checked-in
+// campaign, expanded from its spec.
+type servingCell struct {
+	file  string // campaign file name
+	index int    // position in the expanded campaign
+	name  string // the campaign's name
+	spec  CellSpec
+}
+
+// campaign wraps one variant of the cell as a one-cell campaign.
+func (c servingCell) campaign(spec CellSpec) CampaignSpec {
+	return CampaignSpec{Name: c.name, Cells: []CellSpec{spec}}
+}
+
+// String labels the cell as the event-count table does: file, index
+// and cell name ("-" when unnamed).
+func (c servingCell) String() string {
+	label := c.spec.Name
+	if label == "" {
+		label = "-"
+	}
+	return fmt.Sprintf("%s %d %s", c.file, c.index, label)
+}
+
+// smallServingCells expands every checked-in campaign but rack256 and
+// rack1024 (the golden manifest's set) and returns its serving-class
+// cells in file and expansion order.
+func smallServingCells(t *testing.T) []servingCell {
+	t.Helper()
+	entries, err := os.ReadDir(campaignsDir)
+	if err != nil {
+		t.Fatalf("read campaigns dir: %v", err)
+	}
+	var out []servingCell
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".json") || name == "rack256.json" || name == "rack1024.json" {
+			continue
+		}
+		f, err := os.Open(filepath.Join(campaignsDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseCampaign(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cells, err := spec.Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for ci, cell := range cells {
+			if servingClass(cell.Kind) {
+				out = append(out, servingCell{file: name, index: ci, name: spec.Name, spec: cell})
+			}
+		}
+	}
+	return out
+}
+
 // TestEventCountsPinned pins the simulator's deterministic cost
 // counters on every serving-class cell of the small checked-in
 // campaigns (all but rack256 and rack1024): per cell, the requests
@@ -36,44 +97,13 @@ func TestEventCountsPinned(t *testing.T) {
 		mu.Unlock()
 	}
 	defer func() { testServingDone = nil }()
-	entries, err := os.ReadDir(campaignsDir)
-	if err != nil {
-		t.Fatalf("read campaigns dir: %v", err)
-	}
 	var b strings.Builder
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || name == "rack256.json" || name == "rack1024.json" {
-			continue
+	for _, c := range smallServingCells(t) {
+		offered, stepped, popped = 0, 0, 0
+		if _, err := RunCampaign(arts, c.campaign(c.spec), RunOpts{BaseDir: campaignsDir}); err != nil {
+			t.Fatalf("%s: %v", c, err)
 		}
-		f, err := os.Open(filepath.Join(campaignsDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := ParseCampaign(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cells, err := spec.Expand()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for ci, cell := range cells {
-			if !servingClass(cell.Kind) {
-				continue
-			}
-			offered, stepped, popped = 0, 0, 0
-			if _, err := RunCampaign(arts, CampaignSpec{Name: spec.Name, Cells: []CellSpec{cell}},
-				RunOpts{BaseDir: campaignsDir}); err != nil {
-				t.Fatalf("%s cell %d: %v", name, ci, err)
-			}
-			label := cell.Name
-			if label == "" {
-				label = "-"
-			}
-			fmt.Fprintf(&b, "%s %d %s offered=%d stepped=%d heap=%d\n", name, ci, label, offered, stepped, popped)
-		}
+		fmt.Fprintf(&b, "%s offered=%d stepped=%d heap=%d\n", c, offered, stepped, popped)
 	}
 	got := b.String()
 	if *update {
