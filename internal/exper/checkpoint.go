@@ -168,17 +168,19 @@ type shardCheckpoint struct {
 	cell int
 }
 
-// shardFile is the persisted result of one shard: the shard's
-// ServingResult plus its latency distribution — the sealed exact
-// samples or the canonical sketch state — so the reducer of a resumed
-// run merges exactly what the original run would have.
+// shardFile is the persisted part of one shard: the shard's unreduced
+// ServingResult plus its latency distributions — the exact samples or
+// the canonical sketch state — so the reducer of a resumed run merges
+// exactly what the original run would have. Files whose serving
+// payload also carries the shard's own throughput and percentiles
+// load the same way; the reducer recomputes those.
 type shardFile struct {
 	Fingerprint string        `json:"fingerprint"`
 	Shard       int           `json:"shard"`
 	Shards      int           `json:"shards"`
 	Serving     ServingResult `json:"serving"`
-	// ExactNS is the shard's sorted completion-latency slice in
-	// nanoseconds (exact mode).
+	// ExactNS is the shard's completion-latency samples in nanoseconds
+	// (exact mode).
 	ExactNS []int64 `json:"exact_ns,omitempty"`
 	// Sketch is the shard's GK summary (sketch mode).
 	Sketch *quantile.Sketch `json:"sketch,omitempty"`
@@ -188,6 +190,24 @@ type shardFile struct {
 	// their files stay byte-identical to pre-tenancy output.
 	TenantExactNS  map[string][]int64          `json:"tenant_exact_ns,omitempty"`
 	TenantSketches map[string]*quantile.Sketch `json:"tenant_sketches,omitempty"`
+}
+
+// toNS and fromNS convert latency samples to and from the nanosecond
+// integers shard files store.
+func toNS(ds []time.Duration) []int64 {
+	ns := make([]int64, len(ds))
+	for i, d := range ds {
+		ns[i] = int64(d)
+	}
+	return ns
+}
+
+func fromNS(ns []int64) []time.Duration {
+	ds := make([]time.Duration, len(ns))
+	for i, v := range ns {
+		ds[i] = time.Duration(v)
+	}
+	return ds
 }
 
 // shardFingerprint witnesses one shard's identity: the owning cell,
@@ -212,89 +232,67 @@ func (sc *shardCheckpoint) path(shard int) string {
 	return filepath.Join(sc.ck.dir, fmt.Sprintf("cell-%04d.shard-%03d.json", sc.cell, shard))
 }
 
-// load restores one shard's result if a matching file exists. Missing,
+// load restores one shard's part if a matching file exists. Missing,
 // corrupt or mismatched files report ok=false and the shard re-runs —
 // resume never trusts bytes it cannot witness.
-func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (ServingResult, *latDigest, *tenantDigests, bool) {
+func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (servingPart, bool) {
 	raw, err := os.ReadFile(sc.path(shard))
 	if err != nil {
-		return ServingResult{}, nil, nil, false
+		return servingPart{}, false
 	}
 	var f shardFile
 	if err := json.Unmarshal(raw, &f); err != nil {
-		return ServingResult{}, nil, nil, false
+		return servingPart{}, false
 	}
 	fp, err := shardFingerprint(sc.cell, shard, shards, cfg)
 	if err != nil || f.Fingerprint != fp || f.Shard != shard || f.Shards != shards {
-		return ServingResult{}, nil, nil, false
+		return servingPart{}, false
 	}
-	dig := &latDigest{sketch: f.Sketch}
+	part := servingPart{res: f.Serving, lat: &latDigest{sketch: f.Sketch}}
 	if f.Sketch == nil {
-		dig.exact = make([]time.Duration, len(f.ExactNS))
-		for i, ns := range f.ExactNS {
-			dig.exact[i] = time.Duration(ns)
-		}
+		part.lat.exact = fromNS(f.ExactNS)
 	}
 	// A workload-driven shard's per-class digests come back in the
 	// result's class order, witnessed by the fingerprinted config's
 	// workload spec; a file missing any class recomputes the shard.
-	var td *tenantDigests
-	if f.Serving.Tenancy != nil {
-		td = &tenantDigests{}
-		for _, c := range f.Serving.Tenancy.Classes {
+	if ten := f.Serving.Tenancy; ten != nil {
+		for _, c := range ten.Classes {
 			d := &latDigest{}
 			if f.Sketch == nil {
 				ns, ok := f.TenantExactNS[c.Class]
-				if f.TenantExactNS == nil || !ok {
-					return ServingResult{}, nil, nil, false
+				if !ok {
+					return servingPart{}, false
 				}
-				d.exact = make([]time.Duration, len(ns))
-				for i, v := range ns {
-					d.exact[i] = time.Duration(v)
-				}
-			} else {
-				sk, ok := f.TenantSketches[c.Class]
-				if !ok || sk == nil {
-					return ServingResult{}, nil, nil, false
-				}
-				d.sketch = sk
+				d.exact = fromNS(ns)
+			} else if d.sketch = f.TenantSketches[c.Class]; d.sketch == nil {
+				return servingPart{}, false
 			}
-			td.classes = append(td.classes, c.Class)
-			td.digs = append(td.digs, d)
+			part.classes = append(part.classes, d)
 		}
 	}
-	return f.Serving, dig, td, true
+	return part, true
 }
 
-// save persists one completed shard atomically, before the cell
+// save persists one completed shard's part atomically, before the cell
 // announces progress — a kill after this point loses no finished
 // shard.
-func (sc *shardCheckpoint) save(shard, shards int, cfg ServingConfig, res ServingResult, dig *latDigest, td *tenantDigests) error {
+func (sc *shardCheckpoint) save(shard, shards int, cfg ServingConfig, part servingPart) error {
 	fp, err := shardFingerprint(sc.cell, shard, shards, cfg)
 	if err != nil {
 		return err
 	}
-	f := shardFile{Fingerprint: fp, Shard: shard, Shards: shards, Serving: res, Sketch: dig.sketch}
-	if dig.sketch == nil {
-		f.ExactNS = make([]int64, len(dig.exact))
-		for i, d := range dig.exact {
-			f.ExactNS[i] = int64(d)
-		}
+	f := shardFile{Fingerprint: fp, Shard: shard, Shards: shards, Serving: part.res, Sketch: part.lat.sketch}
+	if part.lat.sketch == nil {
+		f.ExactNS = toNS(part.lat.exact)
 	}
-	if td != nil {
-		if dig.sketch == nil {
-			f.TenantExactNS = make(map[string][]int64, len(td.classes))
-			for s, class := range td.classes {
-				ns := make([]int64, len(td.digs[s].exact))
-				for i, d := range td.digs[s].exact {
-					ns[i] = int64(d)
-				}
-				f.TenantExactNS[class] = ns
-			}
-		} else {
-			f.TenantSketches = make(map[string]*quantile.Sketch, len(td.classes))
-			for s, class := range td.classes {
-				f.TenantSketches[class] = td.digs[s].sketch
+	if ten := part.res.Tenancy; ten != nil {
+		f.TenantExactNS = make(map[string][]int64, len(ten.Classes))
+		f.TenantSketches = make(map[string]*quantile.Sketch, len(ten.Classes))
+		for s, c := range ten.Classes {
+			if d := part.classes[s]; d.sketch != nil {
+				f.TenantSketches[c.Class] = d.sketch
+			} else {
+				f.TenantExactNS[c.Class] = toNS(d.exact)
 			}
 		}
 	}

@@ -385,7 +385,7 @@ func TestFaultReportDoesNotPinRuntime(t *testing.T) {
 			runtime.AddCleanup(p.faults, func(ch chan struct{}) { close(ch) }, collected)
 		}
 	}
-	res, _, _, err := runServingCore(arts, churnConfig(), false)
+	res, err := RunServing(arts, churnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestNoWorkOnCrashedNode(t *testing.T) {
 					}
 				}
 			}
-			res, _, _, err := runServingCore(arts, crashChurnConfig(tc.mode, tc.opts), false)
+			res, err := RunServing(arts, crashChurnConfig(tc.mode, tc.opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,17 +578,17 @@ func TestTrackedLaunchRecycling(t *testing.T) {
 		pooled = pooled || len(p.launchFree) > 0
 		checkTokenRegistry(t, p)
 	}
-	res, _, _, err := runServingCore(testArtifacts(t), cell, false)
+	res, err := RunServing(testArtifacts(t), cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f := res.Faults; f.RequestsRetried == 0 || f.RecoveryP99 == 0 {
 		t.Fatal("faults.json cell completed no disrupted request")
 	}
-	if _, _, _, err := runServingCore(testSplitArtifacts(t), crashChurnConfig(ModeVanillaFPGA, Options{}), false); err != nil {
+	if _, err := RunServing(testSplitArtifacts(t), crashChurnConfig(ModeVanillaFPGA, Options{})); err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, err = runServingCore(testArtifacts(t), partitionSweepConfig(), false)
+	res, err = RunServing(testArtifacts(t), partitionSweepConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -436,8 +436,10 @@ func (rt *faultRuntime) observeClass(app string, lat time.Duration) {
 
 // finalize closes the books at the horizon and returns the report: a
 // copy, so a result that outlives the cell does not keep the runtime —
-// and through it the whole platform — reachable.
-func (rt *faultRuntime) finalize(offered, completed int) *FaultResult {
+// and through it the whole platform — reachable. Exact-mode runs hand
+// their recovery and per-application distributions to the test sink
+// under the cell's name.
+func (rt *faultRuntime) finalize(cell string, offered, completed int) *FaultResult {
 	for i, off := range rt.p.off {
 		if off&offCrashed != 0 {
 			rt.res.NodeDownSeconds += (rt.horizon - rt.downSince[i]).Seconds()
@@ -452,27 +454,19 @@ func (rt *faultRuntime) finalize(offered, completed int) *FaultResult {
 		rt.res.Availability = float64(completed) / float64(offered)
 	}
 	rt.recovery.seal()
+	rt.recovery.sink(cell, "recovery")
 	rt.res.RecoveryP50 = rt.recovery.percentile(50)
 	rt.res.RecoveryP99 = rt.recovery.percentile(99)
 	if len(rt.classLat) > 0 {
 		rt.res.ClassP99 = make(map[string]time.Duration, len(rt.classLat))
 		for app, lats := range rt.classLat {
 			lats.seal()
+			lats.sink(cell, "class:"+app)
 			rt.res.ClassP99[app] = lats.percentile(99)
 		}
 	}
 	res := rt.res
 	return &res
-}
-
-// sinkExact feeds the runtime's sealed exact-mode distributions to the
-// test latency sink (see latency.go). Only called on exact runs, after
-// finalize.
-func (rt *faultRuntime) sinkExact(cell string) {
-	testLatencySink(cell, "recovery", rt.recovery.exact)
-	for app, d := range rt.classLat {
-		testLatencySink(cell, "class:"+app, d.exact)
-	}
 }
 
 // linkWork applies the a-b pair's degradation factor, if any, to an

@@ -185,7 +185,7 @@ func TestFleetHealthFollowsWriters(t *testing.T) {
 					}
 				}
 			}
-			if _, _, _, err := runServingCore(arts, c.cfg, false); err != nil {
+			if _, err := RunServing(arts, c.cfg); err != nil {
 				t.Fatal(err)
 			}
 			if steps == 0 || applied != len(timeline) {

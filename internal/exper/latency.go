@@ -95,6 +95,21 @@ func (d *latDigest) percentile(pct int) time.Duration {
 	return percentile(d.exact, pct)
 }
 
+// quantiles seals the digest and reads the percentiles serving reports
+// carry.
+func (d *latDigest) quantiles() (p50, p95, p99 time.Duration) {
+	d.seal()
+	return d.percentile(50), d.percentile(95), d.percentile(99)
+}
+
+// sink hands a sealed exact-mode distribution to testLatencySink, when
+// a test installed one.
+func (d *latDigest) sink(cell, kind string) {
+	if testLatencySink != nil && d.sketch == nil {
+		testLatencySink(cell, kind, d.exact)
+	}
+}
+
 // testLatencySink, when non-nil, receives every exact-mode latency
 // distribution (sealed, ascending) as a run finalizes: the sketch
 // differential tests use it to measure rank error against the exact

@@ -96,7 +96,7 @@ func TestLoadIndexesMirrorLoadsOnEveryEvent(t *testing.T) {
 			events++
 			checkLoadIndexes(t, p)
 		}
-		res, _, _, err := runServingCore(arts, cfg, false)
+		res, err := RunServing(arts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

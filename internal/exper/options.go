@@ -78,8 +78,8 @@ type Options struct {
 	// stream deterministically across them, runs each shard as its own
 	// event timeline fanned over the shared worker pool, and merges
 	// sketches and counters into one result (DESIGN.md §13). 0 and 1
-	// leave the cell on the unsharded engine, byte-identical to
-	// pre-shard output. Values above the topology's entry-node count
+	// run the cell as one timeline, byte-identical to pre-shard
+	// output. Values above the topology's entry-node count
 	// fail the run, as do combinations with fault injection, admission
 	// control or autoscaling — those model process-global state a
 	// partition cannot preserve. Only serving-class cells accept the

@@ -77,13 +77,13 @@ type ServingConfig struct {
 	// sub-run: the sub-run draws the parent's whole stream and keeps
 	// only arrivals whose index in it is congruent to shardPhase mod
 	// shardStride, so the shard fleet collectively replays exactly the
-	// stream the unsharded engine injects. shardStride 0 keeps every
+	// stream an unsharded run injects. shardStride 0 keeps every
 	// arrival.
 	shardStride int
 	shardPhase  int
-	// shardCk carries the campaign checkpoint context into the sharded
-	// engine, which persists per-shard results so a resumed run re-runs
-	// only missing shards. nil outside checkpointed campaigns.
+	// shardCk carries the campaign checkpoint context into a sharded
+	// run, which persists per-shard parts so a resumed run re-runs only
+	// missing shards. nil outside checkpointed sharded cells.
 	shardCk *shardCheckpoint
 }
 
@@ -327,19 +327,87 @@ func (cfg ServingConfig) source(pool []*workloads.App, ten *tenantRun) (*arrival
 
 // RunServing executes one open-loop serving run: the serving engine,
 // which the campaign runner's serving, policy-comparison and knee
-// cells call too. An unnamed config takes its topology's name.
-// Configs with Opts.Shards > 1 route to the sharded engine
-// (sharded.go); everything else — including shards=1 — takes the
-// single-timeline path below, byte-identical to the pre-shard engine.
+// cells call too. An unnamed config takes its topology's name. The run
+// is one timeline, or with Opts.Shards > 1 one per shard
+// (shardConfigs). Every timeline runs as its own simulation across the
+// worker pool, restored from or saved to the cell's shard checkpoint
+// when it has one, and reduceServing folds their parts in timeline
+// order, so the output does not depend on GOMAXPROCS.
 func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Topo.Name
 	}
+	subs := []ServingConfig{cfg}
 	if cfg.Opts.Shards > 1 {
-		return runServingSharded(arts, cfg)
+		var err error
+		if subs, err = shardConfigs(cfg); err != nil {
+			return ServingResult{}, err
+		}
 	}
-	res, _, _, err := runServingCore(arts, cfg, true)
-	return res, err
+	ck, n := cfg.shardCk, len(subs)
+	parts := make([]servingPart, n)
+	err := par.ForEach(n, func(i int) error {
+		if ck != nil {
+			if part, ok := ck.load(i, n, subs[i]); ok {
+				parts[i] = part
+				return nil
+			}
+		}
+		part, err := runServingCore(arts, subs[i])
+		if err != nil {
+			return err
+		}
+		if ck != nil {
+			if err := ck.save(i, n, subs[i], part); err != nil {
+				return err
+			}
+		}
+		parts[i] = part
+		return nil
+	})
+	if err != nil {
+		return ServingResult{}, err
+	}
+	return reduceServing(cfg, parts), nil
+}
+
+// servingPart is one serving timeline's unreduced share of a run: its
+// result's counters, the fault, admission and autoscaler reports, the
+// per-cohort and per-class counts of a workload, and the unsealed
+// latency digests reduceServing merges.
+type servingPart struct {
+	res ServingResult
+	lat *latDigest
+	// classes holds a workload-driven timeline's per-class digests, in
+	// res.Tenancy.Classes order.
+	classes []*latDigest
+}
+
+// reduceServing folds a run's parts, in timeline order, into its
+// report: counters and scheduler stats sum, host load averages, and
+// the latency digests merge and seal. It is the only code that
+// computes a serving report's throughput and percentiles. The fault,
+// admission and autoscaler reports are the first part's: only
+// one-timeline runs carry them.
+func reduceServing(cfg ServingConfig, parts []servingPart) ServingResult {
+	res := parts[0].res
+	res.Name = cfg.Name
+	digs := []*latDigest{parts[0].lat}
+	for _, p := range parts[1:] {
+		res.Offered += p.res.Offered
+		res.Completed += p.res.Completed
+		res.MeanHostLoad += p.res.MeanHostLoad
+		res.Sched.Add(p.res.Sched)
+		res.FPGAReconfigs += p.res.FPGAReconfigs
+		digs = append(digs, p.lat)
+	}
+	res.MeanHostLoad /= float64(len(parts))
+	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()
+	lat := mergeLatDigests(digs)
+	res.P50, res.P95, res.P99 = lat.quantiles()
+	lat.sink(cfg.Name, "latency")
+	res.Tenancy = reduceTenancy(cfg.Name, parts)
+	return res
 }
 
 // debugServingStep, when set (tests only), runs after every event of
@@ -352,41 +420,37 @@ var debugServingStep func(p *Platform)
 // sub-runs call it concurrently.
 var testServingDone func(p *Platform, offered int)
 
-// runServingCore executes one serving timeline and returns the sealed
-// latency digest — plus the per-class digests of a workload-driven
-// run — alongside the result, so the sharded reducer can merge
-// per-shard distributions. sink gates the exact-mode test sink:
-// sharded sub-runs suppress it and the reducer emits one merged
-// distribution under the cell's own name.
-func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResult, *latDigest, *tenantDigests, error) {
+// runServingCore executes one serving timeline and returns its
+// unreduced part.
+func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	opts := cfg.Opts
 	opts.Policy = resolvePolicy(cfg.Policy, opts.Policy)
 	sketch, err := parseLatencyMode(opts.LatencyMode)
 	if err != nil {
-		return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+		return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
 	var ten *tenantRun
 	if cfg.Workload.Enabled() {
 		ten, err = newTenantRun(&cfg, arts.Apps, sketch)
 		if err != nil {
-			return ServingResult{}, nil, nil, err
+			return servingPart{}, err
 		}
 	}
 	src, err := cfg.source(arts.Apps, ten)
 	if err != nil {
-		return ServingResult{}, nil, nil, err
+		return servingPart{}, err
 	}
 	p, err := NewPlatformTopo(arts, cfg.Topo, opts)
 	if err != nil {
-		return ServingResult{}, nil, nil, err
+		return servingPart{}, err
 	}
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		if err := cfg.Faults.Validate(); err != nil {
-			return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+			return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 		}
 		rt, err := newFaultRuntime(p, cfg.Faults, cfg.Seed, cfg.Duration, sketch)
 		if err != nil {
-			return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+			return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 		}
 		p.faults = rt
 	}
@@ -397,7 +461,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 		// earlier-scheduled event).
 		rt, err := newElasticRuntime(p, cfg.Admission, cfg.Autoscaler, cfg.Duration)
 		if err != nil {
-			return ServingResult{}, nil, nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+			return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 		}
 		p.elastic = rt
 	}
@@ -504,35 +568,21 @@ func runServingCore(arts *Artifacts, cfg ServingConfig, sink bool) (ServingResul
 	}
 	res.Offered = src.offered
 	res.Completed = lat.count()
-	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()
-	lat.seal()
-	res.P50 = lat.percentile(50)
-	res.P95 = lat.percentile(95)
-	res.P99 = lat.percentile(99)
 	res.MeanHostLoad = p.Cluster.X86.Pool.JobSeconds() / cfg.Duration.Seconds()
 	res.Sched = p.SchedStats()
 	res.FPGAReconfigs = p.DeviceReconfigs()
 	if p.faults != nil {
-		res.Faults = p.faults.finalize(res.Offered, res.Completed)
+		res.Faults = p.faults.finalize(cfg.Name, res.Offered, res.Completed)
 	}
 	if p.elastic != nil {
 		p.elastic.finalize(&res, cfg.Duration)
 	}
-	var tdigs *tenantDigests
+	part := servingPart{lat: lat}
 	if ten != nil {
-		res.Tenancy = ten.finalize()
-		tdigs = ten.digests()
+		res.Tenancy, part.classes = ten.finalize(), ten.digs
 	}
-	if sink && testLatencySink != nil && !sketch {
-		testLatencySink(cfg.Name, "latency", lat.exact)
-		if p.faults != nil {
-			p.faults.sinkExact(cfg.Name)
-		}
-		if ten != nil {
-			ten.sinkExact(cfg.Name)
-		}
-	}
-	return res, lat, tdigs, nil
+	part.res = res
+	return part, nil
 }
 
 // RunServingSweep runs RunServing over every config across the worker

@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"xartrek/internal/cluster"
-	"xartrek/internal/par"
 	"xartrek/internal/quantile"
 )
 
 // Sharded serving execution (DESIGN.md §13): Opts.Shards partitions a
-// serving cell's topology into per-shard sub-fleets, splits the
-// arrival stream deterministically across them, runs each shard as its
-// own simtime event timeline fanned over the shared par pool, and
-// reduces per-shard sketches and counters into one ServingResult —
-// the same partition-the-fleet shape the CERN RDA middleware uses to
-// scale device access across servers.
+// serving cell's topology into per-shard sub-fleets and splits the
+// arrival stream deterministically across them. RunServing runs each
+// shard as its own simtime event timeline fanned over the shared par
+// pool and reduceServing folds the shards' counters and digests into
+// one ServingResult — the same partition-the-fleet shape the CERN RDA
+// middleware uses to scale device access across servers. An unsharded
+// run is the one-timeline case of the same fan-out and reduction.
 //
 // What stays exact and what is approximated:
 //
@@ -24,7 +24,7 @@ import (
 //     parent's whole stream (Poisson, trace or cohort) from the parent
 //     seed and keeps every N-th arrival (ServingConfig.shardStride), so
 //     the shard fleet collectively replays the identical request
-//     sequence the unsharded engine injects, and per-shard offered
+//     sequence an unsharded run injects, and per-shard offered
 //     counts sum exactly to the unsharded count.
 //   - Entry balancing is approximated: the unsharded front end assigns
 //     an arrival to the least-loaded entry of the whole fleet, a shard
@@ -36,114 +36,45 @@ import (
 //   - MeanHostLoad averages the shards' scheduler-host loads — a
 //     fleet-mean approximation of the unsharded single-host sample.
 
-// shardConfigs derives the per-shard sub-runs of a sharded cell: the
-// parent config on one sub-topology each, dealt its share of the
-// arrival stream, with Shards cleared so each sub-run takes the
-// single-timeline engine.
-func shardConfigs(cfg ServingConfig, topos []cluster.Topology) []ServingConfig {
+// shardConfigs derives the timelines of a sharded cell: the parent
+// config on one sub-topology each, dealt its share of the arrival
+// stream, with Shards cleared. It rejects the features whose state is
+// fleet-global, and an unknown latency mode under the cell's own name.
+func shardConfigs(cfg ServingConfig) ([]ServingConfig, error) {
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		return nil, fmt.Errorf("exper: serving %q: options.shards is incompatible with fault injection (the failure timeline is fleet-global)", cfg.Name)
+	}
+	if cfg.Admission.Enabled() || cfg.Autoscaler.Enabled() {
+		return nil, fmt.Errorf("exper: serving %q: options.shards is incompatible with admission control and autoscaling (entry-fleet state is global)", cfg.Name)
+	}
+	if _, err := parseLatencyMode(cfg.Opts.LatencyMode); err != nil {
+		return nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+	}
+	topos, err := cluster.PartitionTopology(cfg.Topo, cfg.Opts.Shards)
+	if err != nil {
+		return nil, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
+	}
 	out := make([]ServingConfig, len(topos))
 	for i := range out {
 		sub := cfg
 		sub.Name = fmt.Sprintf("%s/s%d", cfg.Name, i)
 		sub.Topo = topos[i]
 		sub.Opts.Shards = 0
-		sub.shardCk = nil
 		sub.shardStride, sub.shardPhase = len(topos), i
 		out[i] = sub
 	}
-	return out
+	return out, nil
 }
 
-// runServingSharded fans one serving cell across Opts.Shards
-// partitions and merges the results. The output is a pure function of
-// (cfg, N): shard results land in indexed slots and every reduction
-// folds in shard order, so it is identical across GOMAXPROCS settings.
-func runServingSharded(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
-	n := cfg.Opts.Shards
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		return ServingResult{}, fmt.Errorf("exper: serving %q: options.shards is incompatible with fault injection (the failure timeline is fleet-global)", cfg.Name)
-	}
-	if cfg.Admission.Enabled() || cfg.Autoscaler.Enabled() {
-		return ServingResult{}, fmt.Errorf("exper: serving %q: options.shards is incompatible with admission control and autoscaling (entry-fleet state is global)", cfg.Name)
-	}
-	sketch, err := parseLatencyMode(cfg.Opts.LatencyMode)
-	if err != nil {
-		return ServingResult{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
-	}
-	topos, err := cluster.PartitionTopology(cfg.Topo, n)
-	if err != nil {
-		return ServingResult{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
-	}
-	subs := shardConfigs(cfg, topos)
-	parts := make([]ServingResult, n)
-	digs := make([]*latDigest, n)
-	tdigs := make([]*tenantDigests, n)
-	err = par.ForEach(n, func(i int) error {
-		if cfg.shardCk != nil {
-			if res, dig, td, ok := cfg.shardCk.load(i, n, subs[i]); ok {
-				parts[i], digs[i], tdigs[i] = res, dig, td
-				return nil
-			}
-		}
-		res, dig, td, err := runServingCore(arts, subs[i], false)
-		if err != nil {
-			return err
-		}
-		if cfg.shardCk != nil {
-			if err := cfg.shardCk.save(i, n, subs[i], res, dig, td); err != nil {
-				return err
-			}
-		}
-		parts[i], digs[i], tdigs[i] = res, dig, td
-		return nil
-	})
-	if err != nil {
-		return ServingResult{}, err
-	}
-	return mergeShardResults(cfg, sketch, parts, digs, tdigs), nil
-}
-
-// mergeShardResults reduces per-shard results into the cell's report:
-// counters and scheduler stats sum, host load averages, and the
-// latency distribution merges — exact slices concatenate and re-sort,
-// sketches fold through quantile.Merge in shard order. Workload-driven
-// cells additionally merge the per-class digests and per-cohort counts
-// (mergeTenancy).
-func mergeShardResults(cfg ServingConfig, sketch bool, parts []ServingResult, digs []*latDigest, tdigs []*tenantDigests) ServingResult {
-	res := ServingResult{
-		Name:       cfg.Name,
-		Mode:       cfg.Mode,
-		RatePerSec: cfg.RatePerSec,
-		Policy:     parts[0].Policy,
-	}
-	if sketch {
-		res.LatencyMode = LatencySketch
-	}
-	for _, p := range parts {
-		res.Offered += p.Offered
-		res.Completed += p.Completed
-		res.MeanHostLoad += p.MeanHostLoad
-		res.Sched.Add(p.Sched)
-		res.FPGAReconfigs += p.FPGAReconfigs
-	}
-	res.ThroughputPerSec = float64(res.Completed) / cfg.Duration.Seconds()
-	res.MeanHostLoad /= float64(len(parts))
-	lat := mergeLatDigests(digs)
-	lat.seal()
-	res.P50 = lat.percentile(50)
-	res.P95 = lat.percentile(95)
-	res.P99 = lat.percentile(99)
-	if testLatencySink != nil && !sketch {
-		testLatencySink(cfg.Name, "latency", lat.exact)
-	}
-	res.Tenancy = mergeTenancy(cfg.Name, parts, tdigs, sketch, true)
-	return res
-}
-
-// mergeLatDigests combines per-shard digests in shard order into one
-// unsealed digest: exact samples concatenate (the caller's seal
-// re-sorts), sketches K-way merge at the serving epsilon.
+// mergeLatDigests combines per-timeline digests in timeline order into
+// one unsealed digest: exact samples concatenate (the caller's seal
+// re-sorts), sketches K-way merge at the serving epsilon. A lone digest
+// comes back unchanged, so a one-timeline run seals its own digest as
+// the pre-shard engine did; a merged sketch would differ from it.
 func mergeLatDigests(parts []*latDigest) *latDigest {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	if parts[0].sketch != nil {
 		sks := make([]*quantile.Sketch, len(parts))
 		for i, p := range parts {

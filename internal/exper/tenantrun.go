@@ -73,13 +73,6 @@ type tenantRun struct {
 	done     []func(RunResult)
 }
 
-// tenantDigests is the per-class digest bundle a sharded sub-run hands
-// the reducer, alongside its aggregate digest.
-type tenantDigests struct {
-	classes []string
-	digs    []*latDigest
-}
-
 // newTenantRun builds the tenancy state of one workload-driven serving
 // run; ServingConfig.source builds its arrival stream.
 func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tenantRun, error) {
@@ -156,110 +149,65 @@ func (t *tenantRun) observe(coh int, run RunResult) {
 	}
 }
 
-// finalize seals the class digests and assembles the report.
+// finalize counts the run's traffic per cohort and per class; the
+// class percentiles and attainment are reduceTenancy's.
 func (t *tenantRun) finalize() *TenancyResult {
 	res := &TenancyResult{
 		Classes: make([]ClassResult, len(t.classes)),
 		Cohorts: make([]CohortResult, len(t.spec.Cohorts)),
 	}
-	classOffered := make([]int, len(t.classes))
-	deadlined := make([]bool, len(t.classes))
+	for s, class := range t.classes {
+		res.Classes[s] = ClassResult{Class: class, Completed: t.digs[s].count(), WithinDeadline: t.within[s]}
+	}
 	for i := range t.spec.Cohorts {
 		c := &t.spec.Cohorts[i]
-		s := t.slot[i]
-		classOffered[s] += t.offered[i]
-		if t.deadline[i] > 0 {
-			deadlined[s] = true
-		}
+		cr := &res.Classes[t.slot[i]]
+		cr.Offered += t.offered[i]
+		cr.Deadlined = cr.Deadlined || t.deadline[i] > 0
 		res.Cohorts[i] = CohortResult{ID: c.ID, Class: c.Class, Offered: t.offered[i], Completed: t.complets[i]}
-	}
-	for s, class := range t.classes {
-		d := t.digs[s]
-		d.seal()
-		cr := ClassResult{
-			Class:     class,
-			Offered:   classOffered[s],
-			Completed: d.count(),
-			P50:       d.percentile(50),
-			P95:       d.percentile(95),
-			P99:       d.percentile(99),
-		}
-		if deadlined[s] {
-			cr.Deadlined = true
-			cr.WithinDeadline = t.within[s]
-			if classOffered[s] > 0 {
-				cr.Attainment = float64(t.within[s]) / float64(classOffered[s])
-			}
-		}
-		res.Classes[s] = cr
 	}
 	return res
 }
 
-// digests bundles the sealed per-class digests for the sharded
-// reducer.
-func (t *tenantRun) digests() *tenantDigests {
-	return &tenantDigests{classes: t.classes, digs: t.digs}
-}
-
-// sinkExact emits the per-class exact distributions to the test sink
-// under kind "slo:<class>" (the sharded differential tests' reference
-// stream).
-func (t *tenantRun) sinkExact(cell string) {
-	for s, class := range t.classes {
-		testLatencySink(cell, "slo:"+class, t.digs[s].exact)
-	}
-}
-
-// mergeTenancy reduces per-shard tenancy reports: counts sum per class
-// and cohort, the class digests merge in shard order, and percentiles
-// and attainment are recomputed over the merged distribution. sink
-// gates the merged per-class test sink (exact mode only).
-func mergeTenancy(cell string, parts []ServingResult, digs []*tenantDigests, sketch, sink bool) *TenancyResult {
-	if parts[0].Tenancy == nil {
+// reduceTenancy builds a workload-driven run's report from its parts,
+// in timeline order: counts sum per cohort and class, and each class's
+// digests merge, so its percentiles and attainment cover every
+// timeline. It is the only builder of class reports; nil without a
+// workload.
+func reduceTenancy(cell string, parts []servingPart) *TenancyResult {
+	base := parts[0].res.Tenancy
+	if base == nil {
 		return nil
 	}
-	base := parts[0].Tenancy
 	res := &TenancyResult{
 		Classes: make([]ClassResult, len(base.Classes)),
 		Cohorts: make([]CohortResult, len(base.Cohorts)),
 	}
-	for i, c := range base.Cohorts {
-		res.Cohorts[i] = CohortResult{ID: c.ID, Class: c.Class}
-	}
-	for _, p := range parts {
-		for i, c := range p.Tenancy.Cohorts {
-			res.Cohorts[i].Offered += c.Offered
-			res.Cohorts[i].Completed += c.Completed
-		}
-	}
+	digs := make([]*latDigest, len(parts))
 	for s, c := range base.Classes {
 		cr := ClassResult{Class: c.Class, Deadlined: c.Deadlined}
-		for _, p := range parts {
-			pc := p.Tenancy.Classes[s]
+		for i, p := range parts {
+			pc := p.res.Tenancy.Classes[s]
 			cr.Offered += pc.Offered
+			cr.Completed += pc.Completed
 			cr.WithinDeadline += pc.WithinDeadline
+			digs[i] = p.classes[s]
 		}
-		slot := make([]*latDigest, len(digs))
-		for i, d := range digs {
-			slot[i] = d.digs[s]
-		}
-		merged := mergeLatDigests(slot)
-		merged.seal()
-		cr.Completed = merged.count()
-		cr.P50 = merged.percentile(50)
-		cr.P95 = merged.percentile(95)
-		cr.P99 = merged.percentile(99)
+		d := mergeLatDigests(digs)
+		cr.P50, cr.P95, cr.P99 = d.quantiles()
+		d.sink(cell, "slo:"+c.Class)
 		if cr.Deadlined && cr.Offered > 0 {
 			cr.Attainment = float64(cr.WithinDeadline) / float64(cr.Offered)
 		}
-		if !cr.Deadlined {
-			cr.WithinDeadline = 0
-		}
-		if sink && testLatencySink != nil && !sketch {
-			testLatencySink(cell, "slo:"+c.Class, merged.exact)
-		}
 		res.Classes[s] = cr
+	}
+	for i, c := range base.Cohorts {
+		res.Cohorts[i] = CohortResult{ID: c.ID, Class: c.Class}
+		for _, p := range parts {
+			pc := p.res.Tenancy.Cohorts[i]
+			res.Cohorts[i].Offered += pc.Offered
+			res.Cohorts[i].Completed += pc.Completed
+		}
 	}
 	return res
 }
