@@ -150,11 +150,22 @@ func (t Topology) NetBetween(a, b string) popcorn.NetModel {
 	return t.DefaultNet
 }
 
+// MaxNodes bounds a topology's CPU nodes and, separately, its FPGAs.
+// A cluster keeps one link slot per node pair, so the bound holds that
+// table to at most 2^23 slots (64 MiB of pointers).
+const MaxNodes = 4096
+
 // Validate checks the structural invariants the scheduler and the
 // experiment engine assume.
 func (t Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("cluster: topology %q has no nodes", t.Name)
+	}
+	if len(t.Nodes) > MaxNodes {
+		return fmt.Errorf("cluster: topology %q has %d nodes, more than %d", t.Name, len(t.Nodes), MaxNodes)
+	}
+	if len(t.FPGAs) > MaxNodes {
+		return fmt.Errorf("cluster: topology %q has %d FPGAs, more than %d", t.Name, len(t.FPGAs), MaxNodes)
 	}
 	names := make(map[string]bool, len(t.Nodes))
 	hasX86 := false

@@ -112,6 +112,8 @@ func TestTopologyValidateRejectsBadShapes(t *testing.T) {
 			"link x86-00-armb-00 has bandwidth -5 B/s"},
 		{"negative-rtt-link", CrossRackTopology("x", 1, 0, 2, 0, popcorn.NetModel{LatencyRTT: -time.Millisecond, BandwidthBps: 1e4}),
 			"link x86-00-armb-00 has negative RTT -1ms"},
+		{"too-many-nodes", ScaleOutTopology("big", 1, MaxNodes, 0), "has 4097 nodes, more than 4096"},
+		{"too-many-fpgas", ScaleOutTopology("big", 1, 0, MaxNodes+1), "has 4097 FPGAs, more than 4096"},
 		{"zero-default-net", withDefaultNet(popcorn.NetModel{}), "default net has bandwidth 0 B/s"},
 		{"nan-default-net", withDefaultNet(popcorn.NetModel{BandwidthBps: math.NaN()}), "default net has bandwidth NaN B/s"},
 		{"inf-default-net", withDefaultNet(popcorn.NetModel{BandwidthBps: math.Inf(1)}), "default net has bandwidth +Inf B/s"},

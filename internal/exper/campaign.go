@@ -103,6 +103,12 @@ func (ts *TopologySpec) Build() (cluster.Topology, error) {
 		if c.n < 0 {
 			return cluster.Topology{}, fmt.Errorf("exper: topology %s %d is negative", c.field, c.n)
 		}
+		if c.n > cluster.MaxNodes {
+			return cluster.Topology{}, fmt.Errorf("exper: topology %s %d exceeds %d", c.field, c.n, cluster.MaxNodes)
+		}
+	}
+	if n := ts.X86 + ts.ARM + ts.ARMNear + ts.ARMFar; n > cluster.MaxNodes {
+		return cluster.Topology{}, fmt.Errorf("exper: topology has %d nodes, more than %d", n, cluster.MaxNodes)
 	}
 	var topo cluster.Topology
 	switch ts.Kind {
@@ -263,8 +269,9 @@ type CampaignSpec struct {
 }
 
 // ParseCampaign reads and validates a JSON campaign spec. Unknown
-// fields are rejected, so typos in checked-in spec files fail parsing
-// instead of silently selecting defaults.
+// fields and anything but whitespace after the spec are rejected, so
+// typos in checked-in spec files fail parsing instead of silently
+// selecting defaults.
 func ParseCampaign(r io.Reader) (*CampaignSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -272,20 +279,35 @@ func ParseCampaign(r io.Reader) (*CampaignSpec, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("exper: parse campaign: %w", err)
 	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("exper: parse campaign: data after the spec, which ends at offset %d", end)
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &spec, nil
 }
 
+// maxCells bounds the cells a campaign expands to. Grid axes multiply,
+// so a 2 KiB spec listing a few hundred rates and seeds and a few dozen
+// modes would otherwise expand to millions of cells.
+const maxCells = 1 << 16
+
 // Validate checks the structural invariants of the spec and every cell.
 func (s CampaignSpec) Validate() error {
 	if len(s.Cells) == 0 {
 		return fmt.Errorf("exper: campaign %q has no cells", s.Name)
 	}
+	var cells float64 // a float, so no product of axis lengths overflows
 	for i := range s.Cells {
 		if err := s.Cells[i].validate(); err != nil {
 			return fmt.Errorf("exper: campaign %q cell %d: %w", s.Name, i, err)
+		}
+		rates, modes, policies, seeds := s.Cells[i].axes()
+		cells += float64(len(rates)) * float64(len(modes)) * float64(len(policies)) * float64(len(seeds))
+		if cells > maxCells {
+			return fmt.Errorf("exper: campaign %q expands to more than %d cells", s.Name, maxCells)
 		}
 	}
 	return nil
@@ -553,6 +575,31 @@ func (c CellSpec) validate() error {
 	return nil
 }
 
+// axes returns the grid axes Expand walks for c: each list as given,
+// or the scalar field alone when the list is empty. A
+// policy-comparison cell with neither a policy nor a policy axis
+// compares every built-in policy.
+func (c *CellSpec) axes() (rates []float64, modes, policies []string, seeds []int64) {
+	rates, modes, policies, seeds = c.Rates, c.Modes, c.Policies, c.Seeds
+	if len(rates) == 0 {
+		rates = []float64{c.Rate}
+	}
+	if len(modes) == 0 {
+		modes = []string{c.Mode}
+	}
+	if len(policies) == 0 {
+		if c.Kind == KindPolicyComparison && c.Policy == "" {
+			policies = Policies()
+		} else {
+			policies = []string{c.Policy}
+		}
+	}
+	if len(seeds) == 0 {
+		seeds = []int64{c.Seed}
+	}
+	return rates, modes, policies, seeds
+}
+
 // Expand flattens every cell's grid axes into scalar cells: for each
 // spec entry, Rates × Modes × Policies × Seeds, nested outer to inner
 // in that order, preserving spec order across entries. The expansion is
@@ -566,26 +613,7 @@ func (s CampaignSpec) Expand() ([]CellSpec, error) {
 	}
 	var out []CellSpec
 	for _, c := range s.Cells {
-		rates := c.Rates
-		if len(rates) == 0 {
-			rates = []float64{c.Rate}
-		}
-		modes := c.Modes
-		if len(modes) == 0 {
-			modes = []string{c.Mode}
-		}
-		policies := c.Policies
-		if len(policies) == 0 {
-			if c.Kind == KindPolicyComparison && c.Policy == "" {
-				policies = Policies()
-			} else {
-				policies = []string{c.Policy}
-			}
-		}
-		seeds := c.Seeds
-		if len(seeds) == 0 {
-			seeds = []int64{c.Seed}
-		}
+		rates, modes, policies, seeds := c.axes()
 		for _, rate := range rates {
 			for _, mode := range modes {
 				for _, policy := range policies {

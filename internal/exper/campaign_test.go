@@ -1,8 +1,10 @@
 package exper
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,6 +213,12 @@ func TestCampaignValidation(t *testing.T) {
 			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: -2, ARMFar: 2}}, "topology arm_near -2 is negative"},
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
 			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2, ARMNear: 2, ARMFar: -3}}, "topology arm_far -3 is negative"},
+		// A fleet past cluster.MaxNodes fails validation instead of
+		// exhausting memory on its link table at run time.
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "scale-out", Name: "huge", X86: 200000, ARM: 1}}, "topology x86 200000 exceeds 4096"},
+		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
+			Topology: &TopologySpec{Kind: "cross-rack", Name: "r", X86: 2048, ARMFar: 2049}}, "topology has 4097 nodes, more than 4096"},
 		// A cross-rack link no transfer can cross names its pair; it
 		// used to run as a free link.
 		{CellSpec{Kind: KindServing, Duration: Duration(time.Second), Rate: 1,
@@ -258,6 +266,29 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if err := (CampaignSpec{Name: "empty"}).Validate(); err == nil {
 		t.Error("empty campaign accepted")
+	}
+	// Grid axes multiply: 300 rates by 300 seeds is past the cell bound
+	// and fails validation instead of expanding.
+	grid := CellSpec{Kind: KindServing, Duration: Duration(time.Second)}
+	for i := 1; i <= 300; i++ {
+		grid.Rates = append(grid.Rates, float64(i))
+		grid.Seeds = append(grid.Seeds, int64(i))
+	}
+	if err := (CampaignSpec{Name: "grid", Cells: []CellSpec{grid}}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "expands to more than 65536 cells") {
+		t.Errorf("90000-cell grid: err = %v", err)
+	}
+	// Anything but whitespace after the spec fails the parse; the
+	// decoder used to stop after the first value.
+	const spec = `{"name":"v","cells":[{"kind":"serving","rate":1,"duration":"10s"}]}`
+	if _, err := ParseCampaign(strings.NewReader(spec + " \n\t")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{` {"junk": 1}`, ` garbage`, spec} {
+		_, err := ParseCampaign(strings.NewReader(spec + tail))
+		if want := fmt.Sprintf("data after the spec, which ends at offset %d", len(spec)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec + %q: err = %v, want containing %q", tail, err, want)
+		}
 	}
 }
 
@@ -838,4 +869,38 @@ func TestRunCampaignResolutionErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no arrivals") {
 		t.Errorf("empty trace file: err = %v, want containing %q", err, "no arrivals")
 	}
+}
+
+// FuzzParseCampaign feeds ParseCampaign arbitrary input of up to 2 KiB,
+// seeded with every checked-in campaign: a spec may fail to parse, but
+// parsing must neither panic nor exhaust memory, and a spec that parses
+// expands to at least one cell.
+func FuzzParseCampaign(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join(campaignsDir, "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("campaign seeds: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2<<10 {
+			return
+		}
+		spec, err := ParseCampaign(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cells, err := spec.Expand()
+		if err != nil {
+			t.Fatalf("parsed spec fails to expand: %v", err)
+		}
+		if len(cells) == 0 {
+			t.Fatal("parsed spec expands to no cells")
+		}
+	})
 }
