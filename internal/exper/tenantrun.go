@@ -172,7 +172,7 @@ func (t *tenantRun) finalize() *TenancyResult {
 // reduceTenancy builds a workload-driven run's report from its parts,
 // in timeline order: counts sum per cohort and class, and each class's
 // digests merge, so its percentiles and attainment cover every
-// timeline. It is the only builder of class reports; nil without a
+// timeline. No other code builds class reports. nil without a
 // workload.
 func reduceTenancy(cell string, parts []servingPart) *TenancyResult {
 	base := parts[0].res.Tenancy
