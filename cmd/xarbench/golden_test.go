@@ -81,19 +81,16 @@ var campaignVariants = []struct {
 }
 
 // goldenOutputs renders every golden the manifest pins: the stdout of
-// two xarbench invocations and the marshalled report of each
-// checked-in campaign spec, as checked in and under each of
-// campaignVariants.
+// xarbench -all -runs 3 and the marshalled report of each checked-in
+// campaign spec, as checked in and under each of campaignVariants.
 func goldenOutputs(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	for _, args := range [][]string{{"-all", "-runs", "3"}, {"-serving", "-shards", "4"}} {
-		var b strings.Builder
-		if err := run(args, &b); err != nil {
-			t.Fatalf("xarbench %s: %v", strings.Join(args, " "), err)
-		}
-		out["xarbench "+strings.Join(args, " ")] = []byte(b.String())
+	var b strings.Builder
+	if err := run([]string{"-all", "-runs", "3"}, &b); err != nil {
+		t.Fatalf("xarbench -all -runs 3: %v", err)
 	}
+	out["xarbench -all -runs 3"] = []byte(b.String())
 	apps, err := workloads.Registry()
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +166,9 @@ func readManifest(t *testing.T) map[string]string {
 }
 
 // TestGoldenManifest pins every deterministic output the simulator
-// produces cheaply: any change to a figure, table, serving row or
-// campaign report moves a digest here. After an intended output
-// change, rerun with -update and say in the change which goldens
-// moved and why.
+// produces cheaply: any change to a figure, table or campaign report
+// moves a digest here. After an intended output change, rerun with
+// -update and say in the change which goldens moved and why.
 func TestGoldenManifest(t *testing.T) {
 	outputs := goldenOutputs(t)
 	got := make(map[string]string, len(outputs))

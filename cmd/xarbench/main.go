@@ -1,33 +1,25 @@
 // Command xarbench regenerates every table and figure of the paper's
-// evaluation (Section 4) on the simulated testbed, and runs the
-// cluster-scale open-loop serving campaign on top of it.
+// evaluation (Section 4) on the simulated testbed, and runs declarative
+// campaign specs on top of it.
 //
 // Usage:
 //
 //	xarbench -all
 //	xarbench -table 1                  # Tables 1-4
 //	xarbench -figure 6                 # Figures 3-10
-//	xarbench -serving                  # open-loop serving campaign
-//	xarbench -serving -policy affinity # …under one placement policy
-//	xarbench -serving -shards 8        # …sharded across the par pool
 //	xarbench -all -runs 3              # cheaper randomized experiments
 //	xarbench -campaign spec.json       # run a declarative campaign spec
 //	xarbench -campaign spec.json -checkpoint dir/  # resumable campaign
 //
-// The serving campaign drives the standard Poisson grid, then a
-// placement-policy comparison (default vs link-aware vs affinity on a
-// cross-rack topology with one slow uplink) and a bursty MMPP cell.
-// -shards partitions each serving cell across N per-shard timelines
-// fanned over the worker pool (DESIGN.md §13), clamped per cell to the
-// topology's entry-host count; -shards 1 pins the single-timeline
-// engine and its output is byte-identical to running without the flag.
-//
 // -campaign executes a JSON campaign spec (exper.CampaignSpec): each
 // cell selects an experiment kind, topology, mode, policy and load,
 // with grid axes (rates × modes × policies × seeds) expanded into
-// cells. The built-in campaigns are checked in as spec files under
-// examples/campaigns. Cells fan across CPU cores; completed cells
-// stream in deterministic spec order.
+// cells. The cluster-scale serving grid, the placement-policy
+// comparison and the bursty MMPP cell are the specs serving.json,
+// policies.json and bursty.json under examples/campaigns; a cell's
+// options.shards partitions it across per-shard timelines (DESIGN.md
+// §13). Cells fan across CPU cores; completed cells stream in
+// deterministic spec order.
 //
 // -checkpoint persists each completed cell into the given directory as
 // the campaign runs. Re-running the same spec with the same directory
@@ -49,9 +41,7 @@ import (
 	"slices"
 	"time"
 
-	"xartrek/internal/cluster"
 	"xartrek/internal/exper"
-	"xartrek/internal/isa"
 	"xartrek/internal/workloads"
 )
 
@@ -83,9 +73,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("xarbench", flag.ContinueOnError)
 	table := fs.Int("table", 0, "regenerate one table (1-4)")
 	figure := fs.Int("figure", 0, "regenerate one figure (3-10)")
-	serving := fs.Bool("serving", false, "run the open-loop serving campaign")
-	policy := fs.String("policy", "", "placement policy for the serving grid (default, link-aware, affinity, deadline)")
-	shards := fs.Int("shards", 0, "shard count for the serving grid, clamped per cell to its entry hosts (0 or 1 = single timeline)")
 	campaign := fs.String("campaign", "", "execute a JSON campaign spec file (see examples/campaigns)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint directory for -campaign (resume an interrupted run)")
 	all := fs.Bool("all", false, "regenerate everything")
@@ -127,21 +114,16 @@ func run(args []string, out io.Writer) error {
 		return usageError{fmt.Sprintf(format, a...)}
 	}
 	switch {
-	case *shards < 0:
-		return usage("-shards %d: must be non-negative", *shards)
 	case *runs < 1:
 		return usage("-runs %d: need at least one run", *runs)
-	case !*all && *table == 0 && *figure == 0 && !*serving && *campaign == "":
-		return usage("pick -all, -table N, -figure N, -serving, or -campaign spec.json")
+	case !*all && *table == 0 && *figure == 0 && *campaign == "":
+		return usage("pick -all, -table N, -figure N, or -campaign spec.json")
 	case !known("table", *table):
 		return usage("-table %d: no such table (1-4)", *table)
 	case !known("figure", *figure):
 		return usage("-figure %d: no such figure (3-10)", *figure)
 	case *checkpoint != "" && *campaign == "":
 		return usage("-checkpoint requires -campaign")
-	}
-	if err := exper.CheckPolicy(*policy); err != nil {
-		return usage("-policy: %v", err)
 	}
 
 	apps, err := workloads.Registry()
@@ -164,20 +146,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\n== %s %d ==\n", e.kind, e.id)
 		if err := e.fn(out, arts, *runs); err != nil {
 			return fmt.Errorf("%s %d: %w", e.kind, e.id, err)
-		}
-	}
-	if *all || *serving {
-		fmt.Fprintf(out, "\n== serving ==\n")
-		if err := servingCampaign(out, arts, *policy, *shards); err != nil {
-			return fmt.Errorf("serving: %w", err)
-		}
-		fmt.Fprintf(out, "\n== serving: placement policies ==\n")
-		if err := policyCampaign(out, apps, *shards); err != nil {
-			return fmt.Errorf("serving policies: %w", err)
-		}
-		fmt.Fprintf(out, "\n== serving: bursty (MMPP) ==\n")
-		if err := burstyCampaign(out, arts, *shards); err != nil {
-			return fmt.Errorf("serving bursty: %w", err)
 		}
 	}
 	if *campaign != "" {
@@ -233,6 +201,8 @@ func printCell(out io.Writer, c exper.CellResult, total int) {
 		fmt.Fprintf(out, "%s %-10s %-12s %-10s r=%-6.1f offered=%-6d done=%-6d tput=%.2f/s p50=%dms p95=%dms p99=%dms",
 			id, r.Name, c.Mode, r.Policy, c.RatePerSec, r.Offered, r.Completed,
 			r.ThroughputPerSec, ms(r.P50), ms(r.P95), ms(r.P99))
+		fmt.Fprintf(out, " host_load=%.1f to_arm=%d reconf=%d skip_pending=%d all_busy=%d",
+			r.MeanHostLoad, r.Sched.ToARM, r.Sched.ReconfigsStarted, r.Sched.ReconfigsSkippedPending, r.Sched.ReconfigsAllBusy)
 		if f := r.Faults; f != nil {
 			fmt.Fprintf(out, " avail=%.4f disrupted=%d retried=%d lost=%d fpga_fallback=%d recovery_p99=%dms",
 				f.Availability, f.RequestsDisrupted, f.RequestsRetried, f.RequestsLost, f.FPGAFallbacks, ms(f.RecoveryP99))
@@ -282,153 +252,6 @@ func printTenancy(out io.Writer, r *exper.ServingResult) {
 		}
 		fmt.Fprint(out, "}")
 	}
-}
-
-// servingCell pairs one campaign topology with the arrival rates
-// offered to it (scaled to its size).
-type servingCell struct {
-	topo  cluster.Topology
-	rates []float64
-}
-
-// servingCells are the campaign's cluster sizes: the paper testbed, a
-// ~8-node rack and a ~32-node rack with a device fleet.
-func servingCells() []servingCell {
-	return []servingCell{
-		{cluster.PaperTopology(), []float64{0.5, 1, 2}},
-		{cluster.ScaleOutTopology("rack8", 4, 4, 2), []float64{2, 4, 8}},
-		{cluster.ScaleOutTopology("rack32", 8, 24, 4), []float64{8, 16, 32}},
-		// The 64-node cell runs one saturating rate on top of a
-		// keeping-up one; its overload leg is only affordable because
-		// the virtual-time simulation core's per-event cost no longer
-		// grows with the resident-process count (DESIGN.md §7).
-		{cluster.ScaleOutTopology("rack64", 16, 48, 8), []float64{64, 256}},
-	}
-}
-
-// shardsFor clamps a -shards request to what the topology can host:
-// PartitionTopology refuses more shards than entry (x86) hosts, and one
-// flag drives a grid of differently sized cells.
-func shardsFor(shards int, topo cluster.Topology) int {
-	if max := topo.CountOfArch(isa.X86_64); shards > max {
-		return max
-	}
-	return shards
-}
-
-// servingCampaign drives open-loop Poisson arrivals against each
-// topology at rates scaled to its size and reports throughput and tail
-// latency per mode. policy, when non-empty, selects the scheduler
-// fleet's placement policy for every cell (the default grid is
-// byte-identical to the pre-policy engine); shards > 1 partitions each
-// cell across per-shard timelines, clamped to the cell's entry hosts.
-func servingCampaign(out io.Writer, arts *exper.Artifacts, policy string, shards int) error {
-	modes := []exper.Mode{exper.ModeXarTrek, exper.ModeVanillaX86}
-	var cfgs []exper.ServingConfig
-	for _, cell := range servingCells() {
-		topo := cell.topo
-		for _, rate := range cell.rates {
-			for _, mode := range modes {
-				cfg := exper.ServingConfig{
-					Topo:       topo,
-					Mode:       mode,
-					RatePerSec: rate,
-					Duration:   60 * time.Second,
-					Seed:       seed,
-					Policy:     policy,
-				}
-				cfg.Opts.Shards = shardsFor(shards, topo)
-				cfgs = append(cfgs, cfg)
-			}
-		}
-	}
-	results, err := exper.RunServingSweep(arts, cfgs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%-8s %-14s %7s %8s %8s %8s %9s %9s %9s %9s\n",
-		"topo", "mode", "req/s", "offered", "done", "tput/s", "p50(ms)", "p95(ms)", "p99(ms)", "hostload")
-	for _, r := range results {
-		fmt.Fprintf(out, "%-8s %-14s %7.1f %8d %8d %8.2f %9d %9d %9d %9.1f\n",
-			r.Name, r.Mode, r.RatePerSec, r.Offered, r.Completed, r.ThroughputPerSec,
-			ms(r.P50), ms(r.P95), ms(r.P99), r.MeanHostLoad)
-	}
-	return nil
-}
-
-// policyCampaign compares the placement policies on the canonical
-// cross-rack cell: per-kernel XCLBIN images (step E manual mode), four
-// entry hosts, half the ARM fleet behind a 100 Mbps uplink, saturating
-// Poisson load. Link-aware placement should cut the p99 tail (it stops
-// paying the slow hop per migration); affinity should cut scheduler
-// reconfigurations at equal-or-better throughput.
-func policyCampaign(out io.Writer, apps []*workloads.App, shards int) error {
-	arts, err := exper.BuildArtifactsSplitImages(apps)
-	if err != nil {
-		return err
-	}
-	topo := exper.PolicyComparisonTopology()
-	fmt.Fprintf(out, "topology %s: 4 x86 + 2 near ARM | 2 far ARM behind 100 Mbps/2 ms; 2 FPGAs, per-kernel images\n", topo.Name)
-	fmt.Fprintf(out, "%-10s %7s %8s %8s %8s %9s %9s %9s %7s %7s %9s %9s\n",
-		"policy", "req/s", "offered", "done", "tput/s", "p50(ms)", "p95(ms)", "p99(ms)", "toARM", "reconf", "skip-pend", "all-busy")
-	for _, rate := range []float64{24, 48} {
-		cfg := exper.ServingConfig{
-			Topo:       topo,
-			Mode:       exper.ModeXarTrek,
-			RatePerSec: rate,
-			Duration:   60 * time.Second,
-			Seed:       seed,
-		}
-		cfg.Opts.Shards = shardsFor(shards, topo)
-		results, err := exper.RunPolicyComparison(arts, cfg, exper.Policies())
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			fmt.Fprintf(out, "%-10s %7.1f %8d %8d %8.2f %9d %9d %9d %7d %7d %9d %9d\n",
-				r.Policy, r.RatePerSec, r.Offered, r.Completed, r.ThroughputPerSec,
-				ms(r.P50), ms(r.P95), ms(r.P99), r.Sched.ToARM,
-				r.Sched.ReconfigsStarted, r.Sched.ReconfigsSkippedPending, r.Sched.ReconfigsAllBusy)
-		}
-	}
-	return nil
-}
-
-// burstyCampaign replaces the Poisson stream with an MMPP trace (2 s
-// bursts at 40 req/s, 8 s idle at 1 req/s) on the rack8 topology —
-// non-Poisson open-loop load whose tail reflects burst absorption.
-func burstyCampaign(out io.Writer, arts *exper.Artifacts, shards int) error {
-	trace, err := exper.BurstyTrace(seed, 60*time.Second, 40, 2*time.Second, 1, 8*time.Second)
-	if err != nil {
-		return err
-	}
-	topo := cluster.ScaleOutTopology("rack8", 4, 4, 2)
-	var cfgs []exper.ServingConfig
-	for _, mode := range []exper.Mode{exper.ModeXarTrek, exper.ModeVanillaX86} {
-		cfg := exper.ServingConfig{
-			Name:     "rack8-mmpp",
-			Topo:     topo,
-			Mode:     mode,
-			Duration: 60 * time.Second,
-			Seed:     seed,
-			Trace:    trace,
-		}
-		cfg.Opts.Shards = shardsFor(shards, topo)
-		cfgs = append(cfgs, cfg)
-	}
-	results, err := exper.RunServingSweep(arts, cfgs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "MMPP 2-state: 40 req/s bursts (mean 2 s) / 1 req/s idle (mean 8 s), %d arrivals\n", len(trace))
-	fmt.Fprintf(out, "%-12s %-14s %8s %8s %8s %9s %9s %9s\n",
-		"trace", "mode", "offered", "done", "tput/s", "p50(ms)", "p95(ms)", "p99(ms)")
-	for _, r := range results {
-		fmt.Fprintf(out, "%-12s %-14s %8d %8d %8.2f %9d %9d %9d\n",
-			r.Name, r.Mode, r.Offered, r.Completed, r.ThroughputPerSec,
-			ms(r.P50), ms(r.P95), ms(r.P99))
-	}
-	return nil
 }
 
 func ms(d time.Duration) int64 { return d.Milliseconds() }

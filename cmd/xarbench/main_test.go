@@ -69,79 +69,6 @@ func TestTable3Static(t *testing.T) {
 	}
 }
 
-// TestServingShardsOneIsByteIdentical pins the -shards 1 contract over
-// the full serving grid (Poisson cells, the policy comparison and the
-// MMPP trace cell): forcing one shard per cell must not perturb a
-// single output byte relative to running without the flag.
-func TestServingShardsOneIsByteIdentical(t *testing.T) {
-	var plain, pinned strings.Builder
-	if err := run([]string{"-serving"}, &plain); err != nil {
-		t.Fatalf("run -serving: %v", err)
-	}
-	if err := run([]string{"-serving", "-shards", "1"}, &pinned); err != nil {
-		t.Fatalf("run -serving -shards 1: %v", err)
-	}
-	if plain.String() != pinned.String() {
-		t.Fatalf("-shards 1 diverged from the unsharded grid:\n--- plain ---\n%s\n--- shards 1 ---\n%s",
-			plain.String(), pinned.String())
-	}
-}
-
-// TestServingShardsClampToTopology drives the grid sharded with a count
-// exceeding the smallest cell's entry hosts: the clamp must keep every
-// cell runnable and the offered counts must match the unsharded grid
-// exactly (the arrival stream is dealt, not re-randomized).
-func TestServingShardsClampToTopology(t *testing.T) {
-	var plain, sharded strings.Builder
-	if err := run([]string{"-serving"}, &plain); err != nil {
-		t.Fatalf("run -serving: %v", err)
-	}
-	if err := run([]string{"-serving", "-shards", "8"}, &sharded); err != nil {
-		t.Fatalf("run -serving -shards 8: %v", err)
-	}
-	for _, text := range []string{plain.String(), sharded.String()} {
-		if !strings.Contains(text, "rack8-mmpp") {
-			t.Fatalf("grid output incomplete:\n%s", text)
-		}
-	}
-	// The grid tables print offered in a fixed column; compare the
-	// per-line counts of both runs.
-	plainLines, shardLines := strings.Split(plain.String(), "\n"), strings.Split(sharded.String(), "\n")
-	if len(plainLines) != len(shardLines) {
-		t.Fatalf("line counts differ: %d vs %d", len(plainLines), len(shardLines))
-	}
-	checked := 0
-	for i, pl := range plainLines {
-		pf, sf := strings.Fields(pl), strings.Fields(shardLines[i])
-		// Grid rows: topo mode req/s offered done ... — offered is
-		// field 3 on rows whose first field names a topology.
-		if len(pf) < 5 || len(sf) < 5 {
-			continue
-		}
-		if !strings.HasPrefix(pf[0], "rack") && pf[0] != "paper" && pf[0] != "xrack" {
-			continue
-		}
-		var pOff, sOff string
-		switch pf[0] {
-		case "rack8-mmpp": // trace table: trace mode offered done ...
-			pOff, sOff = pf[2], sf[2]
-		default: // poisson grid: topo mode req/s offered done ...
-			pOff, sOff = pf[3], sf[3]
-		}
-		if pOff != sOff {
-			t.Fatalf("offered diverged on line %d: %q vs %q", i, pl, shardLines[i])
-		}
-		checked++
-	}
-	if checked < 20 {
-		t.Fatalf("only %d grid rows compared, expected the full grid", checked)
-	}
-}
-
-func TestShardsRejectsNegative(t *testing.T) {
-	runUsage(t, "non-negative", "-serving", "-shards", "-2")
-}
-
 // TestRunsBelowOneIsUsageError pins -runs below one, and every other
 // flag value the command cannot run with, as a usage error raised
 // before any artifact is built or any table printed.
@@ -149,19 +76,14 @@ func TestRunsBelowOneIsUsageError(t *testing.T) {
 	for _, runs := range []string{"0", "-3"} {
 		runUsage(t, "at least one run", "-figure", "3", "-runs", runs)
 	}
-	smoke := filepath.Join("..", "..", "examples", "campaigns", "smoke.json")
-	runUsage(t, "unknown placement policy", "-all", "-policy", "bogus")
-	runUsage(t, "unknown placement policy", "-table", "1", "-policy", "bogus")
-	runUsage(t, "unknown placement policy", "-campaign", smoke, "-policy", "bogus")
 	runUsage(t, "-checkpoint requires -campaign", "-table", "3", "-checkpoint", t.TempDir())
 	runUsage(t, "invalid value", "-runs", "x", "-all")
+	// The serving grid, policy comparison and bursty cell run only as
+	// campaign specs (examples/campaigns).
+	runUsage(t, "not defined: -serving", "-serving")
 	if code := exitCode(errors.New("figure 3: boom")); code != 1 {
 		t.Fatalf("runtime error exit status %d, want 1", code)
 	}
-}
-
-func TestServingRejectsUnknownPolicy(t *testing.T) {
-	runUsage(t, "unknown placement policy", "-serving", "-policy", "bogus")
 }
 
 // TestRunCampaignSpecFile exercises -campaign end to end: a grid cell
@@ -198,7 +120,7 @@ func TestRunCampaignSpecFile(t *testing.T) {
 	}
 	for _, want := range []string{
 		"cell 1/6", "cell 2/6", "cell 3/6", "cell 4/6", "cell 5/6", "cell 6/6",
-		"link-aware", "replay", "offered=4", "pair",
+		"link-aware", "replay", "offered=4", "host_load=", "all_busy=", "pair",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)

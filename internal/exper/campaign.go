@@ -341,7 +341,7 @@ func (c CellSpec) validate() error {
 		return fmt.Errorf("seed and seeds are mutually exclusive")
 	}
 	for _, p := range append([]string{c.Policy}, c.Policies...) {
-		if err := CheckPolicy(p); err != nil {
+		if err := checkPolicy(p); err != nil {
 			return err
 		}
 	}

@@ -234,7 +234,12 @@ func (sc *shardCheckpoint) path(shard int) string {
 
 // load restores one shard's part if a matching file exists. Missing,
 // corrupt or mismatched files report ok=false and the shard re-runs —
-// resume never trusts bytes it cannot witness.
+// resume never trusts bytes it cannot witness. Beyond the fingerprint,
+// a file must agree with itself and with the config: its digests are
+// in the config's latency mode and hold Serving.Completed samples, and
+// its tenancy report is present exactly when the config has a
+// workload, with the workload's classes in order, its cohort count,
+// and per class a digest of the class's Completed samples.
 func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (servingPart, bool) {
 	raw, err := os.ReadFile(sc.path(shard))
 	if err != nil {
@@ -248,27 +253,42 @@ func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (servingPa
 	if err != nil || f.Fingerprint != fp || f.Shard != shard || f.Shards != shards {
 		return servingPart{}, false
 	}
-	part := servingPart{res: f.Serving, lat: &latDigest{sketch: f.Sketch}}
-	if f.Sketch == nil {
-		part.lat.exact = fromNS(f.ExactNS)
+	sketch, err := parseLatencyMode(cfg.Opts.LatencyMode)
+	if err != nil {
+		return servingPart{}, false
 	}
-	// A workload-driven shard's per-class digests come back in the
-	// result's class order, witnessed by the fingerprinted config's
-	// workload spec; a file missing any class recomputes the shard.
-	if ten := f.Serving.Tenancy; ten != nil {
-		for _, c := range ten.Classes {
-			d := &latDigest{}
-			if f.Sketch == nil {
-				ns, ok := f.TenantExactNS[c.Class]
-				if !ok {
-					return servingPart{}, false
-				}
-				d.exact = fromNS(ns)
-			} else if d.sketch = f.TenantSketches[c.Class]; d.sketch == nil {
-				return servingPart{}, false
-			}
-			part.classes = append(part.classes, d)
+	// digest rebuilds one distribution from the file's exact samples or
+	// sketch; ok=false unless it is in the config's mode and holds want
+	// samples.
+	digest := func(ns []int64, sk *quantile.Sketch, want int) (*latDigest, bool) {
+		d := &latDigest{sketch: sk}
+		if !sketch {
+			d.exact = fromNS(ns)
 		}
+		return d, (sk != nil) == sketch && d.count() == want
+	}
+	part := servingPart{res: f.Serving}
+	var ok bool
+	if part.lat, ok = digest(f.ExactNS, f.Sketch, f.Serving.Completed); !ok {
+		return servingPart{}, false
+	}
+	ten := f.Serving.Tenancy
+	if (ten != nil) != cfg.Workload.Enabled() {
+		return servingPart{}, false
+	}
+	if ten == nil {
+		return part, true
+	}
+	classes := cfg.Workload.Classes()
+	if len(ten.Classes) != len(classes) || len(ten.Cohorts) != len(cfg.Workload.Cohorts) {
+		return servingPart{}, false
+	}
+	for s, c := range ten.Classes {
+		d, ok := digest(f.TenantExactNS[c.Class], f.TenantSketches[c.Class], c.Completed)
+		if c.Class != classes[s] || !ok {
+			return servingPart{}, false
+		}
+		part.classes = append(part.classes, d)
 	}
 	return part, true
 }

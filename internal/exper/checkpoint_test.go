@@ -217,3 +217,82 @@ func TestCampaignCheckpointSketchCells(t *testing.T) {
 		t.Fatal("restored cell lost its latency mode")
 	}
 }
+
+// FuzzCheckpoint resumes a checkpointed 4-shard workload cell, run once
+// per latency mode, over a copy of its checkpoint directory with one
+// file replaced by the input. The input's first byte picks the mode and
+// the file (the manifest, the cell file or a shard file), the rest is
+// the file's new content; the cell file is removed unless it is the
+// target, so the shard files are read. Resume may fail or recompute,
+// but must not panic. Seeded with the runs' own files; inputs over
+// 8 KiB are skipped.
+func FuzzCheckpoint(f *testing.F) {
+	arts := testArtifacts(f)
+	type run struct {
+		spec  CampaignSpec
+		names []string
+		files [][]byte
+	}
+	var runs []run
+	for _, mode := range []string{LatencyExact, LatencySketch} {
+		r := run{spec: CampaignSpec{
+			Name: "fuzz-ck",
+			Cells: []CellSpec{{
+				Kind:     KindServing,
+				Topology: &TopologySpec{Kind: "scale-out", Name: "rack8", X86: 4, ARM: 4, FPGAs: 2},
+				Rate:     8,
+				Duration: Duration(10 * time.Second),
+				Seed:     7,
+				Options:  &Options{Shards: 4, LatencyMode: mode},
+				Workload: testWorkload(),
+			}},
+		}}
+		dir := f.TempDir()
+		if _, err := RunCampaign(arts, r.spec, RunOpts{Checkpoint: dir}); err != nil {
+			f.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil || len(paths) != 6 {
+			f.Fatalf("checkpoint files: %v (%d, want manifest, cell file and 4 shard files)", err, len(paths))
+		}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if len(data) >= 8<<10 {
+				f.Fatalf("%s: %d bytes, over the input cap", p, len(data))
+			}
+			r.names = append(r.names, filepath.Base(p))
+			r.files = append(r.files, data)
+		}
+		runs = append(runs, r)
+	}
+	for i := range runs[0].names {
+		for m, r := range runs {
+			f.Add(append([]byte{byte(i*len(runs) + m)}, r.files[i]...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 || len(in) > 8<<10 {
+			return
+		}
+		r := runs[int(in[0])%len(runs)]
+		target := int(in[0]) / len(runs) % len(r.names)
+		dir := t.TempDir()
+		for i, name := range r.names {
+			data := r.files[i]
+			switch {
+			case i == target:
+				data = in[1:]
+			case name == cellFileName(0):
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Resume may fail or recompute; only a panic fails the target.
+		_, _ = RunCampaign(arts, r.spec, RunOpts{Checkpoint: dir})
+	})
+}

@@ -267,14 +267,14 @@ func (p *Platform) placementPolicy(name string, images []*xclbin.XCLBIN) (sched.
 	case PolicyDeadline:
 		return sched.DeadlinePolicy{}, nil, nil
 	default:
-		return nil, nil, fmt.Errorf("exper: %w", CheckPolicy(name))
+		return nil, nil, fmt.Errorf("exper: %w", checkPolicy(name))
 	}
 }
 
-// CheckPolicy reports whether name selects a placement policy: empty
+// checkPolicy reports whether name selects a placement policy: empty
 // (PolicyDefault), PolicyDefault, PolicyLinkAware, PolicyAffinity or
 // PolicyDeadline.
-func CheckPolicy(name string) error {
+func checkPolicy(name string) error {
 	switch name {
 	case "", PolicyDefault, PolicyLinkAware, PolicyAffinity, PolicyDeadline:
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"xartrek/internal/cluster"
 	"xartrek/internal/elastic"
 	"xartrek/internal/isa"
+	"xartrek/internal/quantile"
 )
 
 // cellEntryNodes resolves the x86 entry-node count of a cell's
@@ -290,19 +292,11 @@ func TestShardedKneeCell(t *testing.T) {
 }
 
 // TestServingShardsOneByteIdentical pins the shards=1 contract over
-// the whole checked-in serving grid: injecting options.shards: 1 into
-// every cell must leave the campaign report byte-identical.
+// the checked-in serving grid, policy comparison and bursty MMPP cell:
+// injecting options.shards: 1 into every cell must leave each
+// campaign report byte-identical.
 func TestServingShardsOneByteIdentical(t *testing.T) {
 	arts := testArtifacts(t)
-	f, err := os.Open(filepath.Join(campaignsDir, "serving.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ParseCampaign(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(s CampaignSpec) []byte {
 		rep, err := RunCampaign(arts, s, RunOpts{BaseDir: campaignsDir})
 		if err != nil {
@@ -314,19 +308,30 @@ func TestServingShardsOneByteIdentical(t *testing.T) {
 		}
 		return blob
 	}
-	plain := run(*spec)
-	pinned := *spec
-	pinned.Cells = append([]CellSpec(nil), spec.Cells...)
-	for i := range pinned.Cells {
-		var opts Options
-		if pinned.Cells[i].Options != nil {
-			opts = *pinned.Cells[i].Options
+	for _, name := range []string{"serving.json", "policies.json", "bursty.json"} {
+		f, err := os.Open(filepath.Join(campaignsDir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		opts.Shards = 1
-		pinned.Cells[i].Options = &opts
-	}
-	if got := run(pinned); string(got) != string(plain) {
-		t.Fatalf("shards=1 report diverged from the unsharded report")
+		spec, err := ParseCampaign(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := run(*spec)
+		pinned := *spec
+		pinned.Cells = append([]CellSpec(nil), spec.Cells...)
+		for i := range pinned.Cells {
+			var opts Options
+			if pinned.Cells[i].Options != nil {
+				opts = *pinned.Cells[i].Options
+			}
+			opts.Shards = 1
+			pinned.Cells[i].Options = &opts
+		}
+		if got := run(pinned); string(got) != string(plain) {
+			t.Fatalf("%s: shards=1 report diverged from the unsharded report", name)
+		}
 	}
 }
 
@@ -468,6 +473,76 @@ func TestShardCheckpointResume(t *testing.T) {
 	if got := run(); string(got) != string(want) {
 		t.Fatalf("report diverged after fingerprint-mismatch recompute")
 	}
+
+	// A file that contradicts its own counts is recomputed too: shard
+	// 1 one sample short of Serving.Completed (the rest all 999 s), or
+	// shard 0's samples as a sketch in an exact-mode cell.
+	samples := func(file map[string]json.RawMessage) []int64 {
+		var ns []int64
+		if err := json.Unmarshal(file["exact_ns"], &ns); err != nil || len(ns) == 0 {
+			t.Fatalf("shard file holds no exact samples: %v", err)
+		}
+		return ns
+	}
+	for _, tc := range []struct {
+		name  string
+		shard int
+		edit  func(file, serving map[string]json.RawMessage)
+	}{
+		{"short", 1, func(file, _ map[string]json.RawMessage) {
+			ns := samples(file)
+			file["exact_ns"] = rawJSON(t, slices.Repeat([]int64{int64(999 * time.Second)}, len(ns)-1))
+		}},
+		{"sketch", 0, func(file, _ map[string]json.RawMessage) {
+			sk := quantile.New(quantile.DefaultEpsilon)
+			for _, v := range samples(file) {
+				sk.Add(v)
+			}
+			delete(file, "exact_ns")
+			file["sketch"] = rawJSON(t, sk)
+		}},
+	} {
+		tamperShard(t, shardFile(tc.shard), tc.edit)
+		if err := os.Remove(cellFile); err != nil {
+			t.Fatal(err)
+		}
+		if got := run(); string(got) != string(want) {
+			t.Fatalf("report diverged after resuming over a %s shard file", tc.name)
+		}
+	}
+}
+
+// tamperShard rewrites the shard file at path through edit, which sees
+// the file's top-level fields and its serving payload's fields as raw
+// JSON.
+func tamperShard(t *testing.T, path string, edit func(file, serving map[string]json.RawMessage)) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file, serving map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(file["serving"], &serving); err != nil {
+		t.Fatal(err)
+	}
+	edit(file, serving)
+	file["serving"] = rawJSON(t, serving)
+	if err := os.WriteFile(path, rawJSON(t, file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawJSON marshals v, failing the test on error.
+func rawJSON(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // TestShardsSpecValidation pins the reject-ignored-knobs rule for

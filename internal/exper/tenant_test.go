@@ -295,6 +295,22 @@ func TestWorkloadShardCheckpointResume(t *testing.T) {
 					t.Errorf("surviving workload shard file %d was recomputed on resume", i)
 				}
 			}
+			// A shard file whose tenancy report contradicts the
+			// workload (no classes or cohorts, or no report at all) is
+			// recomputed, not merged.
+			for _, report := range []json.RawMessage{json.RawMessage(`{"Classes":[],"Cohorts":[]}`), nil} {
+				tamperShard(t, shardPath(2), func(_, serving map[string]json.RawMessage) {
+					if serving["Tenancy"] = report; report == nil {
+						delete(serving, "Tenancy")
+					}
+				})
+				if err := os.Remove(filepath.Join(dir, "cell-0000.json")); err != nil {
+					t.Fatal(err)
+				}
+				if got := run(); string(got) != string(want) {
+					t.Fatalf("report diverged after resuming over shard tenancy %s", report)
+				}
+			}
 		})
 	}
 }

@@ -61,17 +61,30 @@ type Sketch struct {
 	scratch []tuple
 }
 
+// minEpsilon is the smallest rank-error target a sketch takes. The
+// insert buffer holds 1/(2·eps) values, so the floor bounds it at 4 MB,
+// also for a sketch decoded from a corrupt file.
+const minEpsilon = 1e-6
+
+// checkEpsilon rejects a rank-error target outside [minEpsilon, 1).
+func checkEpsilon(eps float64) error {
+	if !(eps >= minEpsilon && eps < 1) {
+		return fmt.Errorf("quantile: epsilon %v out of [%v, 1)", eps, minEpsilon)
+	}
+	return nil
+}
+
+// bufCap is the insert-buffer capacity for eps: 1/(2·eps), at least 16.
+func bufCap(eps float64) int { return max(int(1/(2*eps)), 16) }
+
 // New returns an empty sketch targeting the given rank-error fraction
-// (0 < eps < 1). Smaller eps means more tuples: ~(1/2eps)·log2(2eps·n).
+// (1e-6 <= eps < 1). Smaller eps means more tuples:
+// ~(1/2eps)·log2(2eps·n).
 func New(eps float64) *Sketch {
-	if !(eps > 0 && eps < 1) {
-		panic(fmt.Sprintf("quantile: epsilon %v out of (0,1)", eps))
+	if err := checkEpsilon(eps); err != nil {
+		panic(err.Error())
 	}
-	cap := int(1 / (2 * eps))
-	if cap < 16 {
-		cap = 16
-	}
-	return &Sketch{eps: eps, buf: make([]int64, 0, cap)}
+	return &Sketch{eps: eps, buf: make([]int64, 0, bufCap(eps))}
 }
 
 // ErrorBound reports the sketch's guaranteed rank-error fraction: the
@@ -346,8 +359,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return v
 	}
 	eps := math.Float64frombits(get())
-	if !(eps > 0 && eps < 1) {
-		return fmt.Errorf("quantile: epsilon %v out of (0,1)", eps)
+	if err := checkEpsilon(eps); err != nil {
+		return err
 	}
 	n := int64(get())
 	count := int64(get())
@@ -372,13 +385,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if covered != n {
 		return fmt.Errorf("quantile: tuples cover %d ranks, n=%d", covered, n)
 	}
-	*s = Sketch{eps: eps, n: n, tuples: tuples}
-	s.buf = make([]int64, 0, New(eps).bufCap())
+	*s = Sketch{eps: eps, n: n, tuples: tuples, buf: make([]int64, 0, bufCap(eps))}
 	return nil
 }
-
-// bufCap reports the insert-buffer capacity for the sketch's epsilon.
-func (s *Sketch) bufCap() int { return cap(s.buf) }
 
 // sketchJSON is the JSON wire form: tuples as [v, g, delta] triples.
 type sketchJSON struct {
@@ -405,8 +414,8 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
-	if !(in.Eps > 0 && in.Eps < 1) {
-		return fmt.Errorf("quantile: epsilon %v out of (0,1)", in.Eps)
+	if err := checkEpsilon(in.Eps); err != nil {
+		return err
 	}
 	var covered int64
 	prev := int64(math.MinInt64)
@@ -422,8 +431,7 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	if covered != in.N {
 		return fmt.Errorf("quantile: tuples cover %d ranks, n=%d", covered, in.N)
 	}
-	*s = Sketch{eps: in.Eps, n: in.N, tuples: tuples}
-	s.buf = make([]int64, 0, New(in.Eps).bufCap())
+	*s = Sketch{eps: in.Eps, n: in.N, tuples: tuples, buf: make([]int64, 0, bufCap(in.Eps))}
 	return nil
 }
 

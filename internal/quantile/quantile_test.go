@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -332,8 +333,17 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 	if err := out.UnmarshalJSON([]byte(`{"eps":0.5,"n":3,"tuples":[[1,1,0],[0,1,0],[2,1,0]]}`)); err == nil {
 		t.Error("unsorted JSON tuples accepted")
 	}
-	if err := out.UnmarshalJSON([]byte(`{"eps":2,"n":0,"tuples":[]}`)); err == nil {
-		t.Error("out-of-range epsilon accepted")
+	// An epsilon below the floor would size the insert buffer at
+	// 1/(2·eps) values: 4 GB at 1e-9.
+	for _, eps := range []string{"2", "0", "1e-9"} {
+		if err := out.UnmarshalJSON([]byte(`{"eps":` + eps + `,"n":0,"tuples":[]}`)); err == nil {
+			t.Errorf("out-of-range epsilon %s accepted", eps)
+		}
+	}
+	tiny := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(tiny[4:], math.Float64bits(1e-9))
+	if err := out.UnmarshalBinary(tiny); err == nil {
+		t.Error("out-of-range binary epsilon accepted")
 	}
 }
 

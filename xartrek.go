@@ -215,9 +215,10 @@ const (
 	TargetFPGA = threshold.TargetFPGA
 )
 
-// Placement-policy names for ServingConfig.Policy and the -policy
-// flags: the paper's least-loaded/lowest-indexed rule, transfer-aware
-// ARM placement, and kernel→card affinity with image pre-partitioning.
+// Placement-policy names for ServingConfig.Policy and a campaign
+// cell's policy: the paper's least-loaded/lowest-indexed rule,
+// transfer-aware ARM placement, and kernel→card affinity with image
+// pre-partitioning.
 const (
 	PolicyDefault   = exper.PolicyDefault
 	PolicyLinkAware = exper.PolicyLinkAware
