@@ -37,6 +37,15 @@ type PlacementContext struct {
 // earlier in fleet order, or experiment output stops being
 // reproducible. Policies are called with the server's mutex held and
 // must not call back into the server.
+//
+// The class is decided before placement: Algorithm 2 calls
+// PickARMNode only when the host load exceeds the application's ARM
+// threshold, and PickDevice only when it exceeds the FPGA threshold.
+// Both picks must therefore have no side effects: a request that
+// skips a pick must leave the fleet as one that made it and discarded
+// the answer. (Fleet surfaces that build state on first use, such as
+// a lazily created transfer row or link, qualify when the state they
+// build does not depend on when it was built.)
 type PlacementPolicy interface {
 	// Name identifies the policy in reports and campaign tables.
 	Name() string

@@ -174,13 +174,25 @@ func (s *Server) DecideClass(app, kernel, class string) (Decision, error) {
 	x86Load := s.load()
 	ctx := PlacementContext{App: app, Kernel: kernel, Class: class, HostLoad: x86Load, Record: rec}
 	armThr, fpgaThr := rec.ARMThr, rec.FPGAThr
-	armNode, armOK := s.placeARM(ctx)
-	if !armOK {
-		// No ARM-class node in the topology: no load makes software
-		// migration possible, so the threshold acts as Never.
-		armThr = threshold.Never
+	// The class is decided before placement: a scan runs only when the
+	// load exceeds its class's threshold. Every case below that picks
+	// ARM needs x86Load > armThr, and only the cases with
+	// x86Load > fpgaThr read hwAvail; at or below the ARM threshold,
+	// the no-ARM-node rule (armThr = Never) would change no case.
+	var armNode, devIdx int
+	var hwAvail bool
+	if x86Load > armThr {
+		var armOK bool
+		if armNode, armOK = s.placeARM(ctx); !armOK {
+			// No ARM-class node can take the request: no load makes
+			// software migration possible, so the threshold acts as
+			// Never.
+			armThr = threshold.Never
+		}
 	}
-	devIdx, hwAvail := s.placeDevice(ctx)
+	if x86Load > fpgaThr {
+		devIdx, hwAvail = s.placeDevice(ctx)
+	}
 
 	var d Decision
 	switch {

@@ -186,8 +186,10 @@ func BenchmarkRequestLifecycleFPGATracked(b *testing.B) {
 // tenants-churn's fleet (48 ARM nodes, 8 programmed cards, deadline
 // policy) from entry x86-03, cycling the class's app mix: the
 // scheduler layer of a real platform, device kernel lookups included.
-func benchmarkDecidePlatform(b *testing.B, class string) {
-	d := newPlatformDecider(b, class)
+// A busy entry's load exceeds every threshold of the mix, so each
+// decision runs both placement scans.
+func benchmarkDecidePlatform(b *testing.B, class string, busy bool) {
+	d := newPlatformDecider(b, class, busy)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -196,7 +198,10 @@ func benchmarkDecidePlatform(b *testing.B, class string) {
 }
 
 // BenchmarkDecidePlatform* track the decision layer on real devices:
-// the critical class scores every ARM node by link-aware time to
-// result, the batch class packs onto the most loaded one.
-func BenchmarkDecidePlatformCritical(b *testing.B) { benchmarkDecidePlatform(b, "critical") }
-func BenchmarkDecidePlatformBatch(b *testing.B)    { benchmarkDecidePlatform(b, "batch") }
+// above the thresholds the critical class scores every ARM node by
+// link-aware time to result and the batch class packs onto the most
+// loaded one; Idle is the below-threshold path most tenants-churn
+// decisions take, which scans nothing.
+func BenchmarkDecidePlatformCritical(b *testing.B) { benchmarkDecidePlatform(b, "critical", true) }
+func BenchmarkDecidePlatformBatch(b *testing.B)    { benchmarkDecidePlatform(b, "batch", true) }
+func BenchmarkDecidePlatformIdle(b *testing.B)     { benchmarkDecidePlatform(b, "critical", false) }

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -220,18 +221,70 @@ func (c *runnableCell) servingConfig() ServingConfig {
 	}
 }
 
+// header is the identity part of the cell's result, as run reports
+// it and as a checkpointed result must carry it. The identity fields
+// a kind does not use stay zero: only serving-class cells have a
+// topology, and only serving cells a rate. An unnamed serving-class
+// cell takes its topology's name, as its engine does.
+func (c *runnableCell) header() CellResult {
+	spec := &c.spec
+	name := spec.Name
+	if name == "" {
+		name = c.topo.Name
+	}
+	return CellResult{Index: c.index, Name: name, Kind: spec.Kind, Topology: c.topo.Name,
+		Mode: c.mode.String(), RatePerSec: spec.Rate, Seed: spec.Seed}
+}
+
+// checkLoaded reports why a checkpointed result cannot be this cell's:
+// the first identity field that disagrees with header, missing
+// metrics, or a payload other than exactly the one the cell's kind
+// produces. nil means the result is the cell's.
+func (c *runnableCell) checkLoaded(r *CellResult) error {
+	h := c.header()
+	for _, f := range []struct {
+		field      string
+		have, want any
+	}{
+		{"name", r.Name, h.Name},
+		{"kind", r.Kind, h.Kind},
+		{"topology", r.Topology, h.Topology},
+		{"mode", r.Mode, h.Mode},
+		{"rate", r.RatePerSec, h.RatePerSec},
+		{"seed", r.Seed, h.Seed},
+	} {
+		if f.have != f.want {
+			return fmt.Errorf("holds %s %#v, want %#v", f.field, f.have, f.want)
+		}
+	}
+	if len(r.Metrics) == 0 {
+		return errors.New("holds no metrics")
+	}
+	own := map[string]bool{
+		KindServing: r.Serving != nil, KindPolicyComparison: r.Serving != nil, KindKnee: r.Knee != nil,
+		KindSet: r.Set != nil, KindThroughput: r.Throughput != nil, KindWaves: r.Waves != nil,
+	}[h.Kind]
+	payloads := 0
+	for _, set := range []bool{r.Serving != nil, r.Knee != nil, r.Set != nil, r.Throughput != nil, r.Waves != nil} {
+		if set {
+			payloads++
+		}
+	}
+	if !own || payloads != 1 {
+		return fmt.Errorf("holds %d payload(s), want exactly the one a %s cell produces", payloads, h.Kind)
+	}
+	return nil
+}
+
 // run executes one resolved cell as one call of its kind's engine.
-// Cells with SplitImages use the per-kernel-image artifact set. The
-// identity fields a kind does not use stay zero: only serving-class
-// cells have a topology, and only serving cells a rate.
+// Cells with SplitImages use the per-kernel-image artifact set.
 func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 	use := arts
 	if c.spec.SplitImages {
 		use = splitArts
 	}
 	spec := &c.spec
-	res := CellResult{Index: c.index, Name: spec.Name, Kind: spec.Kind, Topology: c.topo.Name,
-		Mode: c.mode.String(), RatePerSec: spec.Rate, Seed: spec.Seed}
+	res := c.header()
 	// The figure-class engines take the cell's policy through their
 	// options; serving configs carry it themselves.
 	opts := c.opts
@@ -242,7 +295,7 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Name, res.Policy, res.Metrics, res.Knee = r.Name, r.Policy, kneeMetrics(r), &r
+		res.Policy, res.Metrics, res.Knee = r.Policy, kneeMetrics(r), &r
 	case KindServing, KindPolicyComparison:
 		cfg := c.servingConfig()
 		if c.ck != nil && cfg.Opts.Shards > 1 {
@@ -252,7 +305,7 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		res.Name, res.Policy, res.Metrics, res.Serving = r.Name, r.Policy, servingMetrics(r), &r
+		res.Policy, res.Metrics, res.Serving = r.Policy, servingMetrics(r), &r
 	case KindSet:
 		r, err := RunSetOpts(use, c.apps, c.mode, spec.TotalLoad, opts)
 		if err != nil {
@@ -318,6 +371,15 @@ func RunCampaign(arts *Artifacts, spec CampaignSpec, ropts RunOpts) (*Report, er
 		ck, loaded, err = openCheckpoint(ropts.Checkpoint, spec.Name, cells)
 		if err != nil {
 			return nil, fmt.Errorf("exper: campaign %q: %w", spec.Name, err)
+		}
+		for i, r := range loaded {
+			if r == nil {
+				continue
+			}
+			if err := resolved[i].checkLoaded(r); err != nil {
+				return nil, fmt.Errorf("exper: campaign %q: checkpoint %s: cell file %s %w",
+					spec.Name, ck.dir, filepath.Base(ck.cellPath(i)), err)
+			}
 		}
 		for _, rc := range resolved {
 			rc.ck = ck

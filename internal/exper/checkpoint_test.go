@@ -2,6 +2,7 @@ package exper
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,6 +158,21 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if got := reportJSON(t, resumed); string(got) != string(want) {
 		t.Fatal("resume with a mid-campaign hole diverged")
 	}
+
+	// A hollow cell file — the right index and nothing else — is not a
+	// result: resume fails naming the file instead of reporting an
+	// empty cell.
+	if err := os.WriteFile(filepath.Join(dir, cellFileName(0)), []byte(`{"index":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err = RunCampaign(arts, spec, RunOpts{Checkpoint: dir})
+	if err == nil || !strings.Contains(err.Error(), cellFileName(0)) {
+		var got []byte
+		if resumed != nil {
+			got = reportJSON(t, resumed)
+		}
+		t.Fatalf("hollow cell file: err = %v, want an error naming %s; report:\n%s", err, cellFileName(0), got)
+	}
 }
 
 // cellFileName mirrors the checkpoint layout for test assertions.
@@ -180,6 +196,78 @@ func TestCampaignCheckpointRefusesForeignDir(t *testing.T) {
 	_, err := RunCampaign(arts, other, RunOpts{Checkpoint: dir})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("foreign checkpoint dir not refused: %v", err)
+	}
+
+	// A foreign cell file inside the right directory: cell 3's result
+	// (vanilla-x86 at rate 4) relabelled as cell 0 (xar-trek at rate
+	// 2). Resume names the file and the first field that disagrees.
+	var foreign CellResult
+	raw, err := os.ReadFile(filepath.Join(dir, cellFileName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &foreign); err != nil {
+		t.Fatal(err)
+	}
+	foreign.Index = 0
+	raw, err = json.Marshal(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, cellFileName(0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunCampaign(arts, spec, RunOpts{Checkpoint: dir})
+	if err == nil || !strings.Contains(err.Error(), cellFileName(0)) || !strings.Contains(err.Error(), "mode") {
+		var got string
+		if rep != nil {
+			got = fmt.Sprintf("%s %s %v", rep.Cells[0].Name, rep.Cells[0].Mode, rep.Cells[0].RatePerSec)
+		}
+		t.Fatalf("foreign cell file: err = %v, want an error naming %s and its mode; cell 0 reported as %s", err, cellFileName(0), got)
+	}
+}
+
+// TestCheckLoadedNamesFirstMismatch runs cell 0 of ckptSpec and
+// checks its result against the resolved cell after each single
+// tamper: the untouched result passes, and every tampered one fails
+// naming what disagrees.
+func TestCheckLoadedNamesFirstMismatch(t *testing.T) {
+	arts := testArtifacts(t)
+	cells, err := ckptSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := resolveCell(0, cells[0], arts, "", map[string][]time.Duration{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.run(arts, arts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.checkLoaded(&res); err != nil {
+		t.Fatalf("the cell's own result refused: %v", err)
+	}
+	for _, tc := range []struct {
+		want   string
+		tamper func(r *CellResult)
+	}{
+		{"name", func(r *CellResult) { r.Name = "other" }},
+		{"kind", func(r *CellResult) { r.Kind = KindKnee }},
+		{"topology", func(r *CellResult) { r.Topology = "rack8" }},
+		{"mode", func(r *CellResult) { r.Mode = "vanilla-x86" }},
+		{"rate", func(r *CellResult) { r.RatePerSec = 4 }},
+		{"seed", func(r *CellResult) { r.Seed = 7 }},
+		{"metrics", func(r *CellResult) { r.Metrics = nil }},
+		{"0 payload(s)", func(r *CellResult) { r.Serving = nil }},
+		{"2 payload(s)", func(r *CellResult) { r.Knee = &KneeResult{} }},
+		{"1 payload(s)", func(r *CellResult) { r.Serving, r.Set = nil, &SetResult{} }},
+	} {
+		r := res
+		tc.tamper(&r)
+		if err := c.checkLoaded(&r); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s tampered: err = %v, want one naming %q", tc.want, err, tc.want)
+		}
 	}
 }
 

@@ -453,14 +453,12 @@ func (rt *faultRuntime) finalize(cell string, offered, completed int) *FaultResu
 	if offered > 0 {
 		rt.res.Availability = float64(completed) / float64(offered)
 	}
-	rt.recovery.seal()
 	rt.recovery.sink(cell, "recovery")
 	rt.res.RecoveryP50 = rt.recovery.percentile(50)
 	rt.res.RecoveryP99 = rt.recovery.percentile(99)
 	if len(rt.classLat) > 0 {
 		rt.res.ClassP99 = make(map[string]time.Duration, len(rt.classLat))
 		for app, lats := range rt.classLat {
-			lats.seal()
 			lats.sink(cell, "class:"+app)
 			rt.res.ClassP99[app] = lats.percentile(99)
 		}

@@ -2,6 +2,7 @@ package exper
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -35,11 +36,13 @@ func parseLatencyMode(s string) (bool, error) {
 }
 
 // latDigest accumulates one completion-latency distribution. In exact
-// mode every sample is retained and percentiles are nearest-rank over
-// the sorted slice — bit-identical to the pre-sketch engine. In sketch
-// mode samples stream into a GK summary and only O(1/eps·log n) tuples
-// are held, with rank error bounded by quantile.DefaultEpsilon (the
-// differential tests pin sketch-vs-exact agreement to 1%).
+// mode every sample is retained and each nearest-rank percentile is
+// read by in-place selection (selectRank), which returns the same
+// sample a full sort would, since the value at a given rank is unique;
+// reads reorder the slice. In sketch mode samples stream into a GK
+// summary and only O(1/eps·log n) tuples are held, with rank error
+// bounded by quantile.DefaultEpsilon (the differential tests pin
+// sketch-vs-exact agreement to 1%).
 type latDigest struct {
 	exact  []time.Duration
 	sketch *quantile.Sketch
@@ -70,19 +73,20 @@ func (d *latDigest) count() int {
 	return len(d.exact)
 }
 
-// seal prepares the digest for percentile queries (sorts the exact
-// sample slice; sketch digests need nothing). Call once after the last
-// add. The samples are plain integers, so the ordered sort yields the
-// same slice as any comparison sort, without a per-compare closure.
-func (d *latDigest) seal() {
-	if d.sketch == nil {
-		slices.Sort(d.exact)
-	}
-}
-
-// percentile reports the nearest-rank percentile under the same
-// convention as percentile(): rank ceil(pct·n/100) clamped to [1, n],
-// zero when empty.
+// percentile reports the nearest-rank percentile: the sample at rank
+// ceil(pct/100 · n), with the rank clamped to [1, n].
+//
+// Edge conventions (pinned by TestPercentileNearestRank):
+//   - an empty digest reports 0 for every pct;
+//   - a single sample is every percentile of itself;
+//   - pct=0 (and any negative pct) clamps to rank 1, the minimum —
+//     nearest-rank has no rank-0 sample;
+//   - pct=100 is exactly rank n, the maximum, and larger pct values
+//     clamp to it.
+//
+// Both modes answer the same rank query (the quantile package's
+// Quantile uses the same ceil(q·n) rank), so exact and sketch modes
+// differ only by the sketch's bounded rank error.
 func (d *latDigest) percentile(pct int) time.Duration {
 	if d.sketch != nil {
 		n := d.sketch.Count()
@@ -92,26 +96,84 @@ func (d *latDigest) percentile(pct int) time.Duration {
 		rank := (int64(pct)*n + 99) / 100
 		return time.Duration(d.sketch.QuantileAtRank(rank))
 	}
-	return percentile(d.exact, pct)
+	n := len(d.exact)
+	if n == 0 {
+		return 0
+	}
+	rank := min(max((pct*n+99)/100, 1), n) // ceil(pct/100 * n)
+	return selectRank(d.exact, rank-1, 2*bits.Len(uint(n)))
 }
 
-// quantiles seals the digest and reads the percentiles serving reports
-// carry.
+// quantiles reads the percentiles serving reports carry.
 func (d *latDigest) quantiles() (p50, p95, p99 time.Duration) {
-	d.seal()
 	return d.percentile(50), d.percentile(95), d.percentile(99)
 }
 
-// sink hands a sealed exact-mode distribution to testLatencySink, when
-// a test installed one.
+// selectRank returns the k-th smallest sample of s (0-based),
+// reordering s in place: quickselect with a median-of-three pivot and
+// a Hoare partition, which splits runs of equal samples evenly. After
+// the given number of partition rounds it sorts the range still open;
+// percentile allows 2·log2(n), so the worst case stays O(n log n).
+func selectRank(s []time.Duration, k, rounds int) time.Duration {
+	lo, hi := 0, len(s)-1
+	for ; lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(s[lo : hi+1])
+			break
+		}
+		// Order s[lo] <= s[mid] <= s[hi]; the ends then bound both
+		// scans below.
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		p := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < p {
+				i++
+			}
+			for s[j] > p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo:j+1] <= p, s[i:hi+1] >= p, and anything between
+		// equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
+}
+
+// sink hands an exact-mode distribution, sorted ascending, to
+// testLatencySink when a test installed one. Only tests install a
+// sink, so only they pay for the sort.
 func (d *latDigest) sink(cell, kind string) {
 	if testLatencySink != nil && d.sketch == nil {
+		slices.Sort(d.exact)
 		testLatencySink(cell, kind, d.exact)
 	}
 }
 
 // testLatencySink, when non-nil, receives every exact-mode latency
-// distribution (sealed, ascending) as a run finalizes: the sketch
+// distribution (sorted ascending) as a run finalizes: the sketch
 // differential tests use it to measure rank error against the exact
 // reference without the production result retaining per-request data.
 // kind is "latency", "recovery", "class:<app>" or "slo:<class>" (a

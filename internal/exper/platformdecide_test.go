@@ -5,6 +5,7 @@ import (
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/core/sched"
+	"xartrek/internal/core/threshold"
 	"xartrek/internal/workloads"
 )
 
@@ -38,7 +39,13 @@ func (d platformDecider) decide(tb testing.TB, i int) {
 // Every kernel is resident on some card, so decisions start no
 // reconfiguration and the fleet state stays fixed; cards ahead of a
 // kernel's card answer HasKernel with a miss on every decision.
-func newPlatformDecider(tb testing.TB, class string) platformDecider {
+//
+// A busy decider holds the entry's load above every threshold of the
+// mix, through its count of processes blocked on a decision, so each
+// decision runs both placement scans; an idle one leaves the entry at
+// load 0, where Algorithm 2 keeps every request on x86 without
+// scanning.
+func newPlatformDecider(tb testing.TB, class string, busy bool) platformDecider {
 	tb.Helper()
 	arts := testSplitArtifacts(tb)
 	p, err := NewPlatformTopo(arts, cluster.ScaleOutTopology("rack64", 16, 48, 8), Options{Policy: PolicyDeadline})
@@ -52,13 +59,24 @@ func newPlatformDecider(tb testing.TB, class string) platformDecider {
 		}
 	}
 	p.Sim.Run()
-	d := platformDecider{srv: p.servers[p.x86Nodes[3].Index], class: class}
+	entry := p.x86Nodes[3].Index
+	d := platformDecider{srv: p.servers[entry], class: class}
 	for _, name := range tenantsChurnMix[class] {
 		a, ok := p.appByName[name]
 		if !ok {
 			tb.Fatalf("app %s missing from the artifact set", name)
 		}
 		d.apps = append(d.apps, a)
+		rec, err := d.srv.Table().Get(a.Name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rec.ARMThr == threshold.Never || rec.FPGAThr == threshold.Never {
+			tb.Fatalf("app %s: a Never threshold keeps its scan off", a.Name)
+		}
+		if busy {
+			p.deciding[entry] = max(p.deciding[entry], rec.ARMThr+1, rec.FPGAThr+1)
+		}
 	}
 	// One pass over the mix builds the lazily created transfer rows and
 	// links, so what follows is the steady state.
@@ -73,13 +91,18 @@ func newPlatformDecider(tb testing.TB, class string) platformDecider {
 // inside the card model's kernel lookup.
 func TestPlatformDecideDoesNotAllocate(t *testing.T) {
 	for _, class := range []string{"critical", "batch"} {
-		d := newPlatformDecider(t, class)
+		d := newPlatformDecider(t, class, true)
 		i := 0
 		if avg := testing.AllocsPerRun(200, func() {
 			d.decide(t, i)
 			i++
 		}); avg != 0 {
 			t.Fatalf("%s DecideClass allocates %.1f per call, want 0", class, avg)
+		}
+		// Above every threshold no request stays on x86, so every
+		// decision above reached the placement scans.
+		if st := d.srv.Stats(); st.ToX86 != 0 {
+			t.Fatalf("%s: %d of %d decisions stayed on x86, so the scans went uncovered", class, st.ToX86, st.Requests)
 		}
 	}
 }

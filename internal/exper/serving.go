@@ -373,8 +373,8 @@ func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 
 // servingPart is one serving timeline's unreduced share of a run: its
 // result's counters, the fault, admission and autoscaler reports, the
-// per-cohort and per-class counts of a workload, and the unsealed
-// latency digests reduceServing merges.
+// per-cohort and per-class counts of a workload, and the latency
+// digests reduceServing merges.
 type servingPart struct {
 	res ServingResult
 	lat *latDigest
@@ -385,7 +385,7 @@ type servingPart struct {
 
 // reduceServing folds a run's parts, in timeline order, into its
 // report: counters and scheduler stats sum, host load averages, and
-// the latency digests merge and seal. It is the only code that
+// the latency digests merge and are read. It is the only code that
 // computes a serving report's throughput and percentiles. The fault,
 // admission and autoscaler reports are the first part's: only
 // one-timeline runs carry them.
@@ -601,34 +601,4 @@ func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, er
 		return nil, err
 	}
 	return out, nil
-}
-
-// percentile is the nearest-rank percentile of an ascending-sorted
-// latency slice: the sample at rank ceil(pct/100 · n), with the rank
-// clamped to [1, n].
-//
-// Edge conventions (pinned by TestPercentileNearestRank):
-//   - an empty (or nil) slice reports 0 for every pct;
-//   - a single sample is every percentile of itself;
-//   - pct=0 (and any negative pct) clamps to rank 1, the minimum —
-//     nearest-rank has no rank-0 sample;
-//   - pct=100 is exactly rank n, the maximum, and larger pct values
-//     clamp to it.
-//
-// The sketch-backed digest (latDigest) and the quantile package's
-// Quantile use the same ceil(q·n) rank so exact and sketch modes
-// answer the same rank query, differing only by the sketch's bounded
-// rank error.
-func percentile(sorted []time.Duration, pct int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (pct*len(sorted) + 99) / 100 // ceil(pct/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

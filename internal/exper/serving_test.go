@@ -2,7 +2,6 @@ package exper
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -159,93 +158,6 @@ func TestRunServingRejectsBadConfigs(t *testing.T) {
 			t.Errorf("case %d: err = %v, want containing %q", i, err, tc.want)
 		}
 	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	lat := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := percentile(lat, 50); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := percentile(lat, 99); got != 10 {
-		t.Fatalf("p99 = %v, want 10", got)
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Fatalf("p50(nil) = %v, want 0", got)
-	}
-	if got := percentile(lat[:1], 95); got != 1 {
-		t.Fatalf("p95 of singleton = %v, want 1", got)
-	}
-	// Edge conventions documented on percentile(): pct=100 is exactly
-	// the maximum (rank n, no overshoot), pct=0 and negative pct clamp
-	// to rank 1 (the minimum — nearest-rank has no rank 0), pct above
-	// 100 clamps to the maximum, and the empty slice reports 0 at the
-	// extremes too.
-	if got := percentile(lat, 100); got != 10 {
-		t.Fatalf("p100 = %v, want the maximum 10", got)
-	}
-	if got := percentile(lat, 0); got != 1 {
-		t.Fatalf("p0 = %v, want the minimum 1", got)
-	}
-	if got := percentile(lat, -5); got != 1 {
-		t.Fatalf("p-5 = %v, want the minimum 1", got)
-	}
-	if got := percentile(lat, 150); got != 10 {
-		t.Fatalf("p150 = %v, want the maximum 10", got)
-	}
-	if got := percentile([]time.Duration{}, 100); got != 0 {
-		t.Fatalf("p100(empty) = %v, want 0", got)
-	}
-	if got := percentile(lat[:1], 100); got != 1 {
-		t.Fatalf("p100 of singleton = %v, want 1", got)
-	}
-	if got := percentile(lat[:1], 0); got != 1 {
-		t.Fatalf("p0 of singleton = %v, want 1", got)
-	}
-	// Exact rank arithmetic just below and at a rank boundary: p10 of
-	// ten samples is exactly rank 1; p11 crosses to rank 2.
-	if got := percentile(lat, 10); got != 1 {
-		t.Fatalf("p10 = %v, want rank-1 sample 1", got)
-	}
-	if got := percentile(lat, 11); got != 2 {
-		t.Fatalf("p11 = %v, want rank-2 sample 2", got)
-	}
-}
-
-// TestLatDigestMatchesPercentile pins that the exact-mode digest is the
-// same function as percentile() and that the sketch-mode digest agrees
-// with it on a stream small enough for the sketch to be exact-by-
-// construction plus bounded beyond that.
-func TestLatDigestMatchesPercentile(t *testing.T) {
-	for _, sketch := range []bool{false, true} {
-		d := newLatDigest(sketch)
-		var ref []time.Duration
-		for i := 0; i < 200; i++ {
-			v := time.Duration((i*37)%200) * time.Millisecond
-			d.add(v)
-			ref = append(ref, v)
-		}
-		sortDurations(ref)
-		d.seal()
-		if d.count() != len(ref) {
-			t.Fatalf("sketch=%v: count %d, want %d", sketch, d.count(), len(ref))
-		}
-		for _, pct := range []int{0, 1, 10, 50, 95, 99, 100} {
-			if got, want := d.percentile(pct), percentile(ref, pct); got != want {
-				t.Fatalf("sketch=%v: p%d = %v, want %v", sketch, pct, got, want)
-			}
-		}
-	}
-	for _, sketch := range []bool{false, true} {
-		d := newLatDigest(sketch)
-		d.seal()
-		if got := d.percentile(99); got != 0 {
-			t.Fatalf("sketch=%v: empty digest p99 = %v, want 0", sketch, got)
-		}
-	}
-}
-
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 }
 
 func TestServingBurstSpreadsAcrossEntryNodes(t *testing.T) {

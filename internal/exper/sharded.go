@@ -67,10 +67,11 @@ func shardConfigs(cfg ServingConfig) ([]ServingConfig, error) {
 }
 
 // mergeLatDigests combines per-timeline digests in timeline order into
-// one unsealed digest: exact samples concatenate (the caller's seal
-// re-sorts), sketches K-way merge at the serving epsilon. A lone digest
-// comes back unchanged, so a one-timeline run seals its own digest as
-// the pre-shard engine did; a merged sketch would differ from it.
+// one digest: exact samples concatenate (percentile reads select over
+// the whole slice, so order does not matter), sketches K-way merge at
+// the serving epsilon. A lone digest comes back unchanged, so a
+// one-timeline run reads its own digest as the pre-shard engine did; a
+// merged sketch would differ from it.
 func mergeLatDigests(parts []*latDigest) *latDigest {
 	if len(parts) == 1 {
 		return parts[0]

@@ -200,7 +200,7 @@ func (s *Sketch) Quantile(q float64) int64 {
 // QuantileAtRank returns a stream value whose rank is within the error
 // bound of rank r (1-based, clamped to [1, n]). It lets callers apply
 // their own rank convention — the serving layer's nearest-rank
-// percentile() uses ceil(pct·n/100).
+// percentiles use ceil(pct·n/100).
 func (s *Sketch) QuantileAtRank(r int64) int64 {
 	s.flush()
 	if s.n == 0 {
