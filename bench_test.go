@@ -439,15 +439,15 @@ func BenchmarkAblationReconfigHiding(b *testing.B) {
 // decision (item 3) with the paper's own comparison (Section 4.2):
 // Xar-Trek, which configures at main start and runs on a CPU while the
 // download completes, against the traditional always-FPGA flow, which
-// configures on first use and blocks. It reports both the throughput
-// ratio and the time-to-first-hardware-image under load.
+// configures on first use and blocks. It reports the throughput ratio
+// under load.
 func BenchmarkAblationPreconfig(b *testing.B) {
 	arts := benchArtifacts(b)
 	fd, err := workloads.NewFaceDet320()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ratio, firstImage float64
+	var ratio float64
 	for i := 0; i < b.N; i++ {
 		xar, err := exper.RunThroughput(arts, fd, exper.ModeXarTrek, 25, 60*time.Second, 1000)
 		if err != nil {
@@ -458,14 +458,8 @@ func BenchmarkAblationPreconfig(b *testing.B) {
 			b.Fatal(err)
 		}
 		ratio = xar.PerSecond / always.PerSecond
-		first, err := exper.TimeToFirstFPGA(arts, fd, 25, 60*time.Second, exper.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		firstImage = float64(first.Milliseconds())
 	}
 	b.ReportMetric(ratio, "xar/alwaysfpga-throughput")
-	b.ReportMetric(firstImage, "first-hw-image-ms")
 }
 
 // BenchmarkAblationDynamicThresholds freezes the threshold table at
@@ -599,7 +593,7 @@ func benchmarkServingPolicy(b *testing.B, policy string) {
 		RatePerSec: 48,
 		Duration:   30 * time.Second,
 		Seed:       benchSeed,
-		Policy:     policy,
+		Opts:       exper.Options{Policy: policy},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -891,7 +885,7 @@ func BenchmarkServingMultiTenant(b *testing.B) {
 		RatePerSec: 16,
 		Duration:   30 * time.Second,
 		Seed:       benchSeed,
-		Policy:     exper.PolicyDeadline,
+		Opts:       exper.Options{Policy: exper.PolicyDeadline},
 		Workload:   benchWorkload(),
 	}
 	b.ReportAllocs()

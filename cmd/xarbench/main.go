@@ -48,6 +48,10 @@ import (
 // seed makes every randomized experiment reproducible.
 const seed = 2021 // the paper's year
 
+// maxRuns bounds -runs as the experiment engines bound a sweep's
+// repetitions: far past it, a sweep's per-run slices fail to allocate.
+const maxRuns = 1 << 16
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "xarbench:", err)
@@ -116,6 +120,8 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *runs < 1:
 		return usage("-runs %d: need at least one run", *runs)
+	case *runs > maxRuns:
+		return usage("-runs %d: at most %d runs", *runs, maxRuns)
 	case !*all && *table == 0 && *figure == 0 && *campaign == "":
 		return usage("pick -all, -table N, -figure N, or -campaign spec.json")
 	case !known("table", *table):

@@ -76,6 +76,11 @@ func TestRunsBelowOneIsUsageError(t *testing.T) {
 	for _, runs := range []string{"0", "-3"} {
 		runUsage(t, "at least one run", "-figure", "3", "-runs", runs)
 	}
+	// A count past the engines' bound used to panic the sweep's slice
+	// allocation after the artifacts were built.
+	for _, runs := range []string{"65537", "1000000000000000"} {
+		runUsage(t, "-runs "+runs+": at most 65536 runs", "-figure", "3", "-runs", runs)
+	}
 	runUsage(t, "-checkpoint requires -campaign", "-table", "3", "-checkpoint", t.TempDir())
 	runUsage(t, "invalid value", "-runs", "x", "-all")
 	// The serving grid, policy comparison and bursty cell run only as

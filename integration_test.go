@@ -22,13 +22,13 @@ func TestIntegrationPipelineToTCPScheduler(t *testing.T) {
 	p := NewPlatform(arts)
 
 	// Serve the platform's scheduler over real TCP.
-	ts, err := ListenAndServe("127.0.0.1:0", p.Server)
+	ts, err := sched.ListenAndServe("127.0.0.1:0", p.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
 
-	tc, err := DialScheduler(ts.Addr())
+	tc, err := sched.Dial(ts.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestIntegrationManyClientsOneServer(t *testing.T) {
 	p := NewPlatform(arts)
 	p.RunFor(5 * time.Second) // nothing scheduled; clock idle
 
-	ts, err := ListenAndServe("127.0.0.1:0", p.Server)
+	ts, err := sched.ListenAndServe("127.0.0.1:0", p.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestIntegrationManyClientsOneServer(t *testing.T) {
 		wg.Add(1)
 		go func(name, kernel string) {
 			defer wg.Done()
-			tc, err := DialScheduler(ts.Addr())
+			tc, err := sched.Dial(ts.Addr())
 			if err != nil {
 				errs <- err
 				return

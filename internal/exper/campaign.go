@@ -28,9 +28,8 @@ const (
 	KindServing = "serving"
 	// KindPolicyComparison is a serving run repeated once per placement
 	// policy with everything else held fixed (one RunServing per
-	// policy, as RunPolicyComparison does). With no explicit policy
-	// axis it expands to every built-in policy on the canonical
-	// cross-rack topology.
+	// policy). With no explicit policy axis it expands to every
+	// built-in policy on the canonical cross-rack topology.
 	KindPolicyComparison = "policy-comparison"
 	// KindKnee is a capacity-planning cell: it binary-searches offered
 	// load for the maximum rate whose serving run meets an SLO
@@ -179,8 +178,8 @@ type CellSpec struct {
 	Mode  string   `json:"mode,omitempty"`
 	Modes []string `json:"modes,omitempty"`
 	// Policy / Policies select the placement policy axis ("default",
-	// "link-aware", "affinity"). A cell-level policy overrides
-	// Options.Policy (see resolvePolicy).
+	// "link-aware", "affinity", "deadline"). A cell-level policy
+	// overrides Options.Policy.
 	Policy   string   `json:"policy,omitempty"`
 	Policies []string `json:"policies,omitempty"`
 	// Rate / Rates are mean Poisson arrival rates (requests/second) for
@@ -503,6 +502,12 @@ func (c CellSpec) validate() error {
 		if len(c.Apps) > 0 && c.SetSize > 0 {
 			return fmt.Errorf("apps and set_size are mutually exclusive")
 		}
+		if c.SetSize > maxProcesses {
+			return fmt.Errorf("set_size %d exceeds %d", c.SetSize, maxProcesses)
+		}
+		if c.TotalLoad > maxProcesses {
+			return fmt.Errorf("total_load %d exceeds %d", c.TotalLoad, maxProcesses)
+		}
 	case KindThroughput:
 		if c.App == "" {
 			return fmt.Errorf("throughput cell needs an app")
@@ -510,9 +515,15 @@ func (c CellSpec) validate() error {
 		if c.Duration <= 0 {
 			return fmt.Errorf("throughput cell needs a positive duration")
 		}
+		if c.Load > maxProcesses {
+			return fmt.Errorf("load %d exceeds %d", c.Load, maxProcesses)
+		}
 	case KindWaves:
 		if c.Waves <= 0 || c.PerWave <= 0 {
 			return fmt.Errorf("waves cell needs positive waves and per_wave")
+		}
+		if c.Waves > maxProcesses/c.PerWave { // waves × per_wave > maxProcesses, without overflow
+			return fmt.Errorf("waves %d × per_wave %d exceeds %d processes", c.Waves, c.PerWave, maxProcesses)
 		}
 		if c.Interval <= 0 {
 			return fmt.Errorf("waves cell needs a positive interval")

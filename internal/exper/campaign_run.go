@@ -100,6 +100,11 @@ func resolveCell(index int, spec CellSpec, arts *Artifacts, baseDir string, trac
 	if spec.Options != nil {
 		c.opts = *spec.Options
 	}
+	// A cell-level policy overrides the cell's options; every kind's
+	// engine takes the policy through c.opts.
+	if spec.Policy != "" {
+		c.opts.Policy = spec.Policy
+	}
 	mode, err := ParseMode(spec.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("cell %d: %w", index, err)
@@ -212,7 +217,6 @@ func (c *runnableCell) servingConfig() ServingConfig {
 		Duration:   time.Duration(spec.Duration),
 		Seed:       spec.Seed,
 		Trace:      c.trace,
-		Policy:     spec.Policy,
 		Opts:       c.opts,
 		Faults:     spec.Faults,
 		Admission:  spec.Admission,
@@ -285,10 +289,6 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 	}
 	spec := &c.spec
 	res := c.header()
-	// The figure-class engines take the cell's policy through their
-	// options; serving configs carry it themselves.
-	opts := c.opts
-	opts.Policy = resolvePolicy(spec.Policy, opts.Policy)
 	switch spec.Kind {
 	case KindKnee:
 		r, err := runKnee(use, c)
@@ -307,19 +307,19 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 		}
 		res.Policy, res.Metrics, res.Serving = r.Policy, servingMetrics(r), &r
 	case KindSet:
-		r, err := RunSetOpts(use, c.apps, c.mode, spec.TotalLoad, opts)
+		r, err := RunSetOpts(use, c.apps, c.mode, spec.TotalLoad, c.opts)
 		if err != nil {
 			return CellResult{}, err
 		}
 		res.Metrics, res.Set = setMetrics(r), &r
 	case KindThroughput:
-		r, err := RunThroughputOpts(use, c.app, c.mode, spec.Load, time.Duration(spec.Duration), spec.MaxImages, opts)
+		r, err := RunThroughputOpts(use, c.app, c.mode, spec.Load, time.Duration(spec.Duration), spec.MaxImages, c.opts)
 		if err != nil {
 			return CellResult{}, err
 		}
 		res.Metrics, res.Throughput = throughputMetrics(r), &r
 	case KindWaves:
-		r, err := RunWavesOpts(use, c.mode, spec.Waves, spec.PerWave, time.Duration(spec.Interval), spec.Seed, opts)
+		r, err := RunWavesOpts(use, c.mode, spec.Waves, spec.PerWave, time.Duration(spec.Interval), spec.Seed, c.opts)
 		if err != nil {
 			return CellResult{}, err
 		}

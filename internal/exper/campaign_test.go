@@ -236,6 +236,14 @@ func TestCampaignValidation(t *testing.T) {
 		{CellSpec{Kind: KindThroughput, App: "FaceDet320"}, "positive duration"},
 		{CellSpec{Kind: KindWaves, Waves: 3}, "positive waves and per_wave"},
 		{CellSpec{Kind: KindWaves, Waves: 3, PerWave: 4}, "positive interval"},
+		// Process counts past maxProcesses name their field instead of
+		// panicking (or exhausting memory) in the engine; the waves
+		// product is checked without overflowing.
+		{CellSpec{Kind: KindSet, SetSize: 1000000000000000}, "set_size 1000000000000000 exceeds 65536"},
+		{CellSpec{Kind: KindSet, SetSize: 3, TotalLoad: 1 << 17}, "total_load 131072 exceeds 65536"},
+		{CellSpec{Kind: KindThroughput, App: "FaceDet320", Duration: Duration(time.Second), Load: 1 << 20}, "load 1048576 exceeds 65536"},
+		{CellSpec{Kind: KindWaves, Waves: 257, PerWave: 256, Interval: Duration(time.Second)}, "waves 257 × per_wave 256 exceeds 65536 processes"},
+		{CellSpec{Kind: KindWaves, Waves: 1 << 40, PerWave: 1 << 40, Interval: Duration(time.Second)}, "exceeds 65536 processes"},
 		// Fields inapplicable to the kind are rejected, not silently
 		// ignored (a rates axis on a set cell is not a load sweep).
 		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, Rates: []float64{1, 2}}, "does not take rate"},
@@ -410,7 +418,7 @@ func TestSpecServingCellMatchesRunServing(t *testing.T) {
 	}
 }
 
-func TestSpecGridMatchesRunServingSweep(t *testing.T) {
+func TestSpecGridMatchesRunServing(t *testing.T) {
 	arts := testArtifacts(t)
 	rates := []float64{1, 2}
 	modes := []Mode{ModeXarTrek, ModeVanillaX86}
@@ -425,8 +433,8 @@ func TestSpecGridMatchesRunServingSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sweep iterates the same axes in expansion order: rates outer,
-	// modes inner.
+	// The configs iterate the same axes in expansion order: rates
+	// outer, modes inner.
 	var cfgs []ServingConfig
 	for _, rate := range rates {
 		for _, mode := range modes {
@@ -436,10 +444,7 @@ func TestSpecGridMatchesRunServingSweep(t *testing.T) {
 			})
 		}
 	}
-	sweep, err := RunServingSweep(arts, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := runServingAll(t, arts, cfgs)
 	if len(rep.Cells) != len(sweep) {
 		t.Fatalf("cells = %d, sweep = %d", len(rep.Cells), len(sweep))
 	}
@@ -526,7 +531,7 @@ func TestSpecThroughputAndWavesCellsMatchAdapters(t *testing.T) {
 	}
 }
 
-func TestSpecMMPPCellMatchesBurstyTrace(t *testing.T) {
+func TestSpecMMPPCellMatchesMMPPTrace(t *testing.T) {
 	arts := testArtifacts(t)
 	spec := CampaignSpec{Name: "mmpp-eq", Cells: []CellSpec{{
 		Name: "bursty", Kind: KindServing, Mode: "vanilla-x86",
@@ -540,7 +545,10 @@ func TestSpecMMPPCellMatchesBurstyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := BurstyTrace(7, 30*time.Second, 20, 2*time.Second, 1, 8*time.Second)
+	trace, err := MMPPTrace(7, 30*time.Second, []MMPPState{
+		{RatePerSec: 20, MeanSojourn: 2 * time.Second},
+		{RatePerSec: 1, MeanSojourn: 8 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,13 +614,10 @@ func TestSpecPolicyComparisonMatchesAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunPolicyComparison(splitArts, ServingConfig{
+	direct := runServingAll(t, splitArts, perPolicy(ServingConfig{
 		Topo: PolicyComparisonTopology(), Mode: ModeXarTrek,
 		RatePerSec: 24, Duration: 20 * time.Second, Seed: 2021,
-	}, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if len(rep.Cells) != len(direct) {
 		t.Fatalf("cells = %d, want %d", len(rep.Cells), len(direct))
 	}
@@ -685,21 +690,30 @@ func TestRunCampaignDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestResolvePolicyPrecedence pins the one place a cell's placement
+// policy is chosen: resolveCell copies a non-empty cell policy over the
+// options' policy, without touching the spec, and an empty result
+// selects PolicyDefault at platform construction.
 func TestResolvePolicyPrecedence(t *testing.T) {
-	// cell > config > options > default, first non-empty layer wins.
-	cases := []struct {
-		layers []string
-		want   string
-	}{
-		{[]string{PolicyAffinity, PolicyLinkAware, PolicyDefault}, PolicyAffinity},
-		{[]string{"", PolicyLinkAware, PolicyAffinity}, PolicyLinkAware},
-		{[]string{"", "", PolicyAffinity}, PolicyAffinity},
-		{[]string{"", "", ""}, PolicyDefault},
-		{nil, PolicyDefault},
+	arts := testArtifacts(t)
+	cases := []struct{ cell, opts, want string }{
+		{PolicyAffinity, PolicyLinkAware, PolicyAffinity},
+		{"", PolicyLinkAware, PolicyLinkAware},
+		{PolicyAffinity, "", PolicyAffinity},
+		{"", "", ""},
 	}
 	for i, tc := range cases {
-		if got := resolvePolicy(tc.layers...); got != tc.want {
-			t.Errorf("case %d: resolvePolicy(%v) = %q, want %q", i, tc.layers, got, tc.want)
+		opts := &Options{Policy: tc.opts}
+		spec := CellSpec{Kind: KindServing, Policy: tc.cell, Rate: 1, Duration: Duration(time.Second), Options: opts}
+		c, err := resolveCell(0, spec, arts, "", map[string][]time.Duration{})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if c.opts.Policy != tc.want {
+			t.Errorf("case %d: cell %q over options %q resolved to %q, want %q", i, tc.cell, tc.opts, c.opts.Policy, tc.want)
+		}
+		if opts.Policy != tc.opts {
+			t.Errorf("case %d: resolving rewrote the spec's options policy to %q", i, opts.Policy)
 		}
 	}
 }
@@ -719,14 +733,6 @@ func TestPolicyOverridePrecedenceEndToEnd(t *testing.T) {
 	}
 	if r.Policy != PolicyLinkAware {
 		t.Fatalf("options-level policy = %q, want %q", r.Policy, PolicyLinkAware)
-	}
-	// ...config-level overrides options...
-	cfg.Policy = PolicyDefault
-	if r, err = RunServing(arts, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if r.Policy != PolicyDefault {
-		t.Fatalf("config-level policy = %q, want %q", r.Policy, PolicyDefault)
 	}
 	// ...and a campaign cell's policy overrides Options.Policy.
 	rep, err := RunCampaign(arts, CampaignSpec{Name: "prec", Cells: []CellSpec{{
@@ -772,48 +778,6 @@ func TestReportGolden(t *testing.T) {
 	}
 	if string(js) != string(want) {
 		t.Fatalf("report JSON drifted from golden file (run go test -run TestReportGolden -update):\n%s", js)
-	}
-}
-
-func TestRunServingSweepEmptyConfigsIsNoOp(t *testing.T) {
-	arts := testArtifacts(t)
-	// Pre-campaign behavior: an empty sweep returns an empty result,
-	// not a validation error.
-	out, err := RunServingSweep(arts, nil)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty sweep = %v, %v, want empty result", out, err)
-	}
-	out, err = RunPolicyComparison(arts, ServingConfig{}, nil)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty comparison = %v, %v, want empty result", out, err)
-	}
-}
-
-// TestRunServingSweepReturnsLowestIndexError pins the sweep's error
-// contract: with bad configs at indices 1 and 3, the sweep returns
-// index 1's error exactly as RunServing produces it, whatever the
-// worker count.
-func TestRunServingSweepReturnsLowestIndexError(t *testing.T) {
-	arts := testArtifacts(t)
-	good := ServingConfig{Topo: cluster.ScaleOutTopology("rack4", 2, 2, 1), Mode: ModeXarTrek,
-		RatePerSec: 2, Duration: 5 * time.Second, Seed: 1}
-	cfgs := []ServingConfig{good, good, good, good}
-	cfgs[1].Policy = "bogus-1"
-	cfgs[3].Policy = "bogus-3"
-	_, want := RunServing(arts, cfgs[1])
-	if want == nil {
-		t.Fatal("bad config accepted")
-	}
-	for _, procs := range []int{1, 8} {
-		withGOMAXPROCS(procs, func() {
-			out, err := RunServingSweep(arts, cfgs)
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("GOMAXPROCS=%d: err = %v, want %v", procs, err, want)
-			}
-			if out != nil {
-				t.Fatalf("GOMAXPROCS=%d: failed sweep returned results", procs)
-			}
-		})
 	}
 }
 

@@ -428,7 +428,7 @@ func TestElasticDrainExcludesPlacement(t *testing.T) {
 	host := p.Cluster.X86
 	other := p.Cluster.NodesOfArch(host.Arch)[1]
 	// Load the host so the empty non-host node is the natural pick.
-	p.LaunchAppOn(host, arts.Apps[0], ModeVanillaX86, 0, nil)
+	p.LaunchAppOnClass(host, arts.Apps[0], ModeVanillaX86, "", 0, nil)
 	p.Sim.RunUntil(time.Millisecond)
 	if got := p.leastLoadedX86(); got != other {
 		t.Fatalf("baseline placement picked %s, want the idle node %s", got.Name, other.Name)
@@ -476,7 +476,7 @@ func TestUndrainStaleQueueState(t *testing.T) {
 	// cores keep a constant resident set well past the sampled window.
 	other := p.Cluster.NodesOfArch(p.Cluster.X86.Arch)[1]
 	for i := 0; i < 24; i++ {
-		p.LaunchAppOn(other, arts.Apps[0], ModeVanillaX86, 0, nil)
+		p.LaunchAppOnClass(other, arts.Apps[0], ModeVanillaX86, "", 0, nil)
 	}
 	p.Sim.RunUntil(1 * time.Second)
 	rt.sample(1 * time.Second)

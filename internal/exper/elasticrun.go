@@ -7,7 +7,6 @@ import (
 	"xartrek/internal/cluster"
 	"xartrek/internal/elastic"
 	"xartrek/internal/isa"
-	"xartrek/internal/workloads"
 )
 
 // elasticRuntime executes one cell's overload-control plan against a
@@ -194,17 +193,16 @@ func (rt *elasticRuntime) refuse(entry *cluster.Node) bool {
 	return true
 }
 
-// launchDegraded admits one over-cap request at the degraded service
-// class: the whole run executes on the entry node's CPU (the same
-// fallback path a failed FPGA invocation takes), bypassing the
-// scheduler and accelerator fleet.
-func (rt *elasticRuntime) launchDegraded(entry *cluster.Node, app *workloads.App, at time.Duration, done func(RunResult)) {
-	rt.p.LaunchAppOn(entry, app, ModeVanillaX86, at, func(run RunResult) {
+// countDegraded wraps the completion callback of a request admitted at
+// the degraded service class, so its completion counts toward
+// degradedDone.
+func (rt *elasticRuntime) countDegraded(done func(RunResult)) func(RunResult) {
+	return func(run RunResult) {
 		rt.degradedDone++
 		if done != nil {
 			done(run)
 		}
-	})
+	}
 }
 
 // finalize folds the runtime's counters into the serving result.

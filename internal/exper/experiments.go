@@ -420,10 +420,22 @@ func RunPeriodicThroughputModes(arts *Artifacts, app *workloads.App, modes []Mod
 	return out, nil
 }
 
-// checkRuns rejects a repetition count the sweeps cannot average over.
+// maxProcesses bounds the processes one figure-class cell launches (a
+// set cell's set_size and total_load, a throughput cell's load, a waves
+// cell's waves × per_wave) and a sweep's repetition count. The paper's
+// largest cell launches 600 (Figure 7: 30 waves of 20); far past the
+// bound, the engines' per-process slices fail to allocate or exhaust
+// memory.
+const maxProcesses = 1 << 16
+
+// checkRuns rejects a repetition count the sweeps cannot average over
+// or that exceeds maxProcesses.
 func checkRuns(runs int) error {
 	if runs < 1 {
 		return fmt.Errorf("exper: runs %d: need at least one run", runs)
+	}
+	if runs > maxProcesses {
+		return fmt.Errorf("exper: runs %d exceeds %d", runs, maxProcesses)
 	}
 	return nil
 }
@@ -500,34 +512,6 @@ func RunProfitabilityStudy(arts *Artifacts, percents []int, modes []Mode, setSiz
 		return nil, err
 	}
 	return out, nil
-}
-
-// TimeToFirstFPGA measures how long the multi-image application takes
-// to complete its first hardware-executed image under the given
-// background load — the quantity the instrumentation-inserted early
-// pre-configuration call improves (Section 3.1: "the hardware kernel
-// can be called without having to wait for its initialization").
-func TimeToFirstFPGA(arts *Artifacts, app *workloads.App, load int, duration time.Duration, opts Options) (time.Duration, error) {
-	p := NewPlatformOpts(arts, opts)
-	if load > 0 {
-		bg, err := newBackground(p, load)
-		if err != nil {
-			return 0, err
-		}
-		defer bg.stop()
-	}
-	var first time.Duration
-	p.traceHook = func(target string) {
-		if target == threshold.TargetFPGA.String() && first == 0 {
-			first = p.Sim.Now()
-		}
-	}
-	p.LaunchThroughput(app, ModeXarTrek, 0, duration, 1<<30, nil)
-	p.RunFor(duration)
-	if first == 0 {
-		return 0, fmt.Errorf("exper: no FPGA image completed within %v", duration)
-	}
-	return first, nil
 }
 
 // findApp locates an application by name in the artifact set.

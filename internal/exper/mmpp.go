@@ -78,13 +78,3 @@ func MMPPTrace(seed int64, horizon time.Duration, states []MMPPState) ([]time.Du
 	}
 	return out, nil
 }
-
-// BurstyTrace is the two-state convenience MMPP: bursts at burstRate
-// with mean length burstLen, separated by idle gaps of mean length
-// idleLen trickling at idleRate.
-func BurstyTrace(seed int64, horizon time.Duration, burstRate float64, burstLen time.Duration, idleRate float64, idleLen time.Duration) ([]time.Duration, error) {
-	return MMPPTrace(seed, horizon, []MMPPState{
-		{RatePerSec: burstRate, MeanSojourn: burstLen},
-		{RatePerSec: idleRate, MeanSojourn: idleLen},
-	})
-}

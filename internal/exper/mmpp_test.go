@@ -49,7 +49,10 @@ func TestMMPPTraceIsBurstierThanPoisson(t *testing.T) {
 	// The squared coefficient of variation of MMPP interarrival times
 	// must exceed a Poisson process's 1 when the state rates differ
 	// sharply (here 50 req/s bursts vs 0.5 req/s idle).
-	trace, err := BurstyTrace(2021, 10*time.Minute, 50, 2*time.Second, 0.5, 10*time.Second)
+	trace, err := MMPPTrace(2021, 10*time.Minute, []MMPPState{
+		{RatePerSec: 50, MeanSojourn: 2 * time.Second},
+		{RatePerSec: 0.5, MeanSojourn: 10 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,10 @@ func TestMMPPTraceRejectsBadInputs(t *testing.T) {
 
 func TestMMPPTraceDrivesServingRun(t *testing.T) {
 	arts := testArtifacts(t)
-	trace, err := BurstyTrace(5, 30*time.Second, 20, time.Second, 0, 5*time.Second)
+	trace, err := MMPPTrace(5, 30*time.Second, []MMPPState{
+		{RatePerSec: 20, MeanSojourn: time.Second},
+		{RatePerSec: 0, MeanSojourn: 5 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

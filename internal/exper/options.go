@@ -14,9 +14,9 @@ import (
 	"xartrek/internal/xrt"
 )
 
-// Placement-policy names selectable per platform or per serving
-// campaign (Options.Policy / ServingConfig.Policy). The empty string
-// selects PolicyDefault.
+// Placement-policy names selectable per platform or per campaign cell
+// (Options.Policy; a cell's policy overrides its options'). The empty
+// string selects PolicyDefault.
 const (
 	// PolicyDefault is the paper's placement rule: least-loaded ARM
 	// node, lowest-indexed device — bit-identical to the pre-policy
@@ -87,21 +87,6 @@ type Options struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// resolvePolicy collapses the layered placement-policy selection into
-// one name: the first non-empty layer wins, and everything empty means
-// PolicyDefault. Callers list layers from most to least specific —
-// campaign cell, then serving config, then ablation options — so the
-// precedence is cell > config > options > default, in one place,
-// for both the campaign runner and platform construction.
-func resolvePolicy(layers ...string) string {
-	for _, l := range layers {
-		if l != "" {
-			return l
-		}
-	}
-	return PolicyDefault
-}
-
 // NewPlatformOpts is NewPlatform with ablation options on the paper
 // testbed.
 func NewPlatformOpts(arts *Artifacts, opts Options) *Platform {
@@ -154,7 +139,7 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 	for _, a := range arts.Apps {
 		p.appByName[a.Name] = a
 	}
-	policy, pins, err := p.placementPolicy(resolvePolicy(opts.Policy), images)
+	policy, pins, err := p.placementPolicy(opts.Policy, images)
 	if err != nil {
 		return nil, err
 	}

@@ -99,13 +99,17 @@ func TestRunPeriodicThroughputModesMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSweepsRejectRunsBelowOne pins the sweeps' repetition bounds:
+// below one there is nothing to average, and past maxProcesses the
+// per-run slices would fail to allocate or exhaust memory. Both fail
+// before any simulation.
 func TestSweepsRejectRunsBelowOne(t *testing.T) {
 	arts := testArtifacts(t)
 	fd, err := workloads.NewFaceDet320()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, runs := range []int{0, -1} {
+	for _, runs := range []int{0, -1, 1_000_000_000_000_000, maxProcesses + 1} {
 		if _, err := RunFixedLoadSweep(arts, []int{2}, DefaultModes(), 20, runs, 2021); err == nil {
 			t.Fatalf("RunFixedLoadSweep accepted runs=%d", runs)
 		}

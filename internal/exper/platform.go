@@ -4,12 +4,12 @@
 // simulator, runs application processes under Xar-Trek or the
 // no-migration baselines, reproduces every table and figure of the
 // paper's evaluation, and drives open-loop serving campaigns against
-// scaled-out clusters (RunServingSweep).
+// scaled-out clusters (RunCampaign, whose serving cells each call
+// RunServing).
 package exper
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"xartrek/internal/cluster"
@@ -18,7 +18,6 @@ import (
 	"xartrek/internal/core/sched"
 	"xartrek/internal/core/threshold"
 	"xartrek/internal/hls"
-	"xartrek/internal/isa"
 	"xartrek/internal/simtime"
 	"xartrek/internal/workloads"
 	"xartrek/internal/xrt"
@@ -173,9 +172,6 @@ type Platform struct {
 	// under every other policy); preconfiguration routes through it so
 	// the instrumentation-inserted download honours the partition too.
 	pins map[string]int
-	// traceHook, when set, receives per-kernel-completion notes
-	// (debugging aid for experiment development).
-	traceHook func(string)
 	// deciding counts, per node index, the processes currently blocked
 	// on a scheduling request; they are resident on their entry node
 	// and count toward its load.
@@ -240,23 +236,6 @@ func (p *Platform) severed(a, b int) bool {
 // NewPlatform instantiates the paper testbed for one experiment run.
 func NewPlatform(arts *Artifacts) *Platform {
 	return NewPlatformOpts(arts, Options{})
-}
-
-// Summary formats the platform once assembled (used by examples and
-// the xarbench tool to narrate experiments).
-func (p *Platform) Summary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "topology %s:", p.Cluster.Topo.Name)
-	x86 := p.Cluster.NodesOfArch(isa.X86_64)
-	arm := p.Cluster.NodesOfArch(isa.ARM64)
-	fmt.Fprintf(&sb, " x86: %d node(s), %d cores", len(x86), p.Cluster.Topo.CoresOfArch(isa.X86_64))
-	if len(arm) > 0 {
-		fmt.Fprintf(&sb, ", ARM: %d node(s), %d cores", len(arm), p.Cluster.Topo.CoresOfArch(isa.ARM64))
-	}
-	if len(p.Devices) > 0 {
-		fmt.Fprintf(&sb, ", FPGA: %d x %s", len(p.Devices), p.Devices[0].Platform().Name)
-	}
-	return sb.String()
 }
 
 // SchedStats aggregates scheduling counters across the whole entry

@@ -32,19 +32,3 @@ func PolicyComparisonTopology() cluster.Topology {
 func Policies() []string {
 	return []string{PolicyDefault, PolicyLinkAware, PolicyAffinity}
 }
-
-// RunPolicyComparison runs the same serving configuration once per
-// named policy (in the given order) and returns results index-aligned
-// with the names. Everything but the placement policy — topology,
-// arrival stream, seed — is held fixed, so differences in tail latency
-// and reconfiguration churn are attributable to placement alone. It
-// is RunServingSweep with one config per policy; spec files express
-// the same sweep as one KindPolicyComparison cell.
-func RunPolicyComparison(arts *Artifacts, cfg ServingConfig, policies []string) ([]ServingResult, error) {
-	cfgs := make([]ServingConfig, len(policies))
-	for i, pol := range policies {
-		cfgs[i] = cfg
-		cfgs[i].Policy = pol
-	}
-	return RunServingSweep(arts, cfgs)
-}

@@ -32,6 +32,18 @@ func testSplitArtifacts(t testing.TB) *Artifacts {
 	return splitArtsVal
 }
 
+// perPolicy returns cfg once per built-in placement policy, in report
+// order, with everything else held fixed.
+func perPolicy(cfg ServingConfig) []ServingConfig {
+	var cfgs []ServingConfig
+	for _, policy := range Policies() {
+		c := cfg
+		c.Opts.Policy = policy
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
+}
+
 func TestBuildArtifactsSplitImagesOnePerKernel(t *testing.T) {
 	arts := testSplitArtifacts(t)
 	hw := 0
@@ -59,16 +71,13 @@ func TestBuildArtifactsSplitImagesOnePerKernel(t *testing.T) {
 // kernels stop evicting each other).
 func TestPolicyComparisonAcceptance(t *testing.T) {
 	arts := testSplitArtifacts(t)
-	results, err := RunPolicyComparison(arts, ServingConfig{
+	results := runServingAll(t, arts, perPolicy(ServingConfig{
 		Topo:       PolicyComparisonTopology(),
 		Mode:       ModeXarTrek,
 		RatePerSec: 48,
 		Duration:   60 * time.Second,
 		Seed:       2021,
-	}, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if len(results) != 3 {
 		t.Fatalf("results = %d, want 3", len(results))
 	}
@@ -127,7 +136,7 @@ func TestRunServingRejectsUnknownPolicy(t *testing.T) {
 	arts := testArtifacts(t)
 	_, err := RunServing(arts, ServingConfig{
 		Topo: PolicyComparisonTopology(), Mode: ModeXarTrek,
-		RatePerSec: 1, Duration: time.Second, Seed: 1, Policy: "round-robin",
+		RatePerSec: 1, Duration: time.Second, Seed: 1, Opts: Options{Policy: "round-robin"},
 	})
 	if err == nil {
 		t.Fatal("unknown policy accepted")
@@ -140,14 +149,8 @@ func TestPolicyComparisonDeterministic(t *testing.T) {
 		Topo: PolicyComparisonTopology(), Mode: ModeXarTrek,
 		RatePerSec: 24, Duration: 20 * time.Second, Seed: 7,
 	}
-	a, err := RunPolicyComparison(arts, cfg, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPolicyComparison(arts, cfg, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runServingAll(t, arts, perPolicy(cfg))
+	b := runServingAll(t, arts, perPolicy(cfg))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("policy %s diverged between identical runs:\n%+v\n%+v", a[i].Policy, a[i], b[i])

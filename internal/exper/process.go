@@ -42,29 +42,24 @@ func (r RunResult) Elapsed() time.Duration { return r.End - r.Start }
 //
 // done may be nil.
 func (p *Platform) LaunchApp(app *workloads.App, mode Mode, at time.Duration, done func(RunResult)) {
-	p.LaunchAppOn(p.Cluster.X86, app, mode, at, done)
+	p.LaunchAppOnClass(p.Cluster.X86, app, mode, "", at, done)
 }
 
-// LaunchAppOn is LaunchApp with an explicit entry node — the x86-class
-// node the process starts on. Cluster-scale serving campaigns balance
-// arrivals across entry nodes; each entry node runs its own scheduler
-// server instance sampling its own load, all sharing one threshold
-// table (Algorithm 1 updates are platform-wide, as if the servers
-// gossiped the table).
+// LaunchAppOnClass is LaunchApp with an explicit entry node — the
+// x86-class node the process starts on — and the requesting cohort's
+// SLO class ("critical", "batch", or empty for classless traffic); the
+// class rides the request into the scheduler's placement context so
+// class-aware policies can discriminate. Cluster-scale serving
+// campaigns balance arrivals across entry nodes; each entry node runs
+// its own scheduler server instance sampling its own load, all sharing
+// one threshold table (Algorithm 1 updates are platform-wide, as if
+// the servers gossiped the table).
 //
 // The lifecycle state lives in a pooled launch struct whose phase
 // continuations are bound once, so in steady state a request costs no
 // per-request closure allocations — at a million requests per cell the
 // closure chain this replaces was the engine's dominant allocation
 // source, and with it most of the GC time.
-func (p *Platform) LaunchAppOn(entry *cluster.Node, app *workloads.App, mode Mode, at time.Duration, done func(RunResult)) {
-	p.LaunchAppOnClass(entry, app, mode, "", at, done)
-}
-
-// LaunchAppOnClass is LaunchAppOn carrying the requesting cohort's SLO
-// class ("critical", "batch", or empty for classless traffic); the
-// class rides the request into the scheduler's placement context so
-// class-aware policies can discriminate.
 func (p *Platform) LaunchAppOnClass(entry *cluster.Node, app *workloads.App, mode Mode, class string, at time.Duration, done func(RunResult)) {
 	l := p.getLaunch()
 	l.entry, l.app, l.mode, l.class, l.done = entry, app, mode, class, done
@@ -170,9 +165,6 @@ func (l *launch) retry() {
 
 func (l *launch) finish(target threshold.Target) {
 	p := l.p
-	if p.traceHook != nil {
-		p.traceHook(target.String())
-	}
 	res := RunResult{App: l.app.Name, Mode: l.mode, Start: l.start, End: p.Sim.Now(), Target: target, Entry: l.entry.Index}
 	if l.mode == ModeXarTrek && l.app.Migratable && !p.opts.StaticThresholds {
 		// __xar_sched_fini: report the run so Algorithm 1 refines the
@@ -241,16 +233,8 @@ func (p *Platform) images(app *workloads.App) (*xclbin.XCLBIN, bool) {
 // class is the requesting cohort's SLO class (empty for classless
 // traffic); only the Xar-Trek scheduler consults it. l is the request
 // the execution belongs to, nil for callers outside the launch
-// lifecycle (which are never fault-tracked); a request's finish is
-// always its own l.finishFn, which reports to the trace hook itself.
+// lifecycle (which are never fault-tracked).
 func (p *Platform) runKernel(l *launch, entry *cluster.Node, app *workloads.App, mode Mode, class string, finish func(threshold.Target)) {
-	if p.traceHook != nil && l == nil {
-		inner := finish
-		finish = func(t threshold.Target) {
-			p.traceHook(t.String())
-			inner(t)
-		}
-	}
 	switch mode {
 	case ModeVanillaX86:
 		p.execX86(l, entry, app, finish)

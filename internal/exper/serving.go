@@ -43,11 +43,8 @@ type ServingConfig struct {
 	// dropped; negative offsets are invalid. MMPPTrace generates
 	// bursty traces in this format.
 	Trace []time.Duration
-	// Policy selects the scheduler fleet's placement policy for this
-	// run (PolicyDefault, PolicyLinkAware, PolicyAffinity). Non-empty
-	// values override Opts.Policy.
-	Policy string
-	// Opts carries the ablation switches.
+	// Opts carries the ablation switches and the placement policy
+	// (Options.Policy).
 	Opts Options
 	// Faults, when non-empty, injects the spec's failure timeline into
 	// the run (expanded deterministically from Seed) and makes the
@@ -423,9 +420,7 @@ var testServingDone func(p *Platform, offered int)
 // runServingCore executes one serving timeline and returns its
 // unreduced part.
 func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
-	opts := cfg.Opts
-	opts.Policy = resolvePolicy(cfg.Policy, opts.Policy)
-	sketch, err := parseLatencyMode(opts.LatencyMode)
+	sketch, err := parseLatencyMode(cfg.Opts.LatencyMode)
 	if err != nil {
 		return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
@@ -440,7 +435,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	if err != nil {
 		return servingPart{}, err
 	}
-	p, err := NewPlatformTopo(arts, cfg.Topo, opts)
+	p, err := NewPlatformTopo(arts, cfg.Topo, cfg.Opts)
 	if err != nil {
 		return servingPart{}, err
 	}
@@ -520,22 +515,22 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 			// instant (ties toward the lower index — deterministic),
 			// the request-serving analogue of RDA's client
 			// multiplexing over a server fleet.
-			entry := p.leastLoadedX86()
+			entry, mode := p.leastLoadedX86(), cfg.Mode
 			if p.elastic.overCap(entry) {
 				// Even the least-loaded eligible entry node is at the
 				// admission cap: shed the request, or admit it at the
-				// degraded CPU-only service class.
+				// degraded service class, whose whole run executes on
+				// the entry node's CPU (the fallback a failed FPGA
+				// invocation takes), bypassing the scheduler and the
+				// accelerator fleet.
 				if p.elastic.refuse(entry) {
 					continue
 				}
-				p.addEntryLoad(entry, 1)
-				placed = append(placed, entry)
-				p.elastic.launchDegraded(entry, a.app, now, done)
-				continue
+				mode, done = ModeVanillaX86, p.elastic.countDegraded(done)
 			}
 			p.addEntryLoad(entry, 1)
 			placed = append(placed, entry)
-			p.LaunchAppOnClass(entry, a.app, cfg.Mode, class, now, done)
+			p.LaunchAppOnClass(entry, a.app, mode, class, now, done)
 		}
 		// Each Feed batch is a distinct instant: the next one starts
 		// with no same-instant placements.
@@ -583,22 +578,4 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	}
 	part.res = res
 	return part, nil
-}
-
-// RunServingSweep runs RunServing over every config across the worker
-// pool: each config is an isolated simulation, results land in config
-// order, and a fixed seed yields byte-identical output regardless of
-// GOMAXPROCS. When several configs fail, the lowest-index error is
-// returned as RunServing produced it.
-func RunServingSweep(arts *Artifacts, cfgs []ServingConfig) ([]ServingResult, error) {
-	out := make([]ServingResult, len(cfgs))
-	err := par.ForEach(len(cfgs), func(i int) error {
-		var err error
-		out[i], err = RunServing(arts, cfgs[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -7,7 +7,24 @@ import (
 	"time"
 
 	"xartrek/internal/cluster"
+	"xartrek/internal/par"
 )
+
+// runServingAll runs every config through RunServing across the worker
+// pool, results in config order.
+func runServingAll(t *testing.T, arts *Artifacts, cfgs []ServingConfig) []ServingResult {
+	t.Helper()
+	out := make([]ServingResult, len(cfgs))
+	err := par.ForEach(len(cfgs), func(i int) error {
+		var err error
+		out[i], err = RunServing(arts, cfgs[i])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // servingCampaignConfigs is the three-size campaign the acceptance
 // criteria name: paper testbed, ~8 nodes, ~32 nodes with ≥2 FPGAs.
@@ -32,16 +49,10 @@ func servingCampaignConfigs() []ServingConfig {
 	return cfgs
 }
 
-func TestRunServingSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
+func TestRunServingDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	arts := testArtifacts(t)
 	cfgs := servingCampaignConfigs()
-	sweep := func() []ServingResult {
-		out, err := RunServingSweep(arts, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+	sweep := func() []ServingResult { return runServingAll(t, arts, cfgs) }
 	var par1, par8 []ServingResult
 	withGOMAXPROCS(1, func() { par1 = sweep() })
 	withGOMAXPROCS(8, func() { par8 = sweep() })

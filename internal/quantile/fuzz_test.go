@@ -80,12 +80,12 @@ func FuzzSketch(f *testing.F) {
 		check(whole, "whole")
 		check(left, "merged")
 
-		bin, err := whole.MarshalBinary()
+		js, err := whole.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var restored Sketch
-		if err := restored.UnmarshalBinary(bin); err != nil {
+		if err := restored.UnmarshalJSON(js); err != nil {
 			t.Fatalf("round-trip rejected own output: %v", err)
 		}
 		for q := 0.0; q <= 1.0; q += 0.05 {

@@ -14,14 +14,12 @@
 // plus one float64 multiply for the compression threshold, so a fixed
 // insertion sequence yields a bit-identical sketch on every platform
 // and GOMAXPROCS setting (the sketch itself is not goroutine-safe; the
-// campaign layer shards one sketch per cell). Serialization (binary
-// and JSON) captures the exact tuple state: a deserialized sketch
-// answers every query identically to the original.
+// campaign layer shards one sketch per cell). JSON serialization
+// captures the exact tuple state: a deserialized sketch answers every
+// query identically to the original.
 package quantile
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -318,77 +316,6 @@ func Merged(eps float64, sketches ...*Sketch) *Sketch {
 
 // --- serialization ---------------------------------------------------
 
-// binaryMagic versions the wire format.
-var binaryMagic = [4]byte{'G', 'K', 'Q', '1'}
-
-// MarshalBinary encodes the flushed sketch as a fixed little-endian
-// layout: magic, eps bits, n, tuple count, then (v, g, delta) triples.
-// The encoding is canonical — two sketches with identical state
-// produce identical bytes.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	s.flush()
-	var b bytes.Buffer
-	b.Grow(4 + 8 + 8 + 8 + 24*len(s.tuples))
-	b.Write(binaryMagic[:])
-	var scratch [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		b.Write(scratch[:])
-	}
-	put(math.Float64bits(s.eps))
-	put(uint64(s.n))
-	put(uint64(len(s.tuples)))
-	for _, t := range s.tuples {
-		put(uint64(t.v))
-		put(uint64(t.g))
-		put(uint64(t.delta))
-	}
-	return b.Bytes(), nil
-}
-
-// UnmarshalBinary restores a sketch encoded by MarshalBinary. The
-// restored sketch answers every query identically to the original.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 4+24 || !bytes.Equal(data[:4], binaryMagic[:]) {
-		return fmt.Errorf("quantile: bad sketch header")
-	}
-	rest := data[4:]
-	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(rest[:8])
-		rest = rest[8:]
-		return v
-	}
-	eps := math.Float64frombits(get())
-	if err := checkEpsilon(eps); err != nil {
-		return err
-	}
-	n := int64(get())
-	count := int64(get())
-	if n < 0 || count < 0 || count > n {
-		return fmt.Errorf("quantile: corrupt counts n=%d tuples=%d", n, count)
-	}
-	if int64(len(rest)) != 24*count {
-		return fmt.Errorf("quantile: body %d bytes, want %d", len(rest), 24*count)
-	}
-	tuples := make([]tuple, count)
-	var covered int64
-	prev := int64(math.MinInt64)
-	for i := range tuples {
-		v, g, delta := int64(get()), int64(get()), int64(get())
-		if v < prev || g < 1 || delta < 0 {
-			return fmt.Errorf("quantile: corrupt tuple %d (v=%d g=%d delta=%d)", i, v, g, delta)
-		}
-		covered += g
-		prev = v
-		tuples[i] = tuple{v: v, g: g, delta: delta}
-	}
-	if covered != n {
-		return fmt.Errorf("quantile: tuples cover %d ranks, n=%d", covered, n)
-	}
-	*s = Sketch{eps: eps, n: n, tuples: tuples, buf: make([]int64, 0, bufCap(eps))}
-	return nil
-}
-
 // sketchJSON is the JSON wire form: tuples as [v, g, delta] triples.
 type sketchJSON struct {
 	Eps    float64    `json:"eps"`
@@ -407,8 +334,9 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON restores a sketch from MarshalJSON output, applying
-// the same structural validation as UnmarshalBinary.
+// UnmarshalJSON restores a sketch from MarshalJSON output. It rejects
+// an epsilon outside [1e-6, 1), unsorted or malformed tuples, and
+// tuples that do not cover exactly n ranks.
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var in sketchJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -423,6 +351,9 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	for i, t := range in.Tuples {
 		if t[0] < prev || t[1] < 1 || t[2] < 0 {
 			return fmt.Errorf("quantile: corrupt tuple %d %v", i, t)
+		}
+		if t[1] > in.N-covered { // covered stays ≤ n, so the sum cannot overflow
+			return fmt.Errorf("quantile: tuples cover more than n=%d ranks", in.N)
 		}
 		covered += t[1]
 		prev = t[0]

@@ -2,10 +2,10 @@ package quantile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -273,14 +273,6 @@ func TestSerializeRoundTripIdentical(t *testing.T) {
 		for _, v := range vals {
 			s.Add(v)
 		}
-		bin, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: marshal binary: %v", name, err)
-		}
-		var fromBin Sketch
-		if err := fromBin.UnmarshalBinary(bin); err != nil {
-			t.Fatalf("%s: unmarshal binary: %v", name, err)
-		}
 		js, err := s.MarshalJSON()
 		if err != nil {
 			t.Fatalf("%s: marshal json: %v", name, err)
@@ -290,20 +282,12 @@ func TestSerializeRoundTripIdentical(t *testing.T) {
 			t.Fatalf("%s: unmarshal json: %v", name, err)
 		}
 		for q := 0.0; q <= 1.0; q += 0.01 {
-			want := s.Quantile(q)
-			if got := fromBin.Quantile(q); got != want {
-				t.Fatalf("%s: binary round-trip Quantile(%.2f) = %d, want %d", name, q, got, want)
-			}
-			if got := fromJS.Quantile(q); got != want {
+			if got, want := fromJS.Quantile(q), s.Quantile(q); got != want {
 				t.Fatalf("%s: json round-trip Quantile(%.2f) = %d, want %d", name, q, got, want)
 			}
 		}
 		// The encoding is canonical: re-marshalling the restored sketch
 		// reproduces the exact bytes.
-		bin2, _ := fromBin.MarshalBinary()
-		if !bytes.Equal(bin, bin2) {
-			t.Fatalf("%s: binary encoding not canonical", name)
-		}
 		js2, _ := fromJS.MarshalJSON()
 		if !bytes.Equal(js, js2) {
 			t.Fatalf("%s: json encoding not canonical", name)
@@ -316,34 +300,39 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		s.Add(i)
 	}
-	good, _ := s.MarshalBinary()
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XXXX"), good[4:]...),
-		"truncated":   good[:len(good)-8],
-		"tuple count": func() []byte { b := append([]byte(nil), good...); b[20] = 0xFF; return b }(),
+	good, _ := s.MarshalJSON()
+	var valid Sketch
+	if err := valid.UnmarshalJSON(good); err != nil {
+		t.Fatalf("own output rejected: %v", err)
 	}
-	for name, data := range cases {
-		var out Sketch
-		if err := out.UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: corrupt input accepted", name)
-		}
-	}
-	var out Sketch
-	if err := out.UnmarshalJSON([]byte(`{"eps":0.5,"n":3,"tuples":[[1,1,0],[0,1,0],[2,1,0]]}`)); err == nil {
-		t.Error("unsorted JSON tuples accepted")
+	// Each case maps to a substring of the error it must raise.
+	cases := map[string]struct{ data, want string }{
+		"empty":     {"", "unexpected end of JSON input"},
+		"not json":  {"GKQ1", "invalid character"},
+		"truncated": {string(good[:len(good)-8]), "unexpected end of JSON input"},
+		// The 100 values sit in 100 tuples; one tuple fewer, or a
+		// different n, leaves ranks the queries would misread.
+		"missing tuple":  {strings.Replace(string(good), ",[99,1,0]", "", 1), "tuples cover 99 ranks, n=100"},
+		"coverage != n":  {strings.Replace(string(good), `"n":100`, `"n":101`, 1), "tuples cover 100 ranks, n=101"},
+		"negative n":     {`{"eps":0.5,"n":-1,"tuples":[[1,1,0]]}`, "cover more than n=-1 ranks"},
+		"unsorted":       {`{"eps":0.5,"n":3,"tuples":[[1,1,0],[0,1,0],[2,1,0]]}`, "corrupt tuple 1"},
+		"zero g":         {`{"eps":0.5,"n":1,"tuples":[[1,0,0],[2,1,0]]}`, "corrupt tuple 0"},
+		"negative delta": {`{"eps":0.5,"n":1,"tuples":[[1,1,-1]]}`, "corrupt tuple 0"},
+		// Four tuples of g = 2^62 and one of g = 5 sum to 5 modulo 2^64.
+		"overflowing coverage": {`{"eps":0.5,"n":5,"tuples":[[1,4611686018427387904,0],[1,4611686018427387904,0],` +
+			`[1,4611686018427387904,0],[1,4611686018427387904,0],[1,5,0]]}`, "cover more than n=5 ranks"},
 	}
 	// An epsilon below the floor would size the insert buffer at
 	// 1/(2·eps) values: 4 GB at 1e-9.
 	for _, eps := range []string{"2", "0", "1e-9"} {
-		if err := out.UnmarshalJSON([]byte(`{"eps":` + eps + `,"n":0,"tuples":[]}`)); err == nil {
-			t.Errorf("out-of-range epsilon %s accepted", eps)
-		}
+		cases["epsilon "+eps] = struct{ data, want string }{`{"eps":` + eps + `,"n":0,"tuples":[]}`, "out of [1e-06, 1)"}
 	}
-	tiny := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(tiny[4:], math.Float64bits(1e-9))
-	if err := out.UnmarshalBinary(tiny); err == nil {
-		t.Error("out-of-range binary epsilon accepted")
+	for name, c := range cases {
+		var out Sketch
+		err := out.UnmarshalJSON([]byte(c.data))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want containing %q", name, err, c.want)
+		}
 	}
 }
 
@@ -354,7 +343,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		for _, v := range vals {
 			s.Add(v)
 		}
-		b, _ := s.MarshalBinary()
+		b, _ := s.MarshalJSON()
 		return b
 	}
 	if !bytes.Equal(run(), run()) {

@@ -1,11 +1,13 @@
 package xartrek
 
 import (
-	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"xartrek/internal/exper"
 )
 
 var (
@@ -74,49 +76,30 @@ func TestEstimateThresholdsViaFacade(t *testing.T) {
 	}
 }
 
-func TestParseManifestViaFacade(t *testing.T) {
-	m, err := ParseManifest(strings.NewReader(
-		"platform alveo-u50\napp a\n function f kernel=K\n"))
+// runFacadeCampaign runs a one-spec campaign through the facade.
+func runFacadeCampaign(t *testing.T, cells ...CellSpec) *Report {
+	t.Helper()
+	rep, err := RunCampaign(facadeArtifacts(t), CampaignSpec{Name: t.Name(), Cells: cells}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Platform != "alveo-u50" {
-		t.Fatalf("platform = %q", m.Platform)
-	}
-}
-
-func TestSchedulerOverTCPViaFacade(t *testing.T) {
-	arts := facadeArtifacts(t)
-	p := NewPlatform(arts)
-	ts, err := ListenAndServe("127.0.0.1:0", p.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-
-	c, err := DialScheduler(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	d, err := c.Decide("CG-A", "KNL_HW_CG_A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Target != TargetX86 {
-		t.Fatalf("idle-platform decision = %v, want x86", d.Target)
-	}
+	return rep
 }
 
 func TestRandomSetDeterministicForSeed(t *testing.T) {
-	arts := facadeArtifacts(t)
-	a := RandomSet(rand.New(rand.NewSource(3)), arts.Apps, 5)
-	b := RandomSet(rand.New(rand.NewSource(3)), arts.Apps, 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed drew different sets")
+	// A set cell with set_size draws its applications from its seed.
+	rep := runFacadeCampaign(t, CellSpec{Kind: KindSet, SetSize: 5, Seeds: []int64{3, 3}, Mode: "vanilla-x86"})
+	drawn := func(c CellResult) []string {
+		var names []string
+		for _, r := range c.Set.Runs {
+			names = append(names, r.App)
 		}
+		slices.Sort(names)
+		return names
+	}
+	a, b := drawn(rep.Cells[0]), drawn(rep.Cells[1])
+	if len(a) != 5 || !slices.Equal(a, b) {
+		t.Fatalf("same seed drew different sets: %v vs %v", a, b)
 	}
 }
 
@@ -133,67 +116,54 @@ func TestRunThroughputViaFacade(t *testing.T) {
 }
 
 func TestRunWavesViaFacade(t *testing.T) {
-	arts := facadeArtifacts(t)
-	r, err := RunWaves(arts, ModeXarTrek, 2, 5, 5*time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Runs != 10 {
+	rep := runFacadeCampaign(t, CellSpec{Kind: KindWaves, Mode: "xar-trek",
+		Waves: 2, PerWave: 5, Interval: Duration(5 * time.Second), Seed: 1})
+	if r := rep.Cells[0].Waves; r.Runs != 10 {
 		t.Fatalf("runs = %d, want 10", r.Runs)
 	}
 }
 
 func TestPlacementPolicyViaFacade(t *testing.T) {
-	apps, err := Benchmarks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts, err := BuildSplitImages(apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xrack := CrossRackTopology("xrack", 2, 1, 1, 2, SlowCrossRackNet())
-	results, err := RunPolicyComparison(arts, ServingConfig{
-		Topo: xrack, Mode: ModeXarTrek, RatePerSec: 8,
-		Duration: 10 * time.Second, Seed: 2021,
-	}, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d, want 3", len(results))
-	}
+	// A policy-comparison cell without a policy axis runs every
+	// built-in policy, here on split images over a slow cross-rack hop.
+	rep := runFacadeCampaign(t, CellSpec{
+		Kind: KindPolicyComparison, SplitImages: true,
+		Topology: &TopologySpec{Kind: "cross-rack", Name: "xrack", X86: 2, ARMNear: 1, ARMFar: 1, FPGAs: 2},
+		Rate:     8, Duration: Duration(10 * time.Second), Seed: 2021,
+	})
 	want := []string{PolicyDefault, PolicyLinkAware, PolicyAffinity}
-	for i, r := range results {
-		if r.Policy != want[i] {
-			t.Fatalf("result %d policy = %q, want %q", i, r.Policy, want[i])
+	if len(rep.Cells) != len(want) {
+		t.Fatalf("cells = %d, want %d", len(rep.Cells), len(want))
+	}
+	for i, c := range rep.Cells {
+		if c.Serving.Policy != want[i] {
+			t.Fatalf("cell %d policy = %q, want %q", i, c.Serving.Policy, want[i])
 		}
-		if r.Completed == 0 {
-			t.Fatalf("policy %s completed nothing", r.Policy)
+		if c.Serving.Completed == 0 {
+			t.Fatalf("policy %s completed nothing", c.Serving.Policy)
 		}
 	}
 }
 
 func TestMMPPTraceViaFacade(t *testing.T) {
-	trace, err := MMPPTrace(1, 30*time.Second, []MMPPState{
+	// A serving cell with MMPP regimes replays the trace its seed draws
+	// over its duration.
+	rep := runFacadeCampaign(t, CellSpec{
+		Name: "mmpp", Kind: KindServing, Mode: "vanilla-x86",
+		Duration: Duration(30 * time.Second), Seed: 1,
+		MMPP: []MMPPStateSpec{
+			{RatePerSec: 20, MeanSojourn: Duration(time.Second)},
+			{RatePerSec: 1, MeanSojourn: Duration(4 * time.Second)},
+		},
+	})
+	trace, err := exper.MMPPTrace(1, 30*time.Second, []exper.MMPPState{
 		{RatePerSec: 20, MeanSojourn: time.Second},
 		{RatePerSec: 1, MeanSojourn: 4 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) == 0 {
-		t.Fatal("empty MMPP trace")
-	}
-	arts := facadeArtifacts(t)
-	r, err := RunServing(arts, ServingConfig{
-		Name: "mmpp", Topo: PaperTopology(), Mode: ModeVanillaX86,
-		Duration: 30 * time.Second, Seed: 1, Trace: trace,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Offered != len(trace) {
-		t.Fatalf("offered = %d, want %d", r.Offered, len(trace))
+	if r := rep.Cells[0].Serving; len(trace) == 0 || r.Offered != len(trace) {
+		t.Fatalf("offered = %d, want the trace's %d arrivals", r.Offered, len(trace))
 	}
 }
