@@ -30,7 +30,8 @@ func refPoisson(cfg ServingConfig, pool []*workloads.App) []arrival {
 		if t >= cfg.Duration {
 			return out
 		}
-		out = append(out, arrival{at: t, app: pool[rng.Intn(len(pool))]})
+		i := rng.Intn(len(pool))
+		out = append(out, arrival{at: t, app: pool[i], pick: i})
 	}
 }
 
@@ -44,7 +45,8 @@ func refTrace(cfg ServingConfig, pool []*workloads.App) []arrival {
 		if at >= cfg.Duration {
 			continue
 		}
-		out = append(out, arrival{at: at, app: pool[rng.Intn(len(pool))]})
+		i := rng.Intn(len(pool))
+		out = append(out, arrival{at: at, app: pool[i], pick: i})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
 	return out
@@ -62,7 +64,7 @@ func refCohort(t *testing.T, cfg ServingConfig, ten *tenantRun) []arrival {
 	}
 	var out []arrival
 	for a, ok := st.Next(); ok; a, ok = st.Next() {
-		out = append(out, arrival{at: a.At, app: ten.apps[a.Cohort][a.App], cohort: a.Cohort})
+		out = append(out, arrival{at: a.At, app: ten.apps[a.Cohort][a.App], cohort: a.Cohort, pick: a.App})
 	}
 	return out
 }
@@ -73,7 +75,7 @@ func buildSource(cfg ServingConfig) (*arrivalStream, error) {
 	var ten *tenantRun
 	if cfg.Workload.Enabled() {
 		var err error
-		if ten, err = newTenantRun(&cfg, arrivalPool, false); err != nil {
+		if ten, err = newTenantRun(&cfg, arrivalPool); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +164,7 @@ func TestArrivalSourceMatchesReference(t *testing.T) {
 		sameArrivals(t, k, drain(t, kinds[k]), refTrace(kinds[k], arrivalPool))
 	}
 	cfg := kinds["cohort"]
-	ten, err := newTenantRun(&cfg, arrivalPool, false)
+	ten, err := newTenantRun(&cfg, arrivalPool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package exper
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -205,3 +208,86 @@ func benchmarkDecidePlatform(b *testing.B, class string, busy bool) {
 func BenchmarkDecidePlatformCritical(b *testing.B) { benchmarkDecidePlatform(b, "critical", true) }
 func BenchmarkDecidePlatformBatch(b *testing.B)    { benchmarkDecidePlatform(b, "batch", true) }
 func BenchmarkDecidePlatformIdle(b *testing.B)     { benchmarkDecidePlatform(b, "critical", false) }
+
+// digestBenchSamples are the latency digest benchmarks' 400k samples,
+// the size of one tenants-churn cell: five applications at different
+// latency scales, each sample a log-normal spread around its
+// application's scale, drawn from a fixed seed. app[i] is sample i's
+// application.
+var digestBenchSamples = sync.OnceValues(func() (samples []time.Duration, app []int) {
+	rng := rand.New(rand.NewSource(2021))
+	scale := []float64{0.08, 0.2, 0.45, 0.7, 1.6} // seconds
+	for range 400_000 {
+		a := rng.Intn(len(scale))
+		samples = append(samples, time.Duration(scale[a]*math.Exp(0.6*rng.NormFloat64())*float64(time.Second)))
+		app = append(app, a)
+	}
+	return samples, app
+})
+
+// digestBenchLeaves are the leaf counts the digest benchmarks hold the
+// samples in: one (a plain cell) and five (one per application, as the
+// cell-wide digest of a fault-injected cell holds them).
+var digestBenchLeaves = []int{1, 5}
+
+// digestBenchP99 keeps the read benchmark's result live.
+var digestBenchP99 time.Duration
+
+// BenchmarkLatDigestExactAdd measures the exact digest's record path:
+// one op appends the 400k samples, in completion order, to fresh
+// leaves, each to its application's leaf when there are five.
+func BenchmarkLatDigestExactAdd(b *testing.B) {
+	samples, app := digestBenchSamples()
+	for _, k := range digestBenchLeaves {
+		b.Run(fmt.Sprintf("leaves=%d", k), func(b *testing.B) {
+			leaves := make([]*latLeaf, k)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range leaves {
+					leaves[j] = &latLeaf{}
+				}
+				for j, v := range samples {
+					leaves[app[j]%k].add(v)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
+		})
+	}
+}
+
+// BenchmarkLatDigestExactRead measures the exact digest's read path:
+// one op reads p50, p95 and p99 of the 400k samples, as a serving
+// report does, from the samples' completion order (restored before
+// each op with the timer stopped). Five leaves read through
+// selectLeaves, one through selectRank; a read after the first
+// allocates nothing.
+func BenchmarkLatDigestExactRead(b *testing.B) {
+	samples, app := digestBenchSamples()
+	for _, k := range digestBenchLeaves {
+		b.Run(fmt.Sprintf("leaves=%d", k), func(b *testing.B) {
+			d := &latDigest{}
+			for range k {
+				d.leaves = append(d.leaves, &latLeaf{})
+			}
+			restore := func() {
+				for _, l := range d.leaves {
+					l.samples = l.samples[:0]
+				}
+				for j, v := range samples {
+					l := d.leaves[app[j]%k]
+					l.samples = append(l.samples, v)
+				}
+			}
+			restore()
+			d.quantiles() // the range list of a multi-leaf read
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				restore()
+				b.StartTimer()
+				_, _, digestBenchP99 = d.quantiles()
+			}
+		})
+	}
+}

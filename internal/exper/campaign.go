@@ -496,6 +496,15 @@ func (c CellSpec) validate() error {
 			}
 		}
 	case KindSet:
+		// Counts name their field when negative: a negative set_size
+		// would pass beside apps, and a negative total_load would
+		// silently become the set size.
+		if c.SetSize < 0 {
+			return fmt.Errorf("set_size %d is negative", c.SetSize)
+		}
+		if c.TotalLoad < 0 {
+			return fmt.Errorf("total_load %d is negative", c.TotalLoad)
+		}
 		if len(c.Apps) == 0 && c.SetSize <= 0 {
 			return fmt.Errorf("set cell needs apps or set_size")
 		}
@@ -514,6 +523,14 @@ func (c CellSpec) validate() error {
 		}
 		if c.Duration <= 0 {
 			return fmt.Errorf("throughput cell needs a positive duration")
+		}
+		// A negative load would run and be reported as such, and a
+		// negative max_images would mean no cap.
+		if c.Load < 0 {
+			return fmt.Errorf("load %d is negative", c.Load)
+		}
+		if c.MaxImages < 0 {
+			return fmt.Errorf("max_images %d is negative", c.MaxImages)
 		}
 		if c.Load > maxProcesses {
 			return fmt.Errorf("load %d exceeds %d", c.Load, maxProcesses)

@@ -244,6 +244,15 @@ func TestCampaignValidation(t *testing.T) {
 		{CellSpec{Kind: KindThroughput, App: "FaceDet320", Duration: Duration(time.Second), Load: 1 << 20}, "load 1048576 exceeds 65536"},
 		{CellSpec{Kind: KindWaves, Waves: 257, PerWave: 256, Interval: Duration(time.Second)}, "waves 257 × per_wave 256 exceeds 65536 processes"},
 		{CellSpec{Kind: KindWaves, Waves: 1 << 40, PerWave: 1 << 40, Interval: Duration(time.Second)}, "exceeds 65536 processes"},
+		// Negative counts name their field instead of running as data:
+		// a report of load=-5, a total_load that silently becomes the
+		// set size, a max_images read as no cap, a set_size beside
+		// apps.
+		{CellSpec{Kind: KindThroughput, App: "FaceDet320", Duration: Duration(time.Second), Load: -5}, "load -5 is negative"},
+		{CellSpec{Kind: KindThroughput, App: "FaceDet320", Duration: Duration(time.Second), MaxImages: -1}, "max_images -1 is negative"},
+		{CellSpec{Kind: KindSet, SetSize: 3, TotalLoad: -7}, "total_load -7 is negative"},
+		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, TotalLoad: -7}, "total_load -7 is negative"},
+		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, SetSize: -2}, "set_size -2 is negative"},
 		// Fields inapplicable to the kind are rejected, not silently
 		// ignored (a rates axis on a set cell is not a load sweep).
 		{CellSpec{Kind: KindSet, Apps: []string{"CG-A"}, Rates: []float64{1, 2}}, "does not take rate"},

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"xartrek/internal/quantile"
@@ -181,33 +182,43 @@ type shardFile struct {
 	Serving     ServingResult `json:"serving"`
 	// ExactNS is the shard's completion-latency samples in nanoseconds
 	// (exact mode).
-	ExactNS []int64 `json:"exact_ns,omitempty"`
+	ExactNS nsSamples `json:"exact_ns,omitempty"`
 	// Sketch is the shard's GK summary (sketch mode).
 	Sketch *quantile.Sketch `json:"sketch,omitempty"`
 	// TenantExactNS / TenantSketches carry a workload-driven shard's
 	// per-class distributions keyed by SLO class, in the same mode as
 	// the aggregate digest above. Absent on workload-free shards, so
 	// their files stay byte-identical to pre-tenancy output.
-	TenantExactNS  map[string][]int64          `json:"tenant_exact_ns,omitempty"`
+	TenantExactNS  map[string]nsSamples        `json:"tenant_exact_ns,omitempty"`
 	TenantSketches map[string]*quantile.Sketch `json:"tenant_sketches,omitempty"`
 }
 
-// toNS and fromNS convert latency samples to and from the nanosecond
-// integers shard files store.
-func toNS(ds []time.Duration) []int64 {
-	ns := make([]int64, len(ds))
-	for i, d := range ds {
-		ns[i] = int64(d)
+// nsSamples is an exact distribution as shard files store it: one JSON
+// array of nanosecond integers. It marshals straight from a digest's
+// leaves, one after another, so saving copies no sample; an array read
+// back is one leaf.
+type nsSamples []*latLeaf
+
+func (l nsSamples) MarshalJSON() ([]byte, error) {
+	buf := []byte{'['}
+	for _, leaf := range l {
+		for _, v := range leaf.samples {
+			if len(buf) > 1 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(v), 10)
+		}
 	}
-	return ns
+	return append(buf, ']'), nil
 }
 
-func fromNS(ns []int64) []time.Duration {
-	ds := make([]time.Duration, len(ns))
-	for i, v := range ns {
-		ds[i] = time.Duration(v)
+func (l *nsSamples) UnmarshalJSON(b []byte) error {
+	var samples []time.Duration
+	if err := json.Unmarshal(b, &samples); err != nil {
+		return err
 	}
-	return ds
+	*l = nsSamples{{samples: samples}}
+	return nil
 }
 
 // shardFingerprint witnesses one shard's identity: the owning cell,
@@ -260,10 +271,10 @@ func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (servingPa
 	// digest rebuilds one distribution from the file's exact samples or
 	// sketch; ok=false unless it is in the config's mode and holds want
 	// samples.
-	digest := func(ns []int64, sk *quantile.Sketch, want int) (*latDigest, bool) {
+	digest := func(ns nsSamples, sk *quantile.Sketch, want int) (*latDigest, bool) {
 		d := &latDigest{sketch: sk}
 		if !sketch {
-			d.exact = fromNS(ns)
+			d.leaves = ns
 		}
 		return d, (sk != nil) == sketch && d.count() == want
 	}
@@ -302,17 +313,17 @@ func (sc *shardCheckpoint) save(shard, shards int, cfg ServingConfig, part servi
 		return err
 	}
 	f := shardFile{Fingerprint: fp, Shard: shard, Shards: shards, Serving: part.res, Sketch: part.lat.sketch}
-	if part.lat.sketch == nil {
-		f.ExactNS = toNS(part.lat.exact)
+	if part.lat.count() > 0 && part.lat.sketch == nil {
+		f.ExactNS = part.lat.leaves
 	}
 	if ten := part.res.Tenancy; ten != nil {
-		f.TenantExactNS = make(map[string][]int64, len(ten.Classes))
+		f.TenantExactNS = make(map[string]nsSamples, len(ten.Classes))
 		f.TenantSketches = make(map[string]*quantile.Sketch, len(ten.Classes))
 		for s, c := range ten.Classes {
 			if d := part.classes[s]; d.sketch != nil {
 				f.TenantSketches[c.Class] = d.sketch
 			} else {
-				f.TenantExactNS[c.Class] = toNS(d.exact)
+				f.TenantExactNS[c.Class] = d.leaves
 			}
 		}
 	}

@@ -19,9 +19,9 @@ func TestServingReportConservation(t *testing.T) {
 		mu        sync.Mutex
 		timelines int // offered requests summed over the serving timelines
 	)
-	testServingDone = func(_ *Platform, n int) {
+	testServingDone = func(_ *Platform, part servingPart, _ *timelineLat) {
 		mu.Lock()
-		timelines += n
+		timelines += part.res.Offered
 		mu.Unlock()
 	}
 	defer func() { testServingDone = nil }()

@@ -88,10 +88,10 @@ func TestEventCountsPinned(t *testing.T) {
 		offered         int
 		stepped, popped uint64
 	)
-	testServingDone = func(p *Platform, n int) {
+	testServingDone = func(p *Platform, part servingPart, _ *timelineLat) {
 		s, h := p.Sim.EventCounts()
 		mu.Lock()
-		offered += n
+		offered += part.res.Offered
 		stepped += s
 		popped += h
 		mu.Unlock()

@@ -136,11 +136,9 @@ type faultRuntime struct {
 	free []*segToken
 
 	res FaultResult
-	// sketch selects GK-sketch accumulation for the recovery and
-	// per-class latency distributions (Options.LatencyMode).
-	sketch   bool
+	// recovery is the disruption-to-completion distribution, in the
+	// cell's latency mode (Options.LatencyMode).
 	recovery *latDigest
-	classLat map[string]*latDigest
 }
 
 // newFaultRuntime resolves the spec's targets against the platform's
@@ -169,9 +167,7 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		downSince:    make([]time.Duration, len(p.Cluster.Nodes)),
 		devDownSince: make([]time.Duration, len(p.Devices)),
 		tokens:       make([][]*segToken, len(p.Cluster.Nodes)+len(p.Devices)),
-		sketch:       sketch,
 		recovery:     newLatDigest(sketch),
-		classLat:     make(map[string]*latDigest),
 	}
 	host := p.Cluster.X86.Name
 	type resolved struct {
@@ -424,22 +420,13 @@ func (rt *faultRuntime) disrupt(l *launch) {
 	rt.p.Sim.After(delay, l.retryFn)
 }
 
-// observeClass collects the per-application completion latency.
-func (rt *faultRuntime) observeClass(app string, lat time.Duration) {
-	d, ok := rt.classLat[app]
-	if !ok {
-		d = newLatDigest(rt.sketch)
-		rt.classLat[app] = d
-	}
-	d.add(lat)
-}
-
 // finalize closes the books at the horizon and returns the report: a
 // copy, so a result that outlives the cell does not keep the runtime —
-// and through it the whole platform — reachable. Exact-mode runs hand
-// their recovery and per-application distributions to the test sink
-// under the cell's name.
-func (rt *faultRuntime) finalize(cell string, offered, completed int) *FaultResult {
+// and through it the whole platform — reachable. The per-application
+// p99s come from the timeline's latency record, by name. Exact-mode
+// runs hand their recovery and per-application distributions to the
+// test sink under the cell's name.
+func (rt *faultRuntime) finalize(cell string, offered, completed int, lat *timelineLat) *FaultResult {
 	for i, off := range rt.p.off {
 		if off&offCrashed != 0 {
 			rt.res.NodeDownSeconds += (rt.horizon - rt.downSince[i]).Seconds()
@@ -456,12 +443,16 @@ func (rt *faultRuntime) finalize(cell string, offered, completed int) *FaultResu
 	rt.recovery.sink(cell, "recovery")
 	rt.res.RecoveryP50 = rt.recovery.percentile(50)
 	rt.res.RecoveryP99 = rt.recovery.percentile(99)
-	if len(rt.classLat) > 0 {
-		rt.res.ClassP99 = make(map[string]time.Duration, len(rt.classLat))
-		for app, lats := range rt.classLat {
-			lats.sink(cell, "class:"+app)
-			rt.res.ClassP99[app] = lats.percentile(99)
+	for a, lats := range lat.apps {
+		if lats.count() == 0 {
+			continue // never completed: no tail to report
 		}
+		if rt.res.ClassP99 == nil {
+			rt.res.ClassP99 = make(map[string]time.Duration)
+		}
+		app := lat.appNames[a]
+		lats.sink(cell, "class:"+app)
+		rt.res.ClassP99[app] = lats.percentile(99)
 	}
 	res := rt.res
 	return &res

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xartrek/internal/quantile"
+	"xartrek/internal/workloads"
 )
 
 // Latency-distribution modes selectable per cell or per run through
@@ -35,34 +36,66 @@ func parseLatencyMode(s string) (bool, error) {
 	return false, fmt.Errorf("exper: unknown latency mode %q (want %s or %s)", s, LatencyExact, LatencySketch)
 }
 
-// latDigest accumulates one completion-latency distribution. In exact
-// mode every sample is retained and each nearest-rank percentile is
-// read by in-place selection (selectRank), which returns the same
-// sample a full sort would, since the value at a given rank is unique;
-// reads reorder the slice. In sketch mode samples stream into a GK
-// summary and only O(1/eps·log n) tuples are held, with rank error
+// latLeaf holds the completion latencies of one (SLO class,
+// application) pair of a serving timeline. In exact mode it stores
+// each sample once, and every digest that covers the pair lists the
+// leaf. In sketch mode it stores nothing and feeds the sketch of each
+// covering digest instead, so every sketch sees its samples in
+// completion order.
+type latLeaf struct {
+	samples []time.Duration
+	feeds   []*quantile.Sketch
+}
+
+// add records one completion latency.
+func (l *latLeaf) add(v time.Duration) {
+	if l.feeds != nil {
+		for _, sk := range l.feeds {
+			sk.Add(int64(v))
+		}
+		return
+	}
+	l.samples = append(l.samples, v)
+}
+
+// complete records a finished run's latency: the completion callback
+// of a request whose (class, application) pair has no other
+// accounting.
+func (l *latLeaf) complete(run RunResult) { l.add(run.Elapsed()) }
+
+// latDigest is one completion-latency distribution. In exact mode it
+// is the union of its leaves, which other digests may share, and each
+// nearest-rank percentile is read by in-place selection over them
+// (selectRank for one leaf, selectLeaves for several), which returns
+// the sample a sort of the concatenation would, since the value at a
+// given rank is unique; reads reorder the leaves and copy no sample. A
+// plain digest is the one-leaf case. In sketch mode the digest owns a
+// GK summary holding only O(1/eps·log n) tuples, with rank error
 // bounded by quantile.DefaultEpsilon (the differential tests pin
 // sketch-vs-exact agreement to 1%).
 type latDigest struct {
-	exact  []time.Duration
+	leaves []*latLeaf
 	sketch *quantile.Sketch
+	// open is selectLeaves' range list, kept to be reused by the next
+	// read.
+	open []openRange
 }
 
-// newLatDigest returns an exact- or sketch-backed digest.
+// newLatDigest returns a plain digest: a sketch, or one exact leaf.
 func newLatDigest(sketch bool) *latDigest {
 	if sketch {
 		return &latDigest{sketch: quantile.New(quantile.DefaultEpsilon)}
 	}
-	return &latDigest{}
+	return &latDigest{leaves: []*latLeaf{{}}}
 }
 
-// add records one sample.
+// add records one sample in a plain digest.
 func (d *latDigest) add(v time.Duration) {
 	if d.sketch != nil {
 		d.sketch.Add(int64(v))
 		return
 	}
-	d.exact = append(d.exact, v)
+	d.leaves[0].add(v)
 }
 
 // count reports the number of samples recorded.
@@ -70,7 +103,11 @@ func (d *latDigest) count() int {
 	if d.sketch != nil {
 		return int(d.sketch.Count())
 	}
-	return len(d.exact)
+	n := 0
+	for _, l := range d.leaves {
+		n += len(l.samples)
+	}
+	return n
 }
 
 // percentile reports the nearest-rank percentile: the sample at rank
@@ -96,12 +133,93 @@ func (d *latDigest) percentile(pct int) time.Duration {
 		rank := (int64(pct)*n + 99) / 100
 		return time.Duration(d.sketch.QuantileAtRank(rank))
 	}
-	n := len(d.exact)
+	n := d.count()
 	if n == 0 {
 		return 0
 	}
 	rank := min(max((pct*n+99)/100, 1), n) // ceil(pct/100 * n)
-	return selectRank(d.exact, rank-1, 2*bits.Len(uint(n)))
+	rounds := 2 * bits.Len(uint(n))
+	if len(d.leaves) == 1 {
+		return selectRank(d.leaves[0].samples, rank-1, rounds)
+	}
+	return d.selectLeaves(rank-1, rounds)
+}
+
+// timelineLat is one serving timeline's latency record: the cell-wide
+// digest, one digest per SLO class of a workload-driven run, and one
+// per application name of a fault-injected run (its "p99 under
+// churn"). Completions land in leaves, one per (class, application)
+// pair along the dimensions the run reports, so a plain run has one
+// leaf. Each class or application digest covers that class's or
+// application's leaves and the cell-wide digest covers them all, so in
+// exact mode every latency is stored once.
+type timelineLat struct {
+	all      *latDigest
+	classes  []*latDigest // per class slot; nil without a workload
+	apps     []*latDigest // per application name; nil without faults
+	appNames []string
+	appSlot  map[string]int // application name to its apps index
+	grid     []*latLeaf     // per (class slot, app slot), nil until bound
+}
+
+// newTimelineLat builds the record of a timeline that reports nClasses
+// SLO classes (0 without a workload) and, when perApp is set, every
+// application of pool by name.
+func newTimelineLat(sketch bool, nClasses int, pool []*workloads.App, perApp bool) *timelineLat {
+	union := func() *latDigest {
+		if sketch {
+			return newLatDigest(true)
+		}
+		return &latDigest{}
+	}
+	t := &timelineLat{all: union()}
+	for range nClasses {
+		t.classes = append(t.classes, union())
+	}
+	if perApp {
+		t.appSlot = make(map[string]int, len(pool))
+		for _, app := range pool {
+			if _, ok := t.appSlot[app.Name]; !ok {
+				t.appSlot[app.Name] = len(t.apps)
+				t.apps = append(t.apps, union())
+				t.appNames = append(t.appNames, app.Name)
+			}
+		}
+	}
+	t.grid = make([]*latLeaf, max(1, nClasses)*max(1, len(t.apps)))
+	return t
+}
+
+// leaf returns the leaf of class slot c (0 without a workload) and the
+// named application, making it on first use and adding it to every
+// digest that covers the pair. Completion callbacks resolve their leaf
+// here once, when they are bound, never per request.
+func (t *timelineLat) leaf(c int, app string) *latLeaf {
+	a := 0
+	if t.apps != nil {
+		a = t.appSlot[app]
+	}
+	i := c*max(1, len(t.apps)) + a
+	if t.grid[i] != nil {
+		return t.grid[i]
+	}
+	l := &latLeaf{}
+	covers := []*latDigest{t.all}
+	if t.classes != nil {
+		covers = append(covers, t.classes[c])
+	}
+	if t.apps != nil {
+		covers = append(covers, t.apps[a])
+	}
+	for _, d := range covers {
+		if d.sketch != nil {
+			l.feeds = append(l.feeds, d.sketch)
+		} else {
+			d.leaves = append(d.leaves, l)
+		}
+	}
+	t.grid[i] = l
+	return l
 }
 
 // quantiles reads the percentiles serving reports carry.
@@ -162,14 +280,140 @@ func selectRank(s []time.Duration, k, rounds int) time.Duration {
 	return s[k]
 }
 
-// sink hands an exact-mode distribution, sorted ascending, to
-// testLatencySink when a test installed one. Only tests install a
-// sink, so only they pay for the sort.
-func (d *latDigest) sink(cell, kind string) {
-	if testLatencySink != nil && d.sketch == nil {
-		slices.Sort(d.exact)
-		testLatencySink(cell, kind, d.exact)
+// openRange is the still-open part of one leaf during a multi-leaf
+// selection; after a round's partition, s[:lt] holds the samples below
+// the pivot and s[gt:] those above it.
+type openRange struct {
+	s      []time.Duration
+	lt, gt int
+}
+
+// selectLeaves returns the k-th smallest sample (0-based) of the union
+// of d's leaves, reordering each leaf in place and copying no sample
+// while it narrows (selectOpen). Its range list is d.open, reused from
+// read to read.
+func (d *latDigest) selectLeaves(k, rounds int) time.Duration {
+	open := d.open[:0]
+	for _, l := range d.leaves {
+		if len(l.samples) > 0 {
+			open = append(open, openRange{s: l.samples})
+		}
 	}
+	v := selectOpen(open, k, rounds)
+	clear(open) // hold no leaf's samples past the read
+	d.open = open[:0]
+	return v
+}
+
+// selectOpen returns the k-th smallest sample (0-based) of the union of
+// the open ranges. Each round takes a median-of-three pivot from the
+// largest open range, three-way partitions every open range around it
+// and, by the summed counts, returns the pivot or keeps the side of
+// every range where rank k lies. The list is narrowed in place, so a
+// round allocates nothing. Once one range is left, selectRank finishes
+// in it with the rounds that remain; if the rounds run out first,
+// selectRank runs over a gathered copy of the open ranges.
+//
+// The three candidates sit at positions a xorshift walk draws, so
+// neither structured samples nor the order a partition leaves (its
+// upper side comes out reversed) can keep handing the rounds a skewed
+// pivot; the walk starts from k, so a read is a pure function of its
+// input.
+func selectOpen(open []openRange, k, rounds int) time.Duration {
+	x := uint64(k) | 1
+	at := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		hi, _ := bits.Mul64(x, uint64(n))
+		return int(hi)
+	}
+	for ; len(open) > 1 && rounds > 0; rounds-- {
+		big := open[0].s
+		for _, r := range open[1:] {
+			if len(r.s) > len(big) {
+				big = r.s
+			}
+		}
+		p := median3(big[at(len(big))], big[at(len(big))], big[at(len(big))])
+		below, equal := 0, 0
+		for i := range open {
+			r := &open[i]
+			r.lt, r.gt = partition3(r.s, p)
+			below += r.lt
+			equal += r.gt - r.lt
+		}
+		if k >= below && k < below+equal {
+			return p
+		}
+		above := k >= below+equal
+		kept := 0
+		for _, r := range open {
+			s := r.s[:r.lt]
+			if above {
+				s = r.s[r.gt:]
+			}
+			if len(s) > 0 {
+				open[kept] = openRange{s: s}
+				kept++
+			}
+		}
+		open = open[:kept]
+		if above {
+			k -= below + equal
+		}
+	}
+	if len(open) == 1 {
+		return selectRank(open[0].s, k, rounds)
+	}
+	var all []time.Duration
+	for _, r := range open {
+		all = append(all, r.s...)
+	}
+	return selectRank(all, k, 2*bits.Len(uint(len(all))))
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c time.Duration) time.Duration {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
+}
+
+// partition3 reorders s around p in one pass: s[:lt] < p, s[lt:gt] ==
+// p and s[gt:] > p.
+func partition3(s []time.Duration, p time.Duration) (lt, gt int) {
+	i, gt := 0, len(s)
+	for i < gt {
+		switch v := s[i]; {
+		case v < p:
+			s[lt], s[i] = v, s[lt]
+			lt++
+			i++
+		case v > p:
+			gt--
+			s[i], s[gt] = s[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+// sink hands an exact-mode distribution to testLatencySink when a test
+// installed one: a sorted copy of its leaves' samples. Only tests
+// install a sink, so only they pay for the copy and the sort.
+func (d *latDigest) sink(cell, kind string) {
+	if testLatencySink == nil || d.sketch != nil {
+		return
+	}
+	all := make([]time.Duration, 0, d.count())
+	for _, l := range d.leaves {
+		all = append(all, l.samples...)
+	}
+	slices.Sort(all)
+	testLatencySink(cell, kind, all)
 }
 
 // testLatencySink, when non-nil, receives every exact-mode latency

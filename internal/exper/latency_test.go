@@ -33,6 +33,36 @@ func exactDigestOf(samples []time.Duration) *latDigest {
 	return d
 }
 
+// leavesOf holds a copy of each sample list in a leaf of its own.
+func leavesOf(lists ...[]time.Duration) []*latLeaf {
+	out := make([]*latLeaf, len(lists))
+	for i, s := range lists {
+		out[i] = &latLeaf{samples: slices.Clone(s)}
+	}
+	return out
+}
+
+// dealt splits samples round-robin over k lists, so with k past the
+// sample count some lists stay empty.
+func dealt(samples []time.Duration, k int) [][]time.Duration {
+	out := make([][]time.Duration, k)
+	for i, v := range samples {
+		out[i%k] = append(out[i%k], v)
+	}
+	return out
+}
+
+// gathered returns a sorted copy of every sample an exact digest's
+// leaves hold.
+func gathered(d *latDigest) []time.Duration {
+	var all []time.Duration
+	for _, l := range d.leaves {
+		all = append(all, l.samples...)
+	}
+	slices.Sort(all)
+	return all
+}
+
 // TestPercentileNearestRank pins the nearest-rank edge conventions
 // documented on latDigest.percentile, on the sorted reference and on
 // exact-mode digests fed the samples ascending and descending.
@@ -73,6 +103,11 @@ func TestPercentileNearestRank(t *testing.T) {
 		for _, in := range [][]time.Duration{tc.samples, desc} {
 			if got := exactDigestOf(in).percentile(tc.pct); got != tc.want {
 				t.Errorf("%s: digest over %v = %v, want %v", tc.name, in, got, tc.want)
+			}
+			// The same samples dealt over three leaves (an empty one
+			// for fewer than three samples) follow the same conventions.
+			if got := (&latDigest{leaves: leavesOf(dealt(in, 3)...)}).percentile(tc.pct); got != tc.want {
+				t.Errorf("%s: union of three leaves over %v = %v, want %v", tc.name, in, got, tc.want)
 			}
 		}
 	}
@@ -120,23 +155,28 @@ func TestLatDigestMatchesPercentile(t *testing.T) {
 	}
 }
 
-// FuzzLatDigestPercentile reads fuzzed percentiles from an exact-mode
-// digest and compares each with percentile over a sorted copy. The
-// samples are the input's bytes, narrowed to a few values for
-// duplicate-heavy inputs or shaped into an all-equal, ascending,
-// descending or organ-pipe run; the percentiles include 0, 100,
-// negative and >100 values. Reads run back to back on one digest, so
-// each selection starts from the order the previous one left, and a
-// last selection with a fuzzed round budget exercises the sort
-// fallback. Every read must leave the digest a permutation of the
-// samples.
+// FuzzLatDigestPercentile reads fuzzed percentiles from exact-mode
+// digests and compares each with percentile over a sorted copy of the
+// samples the digest covers. The samples are the input's bytes,
+// narrowed to a few values for duplicate-heavy inputs or shaped into an
+// all-equal, ascending, descending or organ-pipe run, and dealt into 1
+// to 6 leaves, round-robin or by value (some leaves then stay empty).
+// Three digests read them: the union of all leaves; a second union
+// sharing the first leaf with an extra leaf of its own, read right
+// after the first so it starts from the order that read left; and the
+// merge of two part digests that split the leaves. The percentiles
+// include 0, 100, negative and >100 values, and every read must leave
+// the digest a permutation of its samples. Last, a selection with a
+// fuzzed round budget exercises selectRank's sort fallback on one leaf
+// and selectOpen's gathered fallback on several.
 func FuzzLatDigestPercentile(f *testing.F) {
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, byte(0), int16(50), int16(95), int16(99), byte(0))
-	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, byte(1), int16(0), int16(100), int16(-3), byte(1))
-	f.Add([]byte("ascending and descending runs of samples"), byte(2), int16(150), int16(1), int16(50), byte(2))
-	f.Add([]byte("duplicate-heavy narrowed samples"), byte(5), int16(99), int16(50), int16(95), byte(40))
-	f.Add([]byte{}, byte(0), int16(50), int16(0), int16(100), byte(0))
-	f.Fuzz(func(t *testing.T, raw []byte, shape byte, pa, pb, pc int16, rounds byte) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, byte(0), int16(50), int16(95), int16(99), byte(0), byte(0))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, byte(1), int16(0), int16(100), int16(-3), byte(1), byte(2))
+	f.Add([]byte("ascending and descending runs of samples"), byte(2), int16(150), int16(1), int16(50), byte(2), byte(4))
+	f.Add([]byte("duplicate-heavy narrowed samples"), byte(5), int16(99), int16(50), int16(95), byte(40), byte(13))
+	f.Add([]byte("organ pipe over five leaves dealt by value"), byte(11), int16(90), int16(10), int16(99), byte(3), byte(12))
+	f.Add([]byte{}, byte(0), int16(50), int16(0), int16(100), byte(0), byte(5))
+	f.Fuzz(func(t *testing.T, raw []byte, shape byte, pa, pb, pc int16, rounds, deal byte) {
 		samples := make([]time.Duration, len(raw))
 		for i, b := range raw {
 			v := time.Duration(b)
@@ -161,37 +201,117 @@ func FuzzLatDigestPercentile(f *testing.F) {
 				slices.Reverse(samples)
 			}
 		}
-		ref := slices.Clone(samples)
-		slices.Sort(ref)
-		d := exactDigestOf(samples)
-		permuted := func(read string) {
-			t.Helper()
-			held := slices.Clone(d.exact)
-			slices.Sort(held)
-			if !slices.Equal(held, ref) {
-				t.Fatalf("%s changed the samples: %v, want a permutation of %v", read, d.exact, samples)
+		k := 1 + int(deal%6)
+		lists := dealt(samples, k)
+		if deal&8 != 0 {
+			// By value: each leaf holds its own residue class.
+			lists = make([][]time.Duration, k)
+			for _, v := range samples {
+				lists[int(v)%k] = append(lists[int(v)%k], v)
 			}
 		}
-		check := func(pct int, got time.Duration) {
-			t.Helper()
-			if want := percentile(ref, pct); got != want {
-				t.Fatalf("p%d = %v, want %v (samples %v)", pct, got, want, samples)
-			}
-			permuted("a percentile read")
+		leaves := leavesOf(lists...)
+		extra := &latLeaf{samples: []time.Duration{3, 250, 3, 0}}
+		half := len(leaves) / 2
+		digests := []*latDigest{
+			{leaves: leaves},
+			{leaves: []*latLeaf{leaves[0], extra}},
+			mergeLatDigests([]*latDigest{{leaves: leaves[:half]}, {leaves: leaves[half:]}}),
 		}
-		for _, pct := range []int{int(pa), int(pb), int(pc)} {
-			check(pct, d.percentile(pct))
-		}
-		p50, p95, p99 := d.quantiles()
-		check(50, p50)
-		check(95, p95)
-		check(99, p99)
-		if n := len(d.exact); n > 0 {
-			k, budget := int(uint16(pa))%n, int(rounds)%8
-			if got := selectRank(d.exact, k, budget); got != ref[k] {
-				t.Fatalf("rank %d with a %d-round budget = %v, want %v (samples %v)", k, budget, got, ref[k], samples)
+		for di, d := range digests {
+			ref := gathered(d)
+			check := func(pct int, got time.Duration) {
+				t.Helper()
+				if want := percentile(ref, pct); got != want {
+					t.Fatalf("digest %d (%d leaves): p%d = %v, want %v (samples %v)", di, len(d.leaves), pct, got, want, ref)
+				}
+				if held := gathered(d); !slices.Equal(held, ref) {
+					t.Fatalf("digest %d: a read changed the samples to %v, want a permutation of %v", di, held, ref)
+				}
 			}
-			permuted("a budgeted selection")
+			for _, pct := range []int{int(pa), int(pb), int(pc), 0, 100, -7, 150} {
+				check(pct, d.percentile(pct))
+			}
+			p50, p95, p99 := d.quantiles()
+			check(50, p50)
+			check(95, p95)
+			check(99, p99)
+			if d.count() != len(ref) {
+				t.Fatalf("digest %d: count %d, want %d", di, d.count(), len(ref))
+			}
+		}
+		ref := gathered(digests[0])
+		if n := len(ref); n > 0 {
+			r, budget := int(uint16(pa))%n, int(rounds)%8
+			var open []openRange
+			for _, l := range leaves {
+				if len(l.samples) > 0 {
+					open = append(open, openRange{s: l.samples})
+				}
+			}
+			if got := selectOpen(open, r, budget); got != ref[r] {
+				t.Fatalf("rank %d over %d leaves with a %d-round budget = %v, want %v", r, len(open), budget, got, ref[r])
+			}
+			one := exactDigestOf(ref)
+			if got := selectRank(one.leaves[0].samples, r, budget); got != ref[r] {
+				t.Fatalf("rank %d of one leaf with a %d-round budget = %v, want %v", r, budget, got, ref[r])
+			}
+			if !slices.Equal(gathered(digests[0]), ref) || !slices.Equal(gathered(one), ref) {
+				t.Fatalf("a budgeted selection changed the samples")
+			}
 		}
 	})
+}
+
+// TestSelectOpenRoundFallback forces selectOpen past its round budget
+// with several ranges still open, so it gathers them and hands the copy
+// to selectRank, and checks every rank against a sort of the
+// concatenation. Budgets 0 and 1 leave several ranges open on these
+// tables; the larger budgets finish in place.
+func TestSelectOpenRoundFallback(t *testing.T) {
+	cases := []struct {
+		name   string
+		leaves [][]time.Duration
+	}{
+		{"interleaved", [][]time.Duration{{9, 1, 7, 3, 5}, {8, 2, 6, 4}, {10, 0}}},
+		{"disjoint ranges", [][]time.Duration{{30, 31, 32}, {1, 2, 3, 4, 5, 6}, {100}}},
+		{"duplicates across leaves", [][]time.Duration{{4, 4, 1, 4}, {4, 2, 4}, {4}, {9, 4, 4}}},
+		{"all equal", [][]time.Duration{{7, 7}, {7}, {7, 7, 7}}},
+		{"with empty leaves", [][]time.Duration{{}, {5, 3, 1}, {}, {2, 4}, {}}},
+	}
+	for _, tc := range cases {
+		var ref []time.Duration
+		for _, l := range tc.leaves {
+			ref = append(ref, l...)
+		}
+		slices.Sort(ref)
+		for _, budget := range []int{0, 1, 2, 64} {
+			for k := range ref {
+				var open []openRange
+				for _, l := range leavesOf(tc.leaves...) {
+					if len(l.samples) > 0 {
+						open = append(open, openRange{s: l.samples})
+					}
+				}
+				if got := selectOpen(open, k, budget); got != ref[k] {
+					t.Errorf("%s: rank %d with a %d-round budget = %v, want %v", tc.name, k, budget, got, ref[k])
+				}
+			}
+		}
+	}
+}
+
+// TestLatDigestUnionReadDoesNotAllocate pins that reading a multi-leaf
+// union allocates nothing once its range list exists: rounds narrow it
+// in place and no read copies samples.
+func TestLatDigestUnionReadDoesNotAllocate(t *testing.T) {
+	var samples []time.Duration
+	for i := range 5000 {
+		samples = append(samples, time.Duration((i*7919)%4099)*time.Microsecond)
+	}
+	d := &latDigest{leaves: leavesOf(dealt(samples, 5)...)}
+	d.quantiles()
+	if allocs := testing.AllocsPerRun(20, func() { d.quantiles() }); allocs != 0 {
+		t.Fatalf("a five-leaf read allocates %v times, want 0", allocs)
+	}
 }

@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xartrek/internal/elastic"
+	"xartrek/internal/faults"
 )
 
 // TestMillionRequestSketchMemorySmoke is the memory-regression gate
@@ -174,4 +177,63 @@ func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edi
 		t.Fatal(err)
 	}
 	return rep, wall, peak.Load()
+}
+
+// TestTenantsChurnExactMemorySmoke is the exact-mode memory gate: the
+// checked-in tenants cell edited into the tenants-churn shape (rack64,
+// 16 x86, 48 ARM and 8 FPGA nodes; the deadline policy at 56 req/s for
+// 7200 s, ~400k requests; exact latencies; drop admission at queue cap
+// 16; node and FPGA churn with retries). The cell reports its latencies
+// cell-wide, per SLO class and per application, and holds each of its
+// ~400k completion latencies once, as the leaf of its (class,
+// application) pair. The 12 MiB budget leaves 1.5x headroom over the
+// ~7.9 MiB peak measured so, and sits below the 16-17.6 MiB the same
+// cell peaked at when each reported distribution kept its own copy
+// (BENCH.md). The marshalled report must hash to the pinned digest.
+func TestTenantsChurnExactMemorySmoke(t *testing.T) {
+	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
+		t.Skip("set XARTREK_MEM_SMOKE=1 to run the exact-mode memory smoke")
+	}
+	arts := testArtifacts(t)
+	runtime.GC() // start from this test's live heap, not an earlier test's garbage
+	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "tenants.json", func(spec *CampaignSpec) {
+		c := &spec.Cells[0]
+		c.Name = "tenants-churn"
+		c.Topology = &TopologySpec{Kind: "scale-out", Name: "rack64", X86: 16, ARM: 48, FPGAs: 8}
+		c.Policy, c.Policies = PolicyDeadline, nil
+		c.Rate, c.Duration = 56, Duration(7200*time.Second)
+		c.Options = &Options{LatencyMode: LatencyExact}
+		c.Admission = &elastic.AdmissionSpec{QueueCap: 16, Policy: elastic.Drop}
+		c.Faults = &faults.Spec{
+			MaxRetries:   3,
+			RetryBackoff: faults.Duration(10 * time.Millisecond),
+			Churn: []faults.Churn{
+				{Kind: "node", Targets: []string{"arm-10", "arm-11", "arm-20", "x86-03", "x86-07"},
+					MTBF: faults.Duration(60 * time.Second), MTTR: faults.Duration(5 * time.Second)},
+				{Kind: "fpga", Targets: []string{"fpga-01", "fpga-05"},
+					MTBF: faults.Duration(120 * time.Second), MTTR: faults.Duration(10 * time.Second)},
+			},
+		}
+	})
+
+	if len(rep.Cells) != 1 {
+		t.Fatalf("%d cells, want the one edited cell", len(rep.Cells))
+	}
+	r := rep.Cells[0].Serving
+	if r.LatencyMode != "" || r.Faults == nil || r.Tenancy == nil || r.Shed == 0 {
+		t.Fatalf("cell lost its shape: latency mode %q, faults %v, tenancy %v, shed %d", r.LatencyMode, r.Faults != nil, r.Tenancy != nil, r.Shed)
+	}
+	if r.Offered < 390_000 || r.Completed == 0 || len(r.Faults.ClassP99) != 5 {
+		t.Fatalf("degenerate result: offered=%d completed=%d per-app p99s=%d", r.Offered, r.Completed, len(r.Faults.ClassP99))
+	}
+
+	const heapBudget = 12 << 20
+	peakMB := float64(peak) / (1 << 20)
+	t.Logf("tenants-churn: offered=%d completed=%d p50=%v p99=%v", r.Offered, r.Completed, r.P50, r.P99)
+	t.Logf("tenants-churn: wall=%v rate=%.0f req/wall-s peak-heap=%.1f MiB", wall.Round(time.Millisecond),
+		float64(r.Offered)/wall.Seconds(), peakMB)
+	if peak > heapBudget {
+		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
+	}
+	checkReportDigest(t, "tenants-churn", rep, "c1645054bfb5c6dabbbbda0801c5d6ce5a4680e0058420b5cab78f73574caa82")
 }

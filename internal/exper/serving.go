@@ -148,12 +148,15 @@ type ServingResult struct {
 	Tenancy *TenancyResult `json:",omitempty"`
 }
 
-// arrival is one request of a stream: when it enters, what it runs,
-// and, in a workload-driven run, which cohort issued it.
+// arrival is one request of a stream: when it enters, what it runs
+// and, in a workload-driven run, which cohort issued it. pick is the
+// application's index in the list it was drawn from (the cohort's mix,
+// or the run's pool), which selects its completion callback.
 type arrival struct {
 	at     time.Duration
 	app    *workloads.App
 	cohort int
+	pick   int
 }
 
 // arrivalGen is one kind of request stream (Poisson, trace or cohort),
@@ -180,7 +183,8 @@ func (g *poissonSource) draw() (arrival, bool) {
 	if g.t >= g.horizon {
 		return arrival{}, false
 	}
-	return arrival{at: g.t, app: g.pool[g.rng.Intn(len(g.pool))]}, true
+	i := g.rng.Intn(len(g.pool))
+	return arrival{at: g.t, app: g.pool[i], pick: i}, true
 }
 
 // sliceSource replays a trace's arrivals, drawn and time-sorted by
@@ -211,7 +215,7 @@ func (g *tenantSource) draw() (arrival, bool) {
 	if !ok {
 		return arrival{}, false
 	}
-	return arrival{at: a.At, app: g.apps[a.Cohort][a.App], cohort: a.Cohort}, true
+	return arrival{at: a.At, app: g.apps[a.Cohort][a.App], cohort: a.Cohort, pick: a.App}, true
 }
 
 // arrivalStream is the serving engine's request stream for every kind
@@ -301,7 +305,8 @@ func (cfg ServingConfig) source(pool []*workloads.App, ten *tenantRun) (*arrival
 				return nil, fmt.Errorf("exper: serving %q: negative trace offset %v", cfg.Name, at)
 			}
 			if at < cfg.Duration {
-				reqs = append(reqs, arrival{at: at, app: pool[rng.Intn(len(pool))]})
+				i := rng.Intn(len(pool))
+				reqs = append(reqs, arrival{at: at, app: pool[i], pick: i})
 			}
 		}
 		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].at < reqs[j].at })
@@ -413,9 +418,9 @@ func reduceServing(cfg ServingConfig, parts []servingPart) ServingResult {
 var debugServingStep func(p *Platform)
 
 // testServingDone, when set (tests only), receives every serving
-// timeline's platform and offered count at its horizon. Sharded
-// sub-runs call it concurrently.
-var testServingDone func(p *Platform, offered int)
+// timeline's platform, unreduced part and latency record at its
+// horizon. Sharded sub-runs call it concurrently.
+var testServingDone func(p *Platform, part servingPart, lat *timelineLat)
 
 // runServingCore executes one serving timeline and returns its
 // unreduced part.
@@ -425,12 +430,16 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 		return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 	}
 	var ten *tenantRun
+	classes := 0
 	if cfg.Workload.Enabled() {
-		ten, err = newTenantRun(&cfg, arts.Apps, sketch)
+		ten, err = newTenantRun(&cfg, arts.Apps)
 		if err != nil {
 			return servingPart{}, err
 		}
+		classes = len(ten.classes)
 	}
+	faulted := cfg.Faults != nil && !cfg.Faults.Empty()
+	lat := newTimelineLat(sketch, classes, arts.Apps, faulted)
 	src, err := cfg.source(arts.Apps, ten)
 	if err != nil {
 		return servingPart{}, err
@@ -439,7 +448,7 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	if err != nil {
 		return servingPart{}, err
 	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
+	if faulted {
 		if err := cfg.Faults.Validate(); err != nil {
 			return servingPart{}, fmt.Errorf("exper: serving %q: %w", cfg.Name, err)
 		}
@@ -464,7 +473,22 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	if sketch {
 		res.LatencyMode = LatencySketch
 	}
-	lat := newLatDigest(sketch)
+	// onDone[cohort][pick] is an arrival's completion callback, bound
+	// to its latency leaf before the run starts: per cohort and
+	// application of its mix in a workload-driven run, else per pool
+	// application (one row, all on one leaf unless the run reports
+	// per-application latencies).
+	var onDone [][]func(RunResult)
+	if ten != nil {
+		ten.bind(lat)
+		onDone = ten.done
+	} else {
+		row := make([]func(RunResult), len(arts.Apps))
+		for i, app := range arts.Apps {
+			row[i] = lat.leaf(0, app.Name).complete
+		}
+		onDone = [][]func(RunResult){row}
+	}
 	// A request placed on a node becomes visible in the node's run
 	// queue only when its launch event executes, which is after every
 	// arrival event of the same instant. Each placement therefore
@@ -488,27 +512,16 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 	// unrelated event whose firing time lands on exactly an arrival
 	// instant's nanosecond now wins the tie; DESIGN.md §7 scopes the
 	// determinism contract accordingly.
-	complete := func(run RunResult) {
-		lat.add(run.Elapsed())
-		if p.faults != nil {
-			p.faults.observeClass(run.App, run.Elapsed())
-		}
-	}
-	if ten != nil {
-		ten.bind(complete)
-	}
 	inject := func(batch []arrival) {
 		now := p.Sim.Now()
 		for _, a := range batch {
 			// A workload-driven run counts each request against its
-			// cohort (shed ones included), routes its completion to the
-			// cohort's closure (per-class digest and deadline accounting
-			// on top of the shared complete) and carries the cohort's SLO
+			// cohort (shed ones included) and carries the cohort's SLO
 			// class into the scheduler's placement context.
-			done, class := complete, ""
+			done, class := onDone[a.cohort][a.pick], ""
 			if ten != nil {
 				ten.offered[a.cohort]++
-				done, class = ten.done[a.cohort], ten.classOf[a.cohort]
+				class = ten.classOf[a.cohort]
 			}
 			// Entry balancing: the front end places each arriving
 			// request on the least-loaded x86 node at its arrival
@@ -558,24 +571,24 @@ func runServingCore(arts *Artifacts, cfg ServingConfig) (servingPart, error) {
 		}
 	}
 	p.RunFor(cfg.Duration)
-	if testServingDone != nil {
-		testServingDone(p, src.offered)
-	}
 	res.Offered = src.offered
-	res.Completed = lat.count()
+	res.Completed = lat.all.count()
 	res.MeanHostLoad = p.Cluster.X86.Pool.JobSeconds() / cfg.Duration.Seconds()
 	res.Sched = p.SchedStats()
 	res.FPGAReconfigs = p.DeviceReconfigs()
 	if p.faults != nil {
-		res.Faults = p.faults.finalize(cfg.Name, res.Offered, res.Completed)
+		res.Faults = p.faults.finalize(cfg.Name, res.Offered, res.Completed, lat)
 	}
 	if p.elastic != nil {
 		p.elastic.finalize(&res, cfg.Duration)
 	}
-	part := servingPart{lat: lat}
+	part := servingPart{lat: lat.all}
 	if ten != nil {
-		res.Tenancy, part.classes = ten.finalize(), ten.digs
+		res.Tenancy, part.classes = ten.finalize(lat), lat.classes
 	}
 	part.res = res
+	if testServingDone != nil {
+		testServingDone(p, part, lat)
+	}
 	return part, nil
 }

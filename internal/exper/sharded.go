@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"time"
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/quantile"
@@ -67,11 +66,12 @@ func shardConfigs(cfg ServingConfig) ([]ServingConfig, error) {
 }
 
 // mergeLatDigests combines per-timeline digests in timeline order into
-// one digest: exact samples concatenate (percentile reads select over
-// the whole slice, so order does not matter), sketches K-way merge at
-// the serving epsilon. A lone digest comes back unchanged, so a
-// one-timeline run reads its own digest as the pre-shard engine did; a
-// merged sketch would differ from it.
+// one digest: in exact mode the union of the parts' leaves (percentile
+// reads select over all of them, so order does not matter, and no
+// sample is copied), in sketch mode a K-way merge at the serving
+// epsilon. A lone digest comes back unchanged, so a one-timeline run
+// reads its own digest as the pre-shard engine did; a merged sketch
+// would differ from it.
 func mergeLatDigests(parts []*latDigest) *latDigest {
 	if len(parts) == 1 {
 		return parts[0]
@@ -83,13 +83,9 @@ func mergeLatDigests(parts []*latDigest) *latDigest {
 		}
 		return &latDigest{sketch: quantile.Merged(quantile.DefaultEpsilon, sks...)}
 	}
-	total := 0
+	out := &latDigest{}
 	for _, p := range parts {
-		total += len(p.exact)
-	}
-	out := &latDigest{exact: make([]time.Duration, 0, total)}
-	for _, p := range parts {
-		out.exact = append(out.exact, p.exact...)
+		out.leaves = append(out.leaves, p.leaves...)
 	}
 	return out
 }

@@ -57,46 +57,45 @@ type CohortResult struct {
 
 // tenantRun is the per-run tenancy state the serving engine threads
 // through injection and completion: each cohort's applications, class
-// and deadline, one latency digest per class, per-cohort counters, and
-// the pre-built per-cohort completion closures.
+// and deadline, per-cohort and per-class counters, and the pre-built
+// completion closures. The class latency digests are the timeline's
+// (timelineLat).
 type tenantRun struct {
 	spec     *tenancy.Spec
 	apps     [][]*workloads.App // per cohort: its mix, or the shared pool
 	classes  []string
 	classOf  []string        // per cohort: its class name
-	slot     []int           // per cohort: index into classes/digs
+	slot     []int           // per cohort: index into classes
 	deadline []time.Duration // per cohort: 0 for batch
-	digs     []*latDigest    // per class
 	within   []int           // per class: completions within deadline
 	offered  []int           // per cohort: injected count, shed included
 	complets []int           // per cohort: completed count
-	done     []func(RunResult)
+	// done holds the completion closure of each cohort's applications,
+	// in apps order.
+	done [][]func(RunResult)
 }
 
 // newTenantRun builds the tenancy state of one workload-driven serving
-// run; ServingConfig.source builds its arrival stream.
-func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tenantRun, error) {
+// run; ServingConfig.source builds its arrival stream and bind its
+// completion closures.
+func newTenantRun(cfg *ServingConfig, pool []*workloads.App) (*tenantRun, error) {
 	spec := cfg.Workload
-	n := len(spec.Cohorts)
+	n, classes := len(spec.Cohorts), spec.Classes()
 	t := &tenantRun{
 		spec:     spec,
 		apps:     make([][]*workloads.App, n),
-		classes:  spec.Classes(),
+		classes:  classes,
 		classOf:  make([]string, n),
 		slot:     make([]int, n),
 		deadline: make([]time.Duration, n),
-		done:     make([]func(RunResult), n),
+		within:   make([]int, len(classes)),
 		offered:  make([]int, n),
 		complets: make([]int, n),
+		done:     make([][]func(RunResult), n),
 	}
 	classSlot := make(map[string]int, len(t.classes))
 	for s, class := range t.classes {
 		classSlot[class] = s
-	}
-	t.digs = make([]*latDigest, len(t.classes))
-	t.within = make([]int, len(t.classes))
-	for s := range t.digs {
-		t.digs[s] = newLatDigest(sketch)
 	}
 	byName := make(map[string]*workloads.App, len(pool))
 	for _, app := range pool {
@@ -124,40 +123,39 @@ func newTenantRun(cfg *ServingConfig, pool []*workloads.App, sketch bool) (*tena
 	return t, nil
 }
 
-// bind builds the per-cohort completion closures over the run's shared
-// complete function (aggregate digest, fault observation), adding the
-// per-class digest and deadline accounting. Built once per run, not
-// per request.
-func (t *tenantRun) bind(complete func(RunResult)) {
-	for i := range t.done {
-		coh := i
-		t.done[i] = func(run RunResult) {
-			complete(run)
-			t.observe(coh, run)
+// bind builds one completion closure per (cohort, application of its
+// mix): each records the latency once, in the timeline's leaf of the
+// cohort's class and the application, counts the cohort's completion
+// and, for a deadlined cohort, whether it met the deadline. Built once
+// per run, not per request.
+func (t *tenantRun) bind(lat *timelineLat) {
+	for coh, apps := range t.apps {
+		s, deadline := t.slot[coh], t.deadline[coh]
+		t.done[coh] = make([]func(RunResult), len(apps))
+		for j, app := range apps {
+			leaf := lat.leaf(s, app.Name)
+			t.done[coh][j] = func(run RunResult) {
+				el := run.Elapsed()
+				leaf.add(el)
+				t.complets[coh]++
+				if deadline > 0 && el <= deadline {
+					t.within[s]++
+				}
+			}
 		}
 	}
 }
 
-// observe records one cohort request's completion.
-func (t *tenantRun) observe(coh int, run RunResult) {
-	t.complets[coh]++
-	s := t.slot[coh]
-	el := run.Elapsed()
-	t.digs[s].add(el)
-	if d := t.deadline[coh]; d > 0 && el <= d {
-		t.within[s]++
-	}
-}
-
-// finalize counts the run's traffic per cohort and per class; the
-// class percentiles and attainment are reduceTenancy's.
-func (t *tenantRun) finalize() *TenancyResult {
+// finalize counts the run's traffic per cohort and per class, the
+// class completions from the timeline's class digests; the class
+// percentiles and attainment are reduceTenancy's.
+func (t *tenantRun) finalize(lat *timelineLat) *TenancyResult {
 	res := &TenancyResult{
 		Classes: make([]ClassResult, len(t.classes)),
 		Cohorts: make([]CohortResult, len(t.spec.Cohorts)),
 	}
 	for s, class := range t.classes {
-		res.Classes[s] = ClassResult{Class: class, Completed: t.digs[s].count(), WithinDeadline: t.within[s]}
+		res.Classes[s] = ClassResult{Class: class, Completed: lat.classes[s].count(), WithinDeadline: t.within[s]}
 	}
 	for i := range t.spec.Cohorts {
 		c := &t.spec.Cohorts[i]
