@@ -25,6 +25,7 @@ import (
 	"xartrek/internal/elastic"
 	"xartrek/internal/exper"
 	"xartrek/internal/faults"
+	"xartrek/internal/fpga"
 	"xartrek/internal/mir"
 	"xartrek/internal/simtime"
 	"xartrek/internal/tenancy"
@@ -202,6 +203,39 @@ func BenchmarkEventEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.After(time.Microsecond, fn)
+		sim.Step()
+	}
+}
+
+// BenchmarkEventEngineBacklog measures the event core at the heap mix
+// of the rack256 cell: a compute unit holding a 2,048-deep backlog of
+// invocations beside 256 PS servers, each completing one job at a time
+// and submitting the next from its completion. Every completion
+// refills its own queue, so the mix holds steady; one op is one event
+// stepped, and the two kinds fire at about equal rates (one CU
+// completion per microsecond, 256 servers of ~256 µs jobs).
+func BenchmarkEventEngineBacklog(b *testing.B) {
+	sim := simtime.New()
+	cu := &fpga.ComputeUnit{Kernel: "k", II: 1, ClockMHz: 1000} // 1,000 trips = 1 µs
+	var invoke func()
+	invoke = func() { cu.Enqueue(sim, 1000, invoke) }
+	for i := 0; i < 2048; i++ {
+		invoke()
+	}
+	for i := 0; i < 256; i++ {
+		ps := simtime.NewPSServer(sim, 1)
+		work := 256*time.Microsecond + time.Duration(i)*time.Nanosecond
+		var churn func()
+		churn = func() { ps.SubmitTransient(work, churn) }
+		churn()
+	}
+	// Warm the pools: every server and the CU complete at least once.
+	for i := 0; i < 4096; i++ {
+		sim.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		sim.Step()
 	}
 }

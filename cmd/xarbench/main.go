@@ -10,6 +10,7 @@
 //	xarbench -all -runs 3              # cheaper randomized experiments
 //	xarbench -campaign spec.json       # run a declarative campaign spec
 //	xarbench -campaign spec.json -checkpoint dir/  # resumable campaign
+//	xarbench -table 1 -cpuprofile cpu.out -memprofile mem.out
 //
 // -campaign executes a JSON campaign spec (exper.CampaignSpec): each
 // cell selects an experiment kind, topology, mode, policy and load,
@@ -26,6 +27,10 @@
 // after an interruption (crash, kill, ^C) resumes from the completed
 // prefix and produces the same output an uninterrupted run would have.
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// for `go tool pprof`: CPU samples, and every allocation with the live
+// heap after a final collection. Neither changes what is printed.
+//
 // Absolute times come from this repository's calibrated models, not
 // the authors' hardware; EXPERIMENTS.md records paper-vs-measured for
 // every row and series.
@@ -38,6 +43,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"time"
 
@@ -73,7 +80,7 @@ func exitCode(err error) int {
 	return 1
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("xarbench", flag.ContinueOnError)
 	table := fs.Int("table", 0, "regenerate one table (1-4)")
 	figure := fs.Int("figure", 0, "regenerate one figure (3-10)")
@@ -81,6 +88,8 @@ func run(args []string, out io.Writer) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint directory for -campaign (resume an interrupted run)")
 	all := fs.Bool("all", false, "regenerate everything")
 	runs := fs.Int("runs", 10, "repetitions for randomized experiments")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -132,6 +141,25 @@ func run(args []string, out io.Writer) error {
 		return usage("-checkpoint requires -campaign")
 	}
 
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			if serr := stop(); serr != nil && err == nil {
+				err = fmt.Errorf("-cpuprofile: %w", serr)
+			}
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if merr := writeMemProfile(*memprofile); merr != nil && err == nil {
+				err = fmt.Errorf("-memprofile: %w", merr)
+			}
+		}()
+	}
+
 	apps, err := workloads.Registry()
 	if err != nil {
 		return err
@@ -160,6 +188,52 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// errWriter passes writes through to w and keeps the first error, for
+// writers such as the CPU profiler that drop their write errors.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// startCPUProfile starts profiling the CPU into a new file at path.
+// The returned stop ends the profile and reports its first write or
+// close error.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w := &errWriter{w: f}
+	if err := pprof.StartCPUProfile(w); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return errors.Join(w.err, f.Close())
+	}, nil
+}
+
+// writeMemProfile writes the allocation profile to a new file at path:
+// every allocation since the program started, and the heap still live
+// after a collection.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
 }
 
 // runCampaignFile executes a declarative campaign spec, streaming each

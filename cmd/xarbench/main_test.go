@@ -211,3 +211,40 @@ func TestRunCampaignKneeUnbracketed(t *testing.T) {
 		t.Fatalf("err = %v, want knee bracket error", err)
 	}
 }
+
+// TestRunProfiles runs -table 1 with -cpuprofile and with -memprofile:
+// each writes a non-empty profile and leaves stdout byte-identical to
+// the run without the flag.
+func TestRunProfiles(t *testing.T) {
+	var plain strings.Builder
+	if err := run([]string{"-table", "1"}, &plain); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		t.Run(flag, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "profile.out")
+			var out strings.Builder
+			if err := run([]string{"-table", "1", flag, path}, &out); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if out.String() != plain.String() {
+				t.Fatalf("stdout with %s differs from the run without it:\n%s", flag, out.String())
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Fatalf("%s wrote no profile: %v", flag, err)
+			}
+		})
+	}
+}
+
+// TestRunProfileUnwritable checks that a profile path that cannot be
+// created fails the run.
+func TestRunProfileUnwritable(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "profile.out")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out strings.Builder
+		if err := run([]string{"-table", "3", flag, bad}, &out); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Fatalf("%s %s: err = %v, want a %s error", flag, bad, err, flag)
+		}
+	}
+}

@@ -142,25 +142,49 @@ func TestRequestLifecycleDoesNotAllocate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newLifecycleRig(t, cluster.ScaleOutTopology("life-arm", 2, 2, 0), 40, tc.tracked)
-			i, hits := 0, 0
-			req := func() {
-				r.request(t, i, tc.mode)
-				if r.last.Target == tc.target {
-					hits++
-				}
-				i++
-			}
-			for k := 0; k < 64; k++ {
-				req()
-			}
-			if allocs := testing.AllocsPerRun(500, req); allocs != 0 {
+			if allocs := r.allocsPerRequest(t, tc.mode, tc.target); allocs != 0 {
 				t.Errorf("allocs per request = %v, want 0", allocs)
-			}
-			if hits == 0 {
-				t.Fatalf("no request ran on %v", tc.target)
 			}
 		})
 	}
+}
+
+// TestRequestLifecycleFPGAAllocs pins the FPGA path at its 3
+// allocations per request, tracked or not: the invocation closures of
+// execFPGAInvoke and xrt.Device.Invoke. The compute unit hands the
+// request's own callback to its completion chain, without a wrapper.
+func TestRequestLifecycleFPGAAllocs(t *testing.T) {
+	for _, tracked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tracked=%v", tracked), func(t *testing.T) {
+			r := newLifecycleRig(t, cluster.ScaleOutTopology("life-fpga", 2, 0, 1), 0, tracked)
+			if allocs := r.allocsPerRequest(t, ModeXarTrek, threshold.TargetFPGA); allocs != 3 {
+				t.Errorf("allocs per request = %v, want 3", allocs)
+			}
+		})
+	}
+}
+
+// allocsPerRequest warms the rig's pools with 64 requests under mode,
+// then reports the mean allocations of 500 more, failing the test if
+// none of them ran on target.
+func (r *lifecycleRig) allocsPerRequest(t *testing.T, mode Mode, target threshold.Target) float64 {
+	t.Helper()
+	i, hits := 0, 0
+	req := func() {
+		r.request(t, i, mode)
+		if r.last.Target == target {
+			hits++
+		}
+		i++
+	}
+	for k := 0; k < 64; k++ {
+		req()
+	}
+	allocs := testing.AllocsPerRun(500, req)
+	if hits == 0 {
+		t.Fatalf("no request ran on %v", target)
+	}
+	return allocs
 }
 
 // BenchmarkRequestLifecycle* track the lifecycle layer (prologue,

@@ -214,9 +214,17 @@ func newFaultRuntime(p *Platform, spec *faults.Spec, seed int64, horizon time.Du
 		events = append(events, r)
 	}
 	p.cut, p.slowed = make(map[linkPair]bool), make(map[linkPair]float64)
+	// The timeline is sorted by time, so its events fire in slice order
+	// and one chain carries them: the heap holds the next one only, and
+	// the k-th firing applies events[k].
+	chain, next := p.Sim.NewChain(), 0
+	fire := func() {
+		r := events[next]
+		next++
+		rt.apply(r.ev, r.node, r.dev, r.pair)
+	}
 	for _, r := range events {
-		r := r
-		p.Sim.At(time.Duration(r.ev.At), func() { rt.apply(r.ev, r.node, r.dev, r.pair) })
+		chain.At(time.Duration(r.ev.At), fire)
 	}
 	return rt, nil
 }

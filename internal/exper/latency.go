@@ -18,9 +18,10 @@ const (
 	// memory over the campaign.
 	LatencyExact = "exact"
 	// LatencySketch streams latencies into a GK quantile sketch
-	// (quantile.DefaultEpsilon rank error) and generates Poisson
-	// arrivals lazily, so a serving cell's memory is O(in-flight)
-	// regardless of request count — the million-request regime.
+	// (quantile.DefaultEpsilon rank error), so a serving cell's memory
+	// is O(in-flight) regardless of request count — the
+	// million-request regime. Arrivals are drawn lazily in both modes;
+	// only the latency store differs.
 	LatencySketch = "sketch"
 )
 

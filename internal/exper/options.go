@@ -67,11 +67,11 @@ type Options struct {
 	// completion-latency distribution: LatencyExact (also the empty
 	// string) retains every sample and reports exact nearest-rank
 	// percentiles; LatencySketch streams samples into a GK quantile
-	// sketch and generates Poisson arrivals lazily, bounding memory at
-	// O(in-flight) for million-request cells at the price of a
-	// quantile.DefaultEpsilon rank-error bound on the reported
-	// percentiles. Unknown names fail the run; only serving-class
-	// cells accept the switch.
+	// sketch, bounding memory at O(in-flight) for million-request
+	// cells at the price of a quantile.DefaultEpsilon rank-error bound
+	// on the reported percentiles. Arrivals are drawn lazily in both
+	// modes. Unknown names fail the run; only serving-class cells
+	// accept the switch.
 	LatencyMode string `json:"latency_mode,omitempty"`
 	// Shards partitions a serving-class cell into N independent
 	// sub-fleets (cluster.PartitionTopology), splits the arrival
@@ -320,8 +320,8 @@ func (p *Platform) indexLoads(nodes []*cluster.Node) *sched.LoadIndex {
 }
 
 // addEntryLoad moves an x86 node's entry-index load by delta for load
-// its run queue does not carry: processes blocked on a decision or
-// queued behind FIFO cores, and same-instant placements.
+// its run queue does not carry: processes queued behind FIFO cores and
+// same-instant placements.
 func (p *Platform) addEntryLoad(n *cluster.Node, delta int) {
 	if n.Arch == isa.X86_64 {
 		p.entryLoads.Add(p.slot[n.Index], delta)

@@ -180,8 +180,11 @@ type Platform struct {
 	// (topology order), the fleet orders of the two load indexes.
 	x86Nodes, armNodes []*cluster.Node
 	// entryLoads indexes each x86 node's nodeLoad plus the placements
-	// made at the current arrival instant; armLoads indexes each ARM
-	// node's Load() and is shared by every scheduler server's fleet.
+	// made at the current arrival instant that a later arrival of the
+	// instant reads. It leaves out a process blocked on a decision:
+	// neither of its readers, the entry pick and admission, runs inside
+	// one. armLoads indexes each ARM node's Load() and is shared by
+	// every scheduler server's fleet.
 	// Run queues keep both current through PSServer.OnActive.
 	entryLoads, armLoads *sched.LoadIndex
 	// slot maps a node index to its position in its class's index.

@@ -500,12 +500,12 @@ func (p *Platform) execXarTrek(l *launch, entry *cluster.Node, app *workloads.Ap
 	}
 	// The requesting process is itself resident on its entry node
 	// while it waits for the decision; that node's load counts it (the
-	// paper's load metric counts processes, not runnable jobs).
+	// paper's load metric counts processes, not runnable jobs). The
+	// entry index needs no matching step: its readers, the entry pick
+	// and admission, never run inside a decision.
 	p.deciding[entry.Index]++
-	p.addEntryLoad(entry, 1)
 	d, err := p.serverFor(entry).DecideClass(app.Name, app.KernelName, class)
 	p.deciding[entry.Index]--
-	p.addEntryLoad(entry, -1)
 	if err != nil {
 		p.execX86(l, entry, app, finish)
 		return

@@ -189,6 +189,10 @@ type ComputeUnit struct {
 
 	busyUntil time.Duration
 	launches  int
+	// done chains the pending completions: they end in FIFO order, so
+	// only the earliest waits in the simulator's event heap. The first
+	// Enqueue binds it to its simulator.
+	done *simtime.Chain
 }
 
 // Latency is the pipeline time for trips iterations: fill the depth,
@@ -209,7 +213,8 @@ func (cu *ComputeUnit) Launches() int { return cu.launches }
 func (cu *ComputeUnit) BusyUntil() time.Duration { return cu.busyUntil }
 
 // Enqueue schedules one invocation for trips iterations; done fires at
-// completion. Invocations already queued on the CU run first.
+// completion. Invocations already queued on the CU run first. A CU
+// runs on one simulator: every Enqueue must pass the same one.
 func (cu *ComputeUnit) Enqueue(sim *simtime.Simulator, trips int64, done func()) {
 	cu.launches++
 	start := sim.Now()
@@ -218,11 +223,14 @@ func (cu *ComputeUnit) Enqueue(sim *simtime.Simulator, trips int64, done func())
 	}
 	end := start + cu.Latency(trips)
 	cu.busyUntil = end
-	sim.At(end, func() {
-		if done != nil {
-			done()
-		}
-	})
+	if cu.done == nil {
+		cu.done = sim.NewChain()
+	}
+	if done == nil {
+		done = func() {}
+	}
+	// end never precedes an earlier invocation's: the chain's order.
+	cu.done.At(end, done)
 }
 
 // regionState is the dynamic region's configuration state.

@@ -20,6 +20,8 @@ package simtime
 // field accesses. A fix to either file's heap logic belongs in both.
 type eventHeap struct {
 	items []*Event
+	// peak is the most events the heap has held at once.
+	peak int
 }
 
 // eventBefore is the (when, seq) strict weak order.
@@ -39,6 +41,7 @@ func (h *eventHeap) min() *Event { return h.items[0] }
 func (h *eventHeap) push(e *Event) {
 	e.index = len(h.items)
 	h.items = append(h.items, e)
+	h.peak = max(h.peak, len(h.items))
 	h.siftUp(e.index)
 }
 

@@ -17,6 +17,7 @@ type orderEngine interface {
 	cancel(h int)
 	retarget(h int, t time.Duration, fn func()) (int, bool)
 	feed(pull func() (time.Duration, func(), bool))
+	chain(c int, t time.Duration, fn func())
 	step() bool
 	stepUntil(t time.Duration) bool
 	runUntil(t time.Duration)
@@ -25,8 +26,9 @@ type orderEngine interface {
 
 // simOrder adapts the Simulator.
 type simOrder struct {
-	s    *Simulator
-	refs []EventRef
+	s      *Simulator
+	refs   []EventRef
+	chains [2]*Chain
 }
 
 func (e *simOrder) now() time.Duration { return e.s.Now() }
@@ -53,9 +55,17 @@ func (e *simOrder) stepUntil(t time.Duration) bool                 { return e.s.
 func (e *simOrder) runUntil(t time.Duration)                       { e.s.RunUntil(t) }
 func (e *simOrder) pending() int                                   { return e.s.Pending() }
 
-// refOrder keeps every pending event, Feed instants included, in one
-// slice sorted by (when, seq), drawing sequence numbers where the
-// simulator does: at each At, successful Retarget and Feed pull.
+func (e *simOrder) chain(c int, t time.Duration, fn func()) {
+	if e.chains[c] == nil {
+		e.chains[c] = e.s.NewChain()
+	}
+	e.chains[c].At(t, fn)
+}
+
+// refOrder keeps every pending event, Feed instants and chained events
+// included, in one slice sorted by (when, seq), drawing sequence
+// numbers where the simulator does: at each At, successful Retarget,
+// Feed pull and chain append.
 type refOrder struct {
 	clock   time.Duration
 	seq     uint64
@@ -64,7 +74,8 @@ type refOrder struct {
 }
 
 // refItem is one pending reference event: h is its handle (-1 for a
-// Feed instant, which has none) and pull its stream, nil otherwise.
+// Feed instant or a chained event, which have none) and pull its
+// stream, nil otherwise.
 type refItem struct {
 	when time.Duration
 	seq  uint64
@@ -116,6 +127,12 @@ func (r *refOrder) feed(pull func() (time.Duration, func(), bool)) {
 	}
 }
 
+// chain treats an append as At: a chain fires its events in the order
+// and at the times that one At per append would.
+func (r *refOrder) chain(_ int, t time.Duration, fn func()) {
+	r.insert(refItem{when: t, h: -1, fn: fn})
+}
+
 func (r *refOrder) step() bool {
 	if len(r.items) == 0 {
 		return false
@@ -157,7 +174,9 @@ type orderRun struct {
 	pos     int
 	ids     int
 	handles int
-	log     []orderEntry
+	// tails is the last time appended to each of the two chains.
+	tails [2]time.Duration
+	log   []orderEntry
 }
 
 // orderEntry is one line of an orderRun's log: what happened (fire,
@@ -210,7 +229,7 @@ func (r *orderRun) op(top bool) bool {
 	code, arg := r.next(), r.next()
 	now := r.eng.now()
 	future := now + 1 + time.Duration(arg%4)
-	switch code % 9 {
+	switch code % 10 {
 	case 0: // At the current instant: the now lane.
 		r.handles = r.eng.at(now, r.event()) + 1
 	case 1: // At a future instant: the heap.
@@ -222,7 +241,7 @@ func (r *orderRun) op(top bool) bool {
 	case 3, 4: // Retarget to the current instant or into the future.
 		if r.handles > 0 {
 			t := now
-			if code%9 == 4 {
+			if code%10 == 4 {
 				t = future
 			}
 			h, ok := r.eng.retarget(int(arg)%r.handles, t, r.event())
@@ -259,6 +278,11 @@ func (r *orderRun) op(top bool) bool {
 			r.eng.runUntil(now + time.Duration(arg%5))
 			r.record("runUntil", int64(r.eng.now()), 0)
 		}
+	case 9: // Append to one of two chains, at or after its tail and now.
+		c := int(arg % 2)
+		t := max(now, r.tails[c]) + time.Duration(arg/2%3)
+		r.tails[c] = t
+		r.eng.chain(c, t, r.event())
 	}
 	r.record("pending", int64(r.eng.pending()), 0)
 	return true
@@ -277,11 +301,13 @@ func (r *orderRun) run() []orderEntry {
 // FuzzEventOrder is the differential gate of the event core: a random
 // program of At (at the current instant and later), Cancel (double and
 // stale included), Retarget (from the now lane into the heap and from
-// the heap to the current instant), Feed streams and Step, StepUntil
-// and RunUntil boundaries, issued at top level and from inside
-// callbacks, must fire the same events at the same times and report
-// the same Pending after every operation on the simulator as on a
-// reference that keeps every pending event in one sorted slice.
+// the heap to the current instant), Feed streams, appends to two
+// chains at nondecreasing times (the current instant included) and
+// Step, StepUntil and RunUntil boundaries, issued at top level and
+// from inside callbacks, must fire the same events at the same times
+// and report the same Pending after every operation on the simulator
+// as on a reference that keeps every pending event in one sorted
+// slice, where a chain append is an At.
 func FuzzEventOrder(f *testing.F) {
 	// Three events at one instant, drained: the now lane's FIFO order.
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
@@ -292,6 +318,13 @@ func FuzzEventOrder(f *testing.F) {
 	// retargets lane→heap and heap→now, and nested scheduling.
 	f.Add([]byte{1, 2, 0, 0, 0, 1, 4, 1, 3, 0, 2, 2, 2, 2, 6, 0, 2, 1, 0, 5, 3, 1, 2, 0, 8, 4, 2, 5, 7, 3, 0, 1, 1})
 	f.Add([]byte{5, 3, 0, 1, 2, 2, 0, 0, 1, 0, 8, 2, 0, 1, 3, 2, 7, 0, 6, 0, 4, 3, 2, 4, 1, 1, 2, 0, 5, 1, 1, 0, 8, 4})
+	// Three events chained at one instant 1ns ahead and one 2ns after
+	// them, drained: the backlog enters the heap one head at a time.
+	f.Add([]byte{9, 2, 9, 0, 9, 0, 9, 4})
+	// Both chains appended at the current instant (the now lane) and
+	// ahead, beside heap and lane events, stepped onto an instant the
+	// chain still holds, with appends from inside callbacks.
+	f.Add([]byte{9, 0, 9, 1, 1, 0, 9, 2, 1, 9, 3, 0, 0, 9, 2, 2, 6, 0, 9, 0, 1, 1, 7, 1, 9, 4, 2, 0, 0, 8, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			return

@@ -56,12 +56,10 @@ type PSServer struct {
 	jobSeconds float64
 	// completeFn is completeDue bound once, so rescheduling the
 	// completion event does not allocate a method closure per event.
+	// Recycled transient jobs and completeDue's batch buffer live on
+	// the simulator (Simulator.jobFree, jobBatch), shared by its
+	// servers.
 	completeFn func()
-	// finished is completeDue's reusable batch buffer.
-	finished []*PSJob
-	// free holds recycled transient job structs for reuse by Submit
-	// and SubmitTransient.
-	free []*PSJob
 	// onActive observes every change of Active() (see OnActive).
 	onActive func(delta int)
 }
@@ -88,7 +86,7 @@ type PSJob struct {
 	index    int // heap index, -1 once removed
 	// transient marks a pooled job (SubmitTransient): once it leaves
 	// service — its done callback returned, or it was cancelled — the
-	// struct goes back to the server's free list. Submit's jobs are
+	// struct goes back to the simulator's free list. Submit's jobs are
 	// never recycled: a caller may hold the pointer forever (Remaining
 	// stays meaningful after completion).
 	transient bool
@@ -175,10 +173,11 @@ func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJo
 	}
 	w := work.Seconds()
 	var j *PSJob
-	if n := len(p.free); n > 0 {
-		j = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if free := p.sim.jobFree; len(free) > 0 {
+		n := len(free) - 1
+		j = free[n]
+		free[n] = nil
+		p.sim.jobFree = free[:n]
 		*j = PSJob{server: p}
 	} else {
 		j = &PSJob{server: p}
@@ -200,7 +199,7 @@ func (p *PSServer) submit(work time.Duration, done func(), transient bool) *PSJo
 }
 
 // Cancel removes the job without running its completion callback. A
-// job SubmitTransient issued goes back to the server's free list.
+// job SubmitTransient issued goes back to the simulator's free list.
 func (j *PSJob) Cancel() {
 	if j.finished {
 		return
@@ -216,7 +215,7 @@ func (j *PSJob) Cancel() {
 	p.reschedule()
 	if j.transient {
 		j.done = nil
-		p.free = append(p.free, j)
+		p.sim.jobFree = append(p.sim.jobFree, j)
 	}
 }
 
@@ -262,6 +261,10 @@ func (j *PSJob) Remaining() time.Duration {
 // fold the delta lazily on read.
 func (p *PSServer) advance() {
 	now := p.sim.Now()
+	if now == p.lastAt {
+		// No time has passed since the last event: nothing accrues.
+		return
+	}
 	elapsed := (now - p.lastAt).Seconds()
 	p.lastAt = now
 	n := p.heap.len()
@@ -319,8 +322,9 @@ func (p *PSServer) reschedule() {
 // full-scan server ordered them.
 func (p *PSServer) completeDue() {
 	p.advance()
-	finished := p.finished[:0]
-	p.finished = nil // reentrancy guard: a callback may re-enter the server
+	sim := p.sim
+	finished := sim.jobBatch[:0]
+	sim.jobBatch = nil // reentrancy guard: a callback may complete a batch itself
 	for p.heap.len() > 0 {
 		top := p.heap.min()
 		if top.remainingNow() > psEpsilon {
@@ -358,9 +362,9 @@ func (p *PSServer) completeDue() {
 		// serve the next submissions.
 		if j.transient {
 			j.done = nil
-			p.free = append(p.free, j)
+			sim.jobFree = append(sim.jobFree, j)
 		}
 		finished[i] = nil
 	}
-	p.finished = finished[:0]
+	sim.jobBatch = finished[:0]
 }

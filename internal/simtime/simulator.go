@@ -15,9 +15,10 @@
 // instant and one slot per Feed stream. Each lane is in (time,
 // sequence) order by construction, so firing whichever of the heap top
 // and the lane heads is least keeps the order exactly that of one heap
-// (DESIGN.md §7). A million-event serving campaign therefore costs no
-// per-event heap garbage beyond the closures the caller itself
-// schedules.
+// (DESIGN.md §7). A Chain keeps a FIFO stream of future events out of
+// the heap but for its head, under the same keys. A million-event
+// serving campaign therefore costs no per-event heap garbage beyond the
+// closures the caller itself schedules.
 package simtime
 
 import (
@@ -103,10 +104,18 @@ type Simulator struct {
 	laneLive int
 	// feeds holds the Feed streams with an instant pending, each
 	// carrying that instant's (time, seq).
-	feeds   []*feeder
+	feeds []*feeder
+	// chained counts the Chain events queued behind their chains'
+	// heads, pending but not yet in the heap.
+	chained int
 	nextSeq uint64
 	// free holds recycled Event structs for reuse by At.
 	free []*Event
+	// jobFree and jobBatch are the timeline's PS-server pools: the
+	// recycled transient jobs every server draws from, and the batch
+	// buffer of completeDue (nil while a batch is in progress).
+	jobFree  []*PSJob
+	jobBatch []*PSJob
 	// stepped counts the events fired and heapPops those of them
 	// popped from the event heap (EventCounts).
 	stepped, heapPops uint64
@@ -127,17 +136,7 @@ func (s *Simulator) At(t time.Duration, fn func()) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: schedule at %v before now %v", t, s.now))
 	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{sim: s}
-	}
-	e.when = t
-	e.seq = s.nextSeq
-	e.fn = fn
+	e := s.event(t, s.nextSeq, fn)
 	s.nextSeq++
 	if t == s.now {
 		e.index = inLane
@@ -147,6 +146,21 @@ func (s *Simulator) At(t time.Duration, fn func()) EventRef {
 		s.queue.push(e)
 	}
 	return EventRef{ev: e, gen: e.gen, when: t}
+}
+
+// event takes an Event struct from the free list, or allocates one,
+// and keys it (t, seq).
+func (s *Simulator) event(t time.Duration, seq uint64, fn func()) *Event {
+	var e *Event
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		e = &Event{sim: s}
+	}
+	e.when, e.seq, e.fn = t, seq, fn
+	return e
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -322,7 +336,13 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // the engine's per-request cost where wall time is too noisy to.
 func (s *Simulator) EventCounts() (stepped, heapPops uint64) { return s.stepped, s.heapPops }
 
+// HeapPeak reports the most events the event heap has held at once.
+// Events in the now lane, Feed slots and queued behind a Chain's head
+// never enter the heap, so it measures what those lanes keep out.
+func (s *Simulator) HeapPeak() int { return s.queue.peak }
+
 // Pending reports the number of scheduled events: heap entries, live
-// now-lane entries and armed Feed slots. It is O(1): a cancelled event
-// stops counting at cancellation time.
-func (s *Simulator) Pending() int { return s.queue.len() + s.laneLive + len(s.feeds) }
+// now-lane entries, armed Feed slots and Chain events queued behind
+// their heads. It is O(1): a cancelled event stops counting at
+// cancellation time.
+func (s *Simulator) Pending() int { return s.queue.len() + s.laneLive + len(s.feeds) + s.chained }
