@@ -153,7 +153,9 @@ func BenchmarkServingRack32Saturated(b *testing.B) {
 // iteration submits one short job and steps the simulator until its
 // completion callback fires. ns/op is therefore the per-event cost at
 // multiprogramming level n — O(n) for the legacy full-scan server,
-// O(log n) for the virtual-time one.
+// O(log n) for the virtual-time one. The virtual-time server takes its
+// jobs through SubmitTransient, the pooled path serving requests use;
+// the legacy reference has only Submit.
 func benchmarkPSServerChurn(b *testing.B, resident int, legacy bool) {
 	sim := simtime.New()
 	var submit func(work time.Duration, done func())
@@ -162,16 +164,18 @@ func benchmarkPSServerChurn(b *testing.B, resident int, legacy bool) {
 		submit = func(w time.Duration, done func()) { ps.Submit(w, done) }
 	} else {
 		ps := simtime.NewPSServer(sim, 6)
-		submit = func(w time.Duration, done func()) { ps.Submit(w, done) }
+		submit = func(w time.Duration, done func()) { ps.SubmitTransient(w, done) }
 	}
 	for i := 0; i < resident; i++ {
 		submit(10*time.Hour, nil)
 	}
+	done := false
+	finish := func() { done = true }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		done := false
-		submit(time.Microsecond, func() { done = true })
+		done = false
+		submit(time.Microsecond, finish)
 		for !done {
 			if !sim.Step() {
 				b.Fatal("simulator drained before churn job completed")

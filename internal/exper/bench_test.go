@@ -14,12 +14,12 @@ import (
 )
 
 // benchmarkEntryPick measures the serving front end's per-arrival entry
-// work on an n-host x86 fleet: pick the least-loaded eligible host,
-// count the placement for the rest of its arrival instant, and end the
-// instant — one single-request Feed batch. Every host carries three
-// resident long-running jobs except the last, which carries two, so
-// the pick lands at the far end of fleet order: the worst case for a
-// scan and for the index's word walk alike.
+// work on an n-host x86 fleet: pick the least-loaded eligible host. An
+// instant's last arrival, which on Poisson cells is nearly every
+// arrival, does no more. Every host carries three resident
+// long-running jobs except the last, which carries two, so the pick
+// lands at the far end of fleet order: the worst case for a scan and
+// for the index's word walk alike.
 func benchmarkEntryPick(b *testing.B, n int) {
 	arts := testArtifacts(b)
 	p, err := NewPlatformTopo(arts, cluster.ScaleOutTopology(fmt.Sprintf("entry%d", n), n, 0, 0), Options{})
@@ -40,8 +40,6 @@ func benchmarkEntryPick(b *testing.B, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		entry := p.leastLoadedX86()
-		p.addEntryLoad(entry, 1)
-		p.addEntryLoad(entry, -1)
 		if entry != want {
 			b.Fatalf("picked %s, want %s", entry.Name, want.Name)
 		}

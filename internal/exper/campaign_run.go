@@ -85,9 +85,6 @@ type runnableCell struct {
 	trace []time.Duration
 	apps  []*workloads.App
 	app   *workloads.App
-	// ck is the campaign's open checkpoint, threaded into sharded
-	// serving cells for per-shard persistence; nil otherwise.
-	ck *checkpoint
 }
 
 // resolveCell turns one expanded (scalar) cell spec into a runnable
@@ -297,11 +294,7 @@ func (c *runnableCell) run(arts, splitArts *Artifacts) (CellResult, error) {
 		}
 		res.Policy, res.Metrics, res.Knee = r.Policy, kneeMetrics(r), &r
 	case KindServing, KindPolicyComparison:
-		cfg := c.servingConfig()
-		if c.ck != nil && cfg.Opts.Shards > 1 {
-			cfg.shardCk = &shardCheckpoint{ck: c.ck, cell: c.index}
-		}
-		r, err := RunServing(use, cfg)
+		r, err := RunServing(use, c.servingConfig())
 		if err != nil {
 			return CellResult{}, err
 		}
@@ -380,9 +373,6 @@ func RunCampaign(arts *Artifacts, spec CampaignSpec, ropts RunOpts) (*Report, er
 				return nil, fmt.Errorf("exper: campaign %q: checkpoint %s: cell file %s %w",
 					spec.Name, ck.dir, filepath.Base(ck.cellPath(i)), err)
 			}
-		}
-		for _, rc := range resolved {
-			rc.ck = ck
 		}
 	}
 	results := make([]CellResult, len(resolved))

@@ -7,10 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"time"
-
-	"xartrek/internal/quantile"
 )
 
 // Campaign checkpointing persists per-cell results as a campaign runs,
@@ -28,6 +24,12 @@ import (
 // Because cells are deterministic and CellResult round-trips losslessly
 // through JSON, a resumed campaign's final report is byte-identical to
 // an uninterrupted run's.
+//
+// A sharded cell is one cell here too: its file is written once all
+// its shards finish, and a kill mid-cell reruns the whole cell. Resume
+// reads only the manifest and the cell files, so any other file in the
+// directory, such as the cell-0007.shard-003.json files older versions
+// wrote, is neither read nor rewritten.
 //
 // A checkpoint is only valid for the exact campaign that wrote it:
 // resume verifies the fingerprint and refuses to mix results from a
@@ -147,189 +149,4 @@ func (ck *checkpoint) saveCell(res CellResult) error {
 		return err
 	}
 	return writeFileAtomic(ck.cellPath(res.Index), append(blob, '\n'))
-}
-
-// --- shard granularity -----------------------------------------------
-//
-// A sharded serving cell persists each shard's result as it completes:
-//
-//	dir/cell-0007.shard-003.json   shard 3 of expanded cell 7
-//
-// A kill mid-cell then resumes by re-running only the missing shards.
-// Shard files carry their own fingerprint (cell index, shard position
-// and count, and the shard's full sub-config), so a stale or foreign
-// file is recomputed rather than trusted; the campaign manifest
-// already guards the directory as a whole. Once the cell's own file
-// exists the shard files are dead weight — kept, like every part of
-// this format, because dumb and inspectable beats tidy.
-
-// shardCheckpoint scopes a campaign checkpoint to one sharded cell.
-type shardCheckpoint struct {
-	ck   *checkpoint
-	cell int
-}
-
-// shardFile is the persisted part of one shard: the shard's unreduced
-// ServingResult plus its latency distributions — the exact samples or
-// the canonical sketch state — so the reducer of a resumed run merges
-// exactly what the original run would have. Files whose serving
-// payload also carries the shard's own throughput and percentiles
-// load the same way; the reducer recomputes those.
-type shardFile struct {
-	Fingerprint string        `json:"fingerprint"`
-	Shard       int           `json:"shard"`
-	Shards      int           `json:"shards"`
-	Serving     ServingResult `json:"serving"`
-	// ExactNS is the shard's completion-latency samples in nanoseconds
-	// (exact mode).
-	ExactNS nsSamples `json:"exact_ns,omitempty"`
-	// Sketch is the shard's GK summary (sketch mode).
-	Sketch *quantile.Sketch `json:"sketch,omitempty"`
-	// TenantExactNS / TenantSketches carry a workload-driven shard's
-	// per-class distributions keyed by SLO class, in the same mode as
-	// the aggregate digest above. Absent on workload-free shards, so
-	// their files stay byte-identical to pre-tenancy output.
-	TenantExactNS  map[string]nsSamples        `json:"tenant_exact_ns,omitempty"`
-	TenantSketches map[string]*quantile.Sketch `json:"tenant_sketches,omitempty"`
-}
-
-// nsSamples is an exact distribution as shard files store it: one JSON
-// array of nanosecond integers. It marshals straight from a digest's
-// leaves, one after another, so saving copies no sample; an array read
-// back is one leaf.
-type nsSamples []*latLeaf
-
-func (l nsSamples) MarshalJSON() ([]byte, error) {
-	buf := []byte{'['}
-	for _, leaf := range l {
-		for _, v := range leaf.samples {
-			if len(buf) > 1 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendInt(buf, int64(v), 10)
-		}
-	}
-	return append(buf, ']'), nil
-}
-
-func (l *nsSamples) UnmarshalJSON(b []byte) error {
-	var samples []time.Duration
-	if err := json.Unmarshal(b, &samples); err != nil {
-		return err
-	}
-	*l = nsSamples{{samples: samples}}
-	return nil
-}
-
-// shardFingerprint witnesses one shard's identity: the owning cell,
-// the shard's position in the partition, and the fully derived
-// sub-config (topology, stream split, seed). Any change to the
-// partition recomputes the shard.
-func shardFingerprint(cell, shard, shards int, cfg ServingConfig) (string, error) {
-	blob, err := json.Marshal(struct {
-		Cell   int           `json:"cell"`
-		Shard  int           `json:"shard"`
-		Shards int           `json:"shards"`
-		Config ServingConfig `json:"config"`
-	}{Cell: cell, Shard: shard, Shards: shards, Config: cfg})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-func (sc *shardCheckpoint) path(shard int) string {
-	return filepath.Join(sc.ck.dir, fmt.Sprintf("cell-%04d.shard-%03d.json", sc.cell, shard))
-}
-
-// load restores one shard's part if a matching file exists. Missing,
-// corrupt or mismatched files report ok=false and the shard re-runs —
-// resume never trusts bytes it cannot witness. Beyond the fingerprint,
-// a file must agree with itself and with the config: its digests are
-// in the config's latency mode and hold Serving.Completed samples, and
-// its tenancy report is present exactly when the config has a
-// workload, with the workload's classes in order, its cohort count,
-// and per class a digest of the class's Completed samples.
-func (sc *shardCheckpoint) load(shard, shards int, cfg ServingConfig) (servingPart, bool) {
-	raw, err := os.ReadFile(sc.path(shard))
-	if err != nil {
-		return servingPart{}, false
-	}
-	var f shardFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return servingPart{}, false
-	}
-	fp, err := shardFingerprint(sc.cell, shard, shards, cfg)
-	if err != nil || f.Fingerprint != fp || f.Shard != shard || f.Shards != shards {
-		return servingPart{}, false
-	}
-	sketch, err := parseLatencyMode(cfg.Opts.LatencyMode)
-	if err != nil {
-		return servingPart{}, false
-	}
-	// digest rebuilds one distribution from the file's exact samples or
-	// sketch; ok=false unless it is in the config's mode and holds want
-	// samples.
-	digest := func(ns nsSamples, sk *quantile.Sketch, want int) (*latDigest, bool) {
-		d := &latDigest{sketch: sk}
-		if !sketch {
-			d.leaves = ns
-		}
-		return d, (sk != nil) == sketch && d.count() == want
-	}
-	part := servingPart{res: f.Serving}
-	var ok bool
-	if part.lat, ok = digest(f.ExactNS, f.Sketch, f.Serving.Completed); !ok {
-		return servingPart{}, false
-	}
-	ten := f.Serving.Tenancy
-	if (ten != nil) != cfg.Workload.Enabled() {
-		return servingPart{}, false
-	}
-	if ten == nil {
-		return part, true
-	}
-	classes := cfg.Workload.Classes()
-	if len(ten.Classes) != len(classes) || len(ten.Cohorts) != len(cfg.Workload.Cohorts) {
-		return servingPart{}, false
-	}
-	for s, c := range ten.Classes {
-		d, ok := digest(f.TenantExactNS[c.Class], f.TenantSketches[c.Class], c.Completed)
-		if c.Class != classes[s] || !ok {
-			return servingPart{}, false
-		}
-		part.classes = append(part.classes, d)
-	}
-	return part, true
-}
-
-// save persists one completed shard's part atomically, before the cell
-// announces progress — a kill after this point loses no finished
-// shard.
-func (sc *shardCheckpoint) save(shard, shards int, cfg ServingConfig, part servingPart) error {
-	fp, err := shardFingerprint(sc.cell, shard, shards, cfg)
-	if err != nil {
-		return err
-	}
-	f := shardFile{Fingerprint: fp, Shard: shard, Shards: shards, Serving: part.res, Sketch: part.lat.sketch}
-	if part.lat.count() > 0 && part.lat.sketch == nil {
-		f.ExactNS = part.lat.leaves
-	}
-	if ten := part.res.Tenancy; ten != nil {
-		f.TenantExactNS = make(map[string]nsSamples, len(ten.Classes))
-		f.TenantSketches = make(map[string]*quantile.Sketch, len(ten.Classes))
-		for s, c := range ten.Classes {
-			if d := part.classes[s]; d.sketch != nil {
-				f.TenantSketches[c.Class] = d.sketch
-			} else {
-				f.TenantExactNS[c.Class] = d.leaves
-			}
-		}
-	}
-	blob, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(sc.path(shard), append(blob, '\n'))
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // ckptSpec is a small multi-cell campaign for the checkpoint tests: a
-// serving grid (4 expanded cells) plus a fault-bearing churn cell, so
-// resume is exercised across both fault-free and fault-injected kinds.
+// serving grid (4 expanded cells), a fault-bearing churn cell and a
+// 4-shard workload cell (index 5), so resume is exercised across
+// fault-free, fault-injected and sharded cells.
 func ckptSpec() CampaignSpec {
 	return CampaignSpec{
 		Name: "ckpt",
@@ -44,6 +45,16 @@ func ckptSpec() CampaignSpec {
 					RetryBackoff: faults.Duration(5 * time.Millisecond),
 				},
 			},
+			{
+				Name:     "sharded",
+				Kind:     KindServing,
+				Topology: &TopologySpec{Kind: "scale-out", Name: "rack8", X86: 4, ARM: 4, FPGAs: 2},
+				Rate:     8,
+				Duration: Duration(20 * time.Second),
+				Seed:     2021,
+				Options:  &Options{Shards: 4},
+				Workload: testWorkload(),
+			},
 		},
 	}
 }
@@ -63,7 +74,9 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 // the suffix of cell files — exactly the on-disk state the atomic
 // writes guarantee) resumes from the completed prefix and produces a
 // final report byte-identical to an uninterrupted run's, across
-// GOMAXPROCS settings, without recomputing the prefix.
+// GOMAXPROCS settings, without recomputing the prefix. The sharded cell
+// resumes per cell like the others: the shard files earlier versions
+// wrote for it are neither read nor rewritten.
 func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	arts := testArtifacts(t)
 	spec := ckptSpec()
@@ -72,8 +85,8 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(cells)
-	if n != 5 {
-		t.Fatalf("expanded %d cells, want 5", n)
+	if n != 6 {
+		t.Fatalf("expanded %d cells, want 6", n)
 	}
 
 	baseline, err := RunCampaign(arts, spec, RunOpts{})
@@ -102,7 +115,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Kill after cell 2: cells 2..4 never hit the disk. A stray temp
+	// Kill after cell 2: cells 2..5 never hit the disk. A stray temp
 	// file emulates a kill mid-write; resume must ignore it.
 	for i := 2; i < n; i++ {
 		if err := os.Remove(filepath.Join(dir, cellFileName(i))); err != nil {
@@ -115,6 +128,23 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	kept, err := os.Stat(filepath.Join(dir, cellFileName(0)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Shard files of the sharded cell, in the layout earlier versions
+	// wrote, holding bytes no parser accepts: resume must not touch
+	// them. A sentinel mtime in the past witnesses that none is
+	// rewritten.
+	junk := []byte("\x00{not json")
+	sentinel := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	var oldShards []string
+	for s := 0; s < 4; s++ {
+		p := filepath.Join(dir, fmt.Sprintf("cell-0005.shard-%03d.json", s))
+		if err := os.WriteFile(p, junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, sentinel, sentinel); err != nil {
+			t.Fatal(err)
+		}
+		oldShards = append(oldShards, p)
 	}
 
 	var streamed []int
@@ -145,6 +175,19 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	if !after.ModTime().Equal(kept.ModTime()) {
 		t.Fatal("resume rewrote an already-checkpointed cell (prefix was recomputed)")
+	}
+	for _, p := range oldShards {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fi.ModTime().Equal(sentinel) || string(data) != string(junk) {
+			t.Errorf("resume rewrote %s; shard files must be ignored", filepath.Base(p))
+		}
 	}
 
 	// A hole in the middle (not just a suffix) resumes the same way.
@@ -272,13 +315,19 @@ func TestCheckLoadedNamesFirstMismatch(t *testing.T) {
 }
 
 // TestCampaignCheckpointSketchCells pins checkpoint/resume for
-// sketch-mode cells: the sketch-backed percentiles survive the
-// CellResult JSON round trip byte-identically too.
+// sketch-mode cells, the sharded one included: the sketch-backed
+// percentiles survive the CellResult JSON round trip byte-identically
+// too.
 func TestCampaignCheckpointSketchCells(t *testing.T) {
 	arts := testArtifacts(t)
 	spec := ckptSpec()
-	for i := range spec.Cells {
-		spec.Cells[i].Options = &Options{LatencyMode: LatencySketch}
+	for i, c := range spec.Cells {
+		var opts Options
+		if c.Options != nil {
+			opts = *c.Options
+		}
+		opts.LatencyMode = LatencySketch
+		spec.Cells[i].Options = &opts
 	}
 	baseline, err := RunCampaign(arts, spec, RunOpts{})
 	if err != nil {
@@ -289,7 +338,7 @@ func TestCampaignCheckpointSketchCells(t *testing.T) {
 	if _, err := RunCampaign(arts, spec, RunOpts{Checkpoint: dir}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 2; i < 5; i++ {
+	for i := 2; i < len(baseline.Cells); i++ {
 		if err := os.Remove(filepath.Join(dir, cellFileName(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -301,19 +350,21 @@ func TestCampaignCheckpointSketchCells(t *testing.T) {
 	if got := reportJSON(t, resumed); string(got) != string(want) {
 		t.Fatal("resumed sketch-mode run diverged from uninterrupted run")
 	}
-	if resumed.Cells[0].Serving.LatencyMode != LatencySketch {
-		t.Fatal("restored cell lost its latency mode")
+	for _, c := range []CellResult{resumed.Cells[0], resumed.Cells[len(resumed.Cells)-1]} {
+		if c.Serving.LatencyMode != LatencySketch {
+			t.Fatalf("cell %d lost its latency mode", c.Index)
+		}
 	}
 }
 
 // FuzzCheckpoint resumes a checkpointed 4-shard workload cell, run once
-// per latency mode, over a copy of its checkpoint directory with one
-// file replaced by the input. The input's first byte picks the mode and
-// the file (the manifest, the cell file or a shard file), the rest is
-// the file's new content; the cell file is removed unless it is the
-// target, so the shard files are read. Resume may fail or recompute,
-// but must not panic. Seeded with the runs' own files; inputs over
-// 8 KiB are skipped.
+// per latency mode, over a copy of its checkpoint directory (the
+// manifest and the cell file) with one of the two files replaced by
+// the input. The input's first byte picks the mode and the file, the
+// rest is the file's new content; the other file stays as written.
+// Resume may fail, but must not panic. Seeded, per mode and file, with
+// the file as written, the other mode's file and the file cut in half;
+// inputs over 8 KiB are skipped.
 func FuzzCheckpoint(f *testing.F) {
 	arts := testArtifacts(f)
 	type run struct {
@@ -340,8 +391,8 @@ func FuzzCheckpoint(f *testing.F) {
 			f.Fatal(err)
 		}
 		paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-		if err != nil || len(paths) != 6 {
-			f.Fatalf("checkpoint files: %v (%d, want manifest, cell file and 4 shard files)", err, len(paths))
+		if err != nil || len(paths) != 2 {
+			f.Fatalf("checkpoint files: %v (%d, want the manifest and the cell file)", err, len(paths))
 		}
 		for _, p := range paths {
 			data, err := os.ReadFile(p)
@@ -358,7 +409,10 @@ func FuzzCheckpoint(f *testing.F) {
 	}
 	for i := range runs[0].names {
 		for m, r := range runs {
-			f.Add(append([]byte{byte(i*len(runs) + m)}, r.files[i]...))
+			own, other := r.files[i], runs[(m+1)%len(runs)].files[i]
+			for _, data := range [][]byte{own, other, own[:len(own)/2]} {
+				f.Add(append([]byte{byte(i*len(runs) + m)}, data...))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -370,17 +424,14 @@ func FuzzCheckpoint(f *testing.F) {
 		dir := t.TempDir()
 		for i, name := range r.names {
 			data := r.files[i]
-			switch {
-			case i == target:
+			if i == target {
 				data = in[1:]
-			case name == cellFileName(0):
-				continue
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Resume may fail or recompute; only a panic fails the target.
+		// Resume may fail; only a panic fails the target.
 		_, _ = RunCampaign(arts, r.spec, RunOpts{Checkpoint: dir})
 	})
 }

@@ -65,10 +65,9 @@ type ServingConfig struct {
 	// arrival stream with the tenancy package's merged multi-client
 	// stream at RatePerSec aggregate: per-cohort rate fractions, SLO
 	// classes and arrival processes, with per-class latency digests in
-	// the result. nil (omitted from JSON, keeping workload-free shard
-	// fingerprints stable) leaves the run byte-identical to the
-	// pre-tenancy engine. Mutually exclusive with Trace.
-	Workload *tenancy.Spec `json:",omitempty"`
+	// the result. nil leaves the run byte-identical to the pre-tenancy
+	// engine. Mutually exclusive with Trace.
+	Workload *tenancy.Spec
 
 	// shardStride/shardPhase deal the arrival stream to a sharded
 	// sub-run: the sub-run draws the parent's whole stream and keeps
@@ -78,10 +77,6 @@ type ServingConfig struct {
 	// arrival.
 	shardStride int
 	shardPhase  int
-	// shardCk carries the campaign checkpoint context into a sharded
-	// run, which persists per-shard parts so a resumed run re-runs only
-	// missing shards. nil outside checkpointed sharded cells.
-	shardCk *shardCheckpoint
 }
 
 // ServingResult is one serving run's report: offered vs completed
@@ -332,9 +327,8 @@ func (cfg ServingConfig) source(pool []*workloads.App, ten *tenantRun) (*arrival
 // cells call too. An unnamed config takes its topology's name. The run
 // is one timeline, or with Opts.Shards > 1 one per shard
 // (shardConfigs). Every timeline runs as its own simulation across the
-// worker pool, restored from or saved to the cell's shard checkpoint
-// when it has one, and reduceServing folds their parts in timeline
-// order, so the output does not depend on GOMAXPROCS.
+// worker pool, and reduceServing folds their parts in timeline order,
+// so the output does not depend on GOMAXPROCS.
 func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 	if cfg.Name == "" {
 		cfg.Name = cfg.Topo.Name
@@ -346,26 +340,10 @@ func RunServing(arts *Artifacts, cfg ServingConfig) (ServingResult, error) {
 			return ServingResult{}, err
 		}
 	}
-	ck, n := cfg.shardCk, len(subs)
-	parts := make([]servingPart, n)
-	err := par.ForEach(n, func(i int) error {
-		if ck != nil {
-			if part, ok := ck.load(i, n, subs[i]); ok {
-				parts[i] = part
-				return nil
-			}
-		}
-		part, err := runServingCore(arts, subs[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.save(i, n, subs[i], part); err != nil {
-				return err
-			}
-		}
-		parts[i] = part
-		return nil
+	parts := make([]servingPart, len(subs))
+	err := par.ForEach(len(subs), func(i int) (err error) {
+		parts[i], err = runServingCore(arts, subs[i])
+		return err
 	})
 	if err != nil {
 		return ServingResult{}, err

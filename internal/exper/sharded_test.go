@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"xartrek/internal/cluster"
 	"xartrek/internal/elastic"
 	"xartrek/internal/isa"
-	"xartrek/internal/quantile"
 )
 
 // cellEntryNodes resolves the x86 entry-node count of a cell's
@@ -367,182 +365,6 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if string(p1) != string(p8) || string(p2) != string(p8) {
 		t.Fatalf("sharded result depends on GOMAXPROCS:\n1: %s\n2: %s\n8: %s", p1, p2, p8)
 	}
-}
-
-// shardCkSpec is the small sharded campaign the checkpoint tests run.
-func shardCkSpec() CampaignSpec {
-	return CampaignSpec{
-		Name: "shard-ck",
-		Cells: []CellSpec{{
-			Kind:     KindServing,
-			Topology: &TopologySpec{Kind: "scale-out", Name: "rack8", X86: 4, ARM: 4, FPGAs: 2},
-			Rate:     8,
-			Duration: Duration(30 * time.Second),
-			Seed:     7,
-			Options:  &Options{Shards: 4},
-		}},
-	}
-}
-
-// TestShardCheckpointResume kills a sharded cell mid-flight (by
-// deleting its cell file and one shard file) and requires the resumed
-// campaign to (a) reuse the surviving shard files without recomputing
-// them and (b) produce a byte-identical report. Corrupt and
-// fingerprint-mismatched shard files must be recomputed, not trusted.
-func TestShardCheckpointResume(t *testing.T) {
-	arts := testArtifacts(t)
-	dir := t.TempDir()
-	spec := shardCkSpec()
-	run := func() []byte {
-		rep, err := RunCampaign(arts, spec, RunOpts{Checkpoint: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	want := run()
-
-	cellFile := filepath.Join(dir, "cell-0000.json")
-	shardFile := func(i int) string {
-		return filepath.Join(dir, fmt.Sprintf("cell-0000.shard-%03d.json", i))
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(shardFile(i)); err != nil {
-			t.Fatalf("shard file %d missing after checkpointed run: %v", i, err)
-		}
-	}
-
-	// Kill/resume: the cell file and the last shard vanish; the
-	// surviving shards must be loaded, not recomputed. A recompute
-	// rewrites the file, so a sentinel mtime in the past witnesses the
-	// load.
-	sentinel := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, p := range []string{cellFile, shardFile(3)} {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if err := os.Chtimes(shardFile(i), sentinel, sentinel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := run(); string(got) != string(want) {
-		t.Fatalf("resumed report diverged from the uninterrupted report")
-	}
-	for i := 0; i < 3; i++ {
-		fi, err := os.Stat(shardFile(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fi.ModTime().Equal(sentinel) {
-			t.Errorf("surviving shard file %d was rewritten; resume recomputed a checkpointed shard", i)
-		}
-	}
-	if _, err := os.Stat(shardFile(3)); err != nil {
-		t.Fatalf("missing shard was not re-persisted: %v", err)
-	}
-
-	// A corrupt shard file re-runs its shard; the report stays right.
-	if err := os.WriteFile(shardFile(2), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(cellFile); err != nil {
-		t.Fatal(err)
-	}
-	if got := run(); string(got) != string(want) {
-		t.Fatalf("report diverged after corrupt shard file recompute")
-	}
-
-	// A well-formed file with a stale fingerprint (here: a shard file
-	// copied into another shard's slot) is refused and recomputed.
-	blob, err := os.ReadFile(shardFile(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(shardFile(1), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(cellFile); err != nil {
-		t.Fatal(err)
-	}
-	if got := run(); string(got) != string(want) {
-		t.Fatalf("report diverged after fingerprint-mismatch recompute")
-	}
-
-	// A file that contradicts its own counts is recomputed too: shard
-	// 1 one sample short of Serving.Completed (the rest all 999 s), or
-	// shard 0's samples as a sketch in an exact-mode cell.
-	samples := func(file map[string]json.RawMessage) []int64 {
-		var ns []int64
-		if err := json.Unmarshal(file["exact_ns"], &ns); err != nil || len(ns) == 0 {
-			t.Fatalf("shard file holds no exact samples: %v", err)
-		}
-		return ns
-	}
-	for _, tc := range []struct {
-		name  string
-		shard int
-		edit  func(file, serving map[string]json.RawMessage)
-	}{
-		{"short", 1, func(file, _ map[string]json.RawMessage) {
-			ns := samples(file)
-			file["exact_ns"] = rawJSON(t, slices.Repeat([]int64{int64(999 * time.Second)}, len(ns)-1))
-		}},
-		{"sketch", 0, func(file, _ map[string]json.RawMessage) {
-			sk := quantile.New(quantile.DefaultEpsilon)
-			for _, v := range samples(file) {
-				sk.Add(v)
-			}
-			delete(file, "exact_ns")
-			file["sketch"] = rawJSON(t, sk)
-		}},
-	} {
-		tamperShard(t, shardFile(tc.shard), tc.edit)
-		if err := os.Remove(cellFile); err != nil {
-			t.Fatal(err)
-		}
-		if got := run(); string(got) != string(want) {
-			t.Fatalf("report diverged after resuming over a %s shard file", tc.name)
-		}
-	}
-}
-
-// tamperShard rewrites the shard file at path through edit, which sees
-// the file's top-level fields and its serving payload's fields as raw
-// JSON.
-func tamperShard(t *testing.T, path string, edit func(file, serving map[string]json.RawMessage)) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file, serving map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(file["serving"], &serving); err != nil {
-		t.Fatal(err)
-	}
-	edit(file, serving)
-	file["serving"] = rawJSON(t, serving)
-	if err := os.WriteFile(path, rawJSON(t, file), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// rawJSON marshals v, failing the test on error.
-func rawJSON(t *testing.T, v any) json.RawMessage {
-	t.Helper()
-	blob, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
 }
 
 // TestShardsSpecValidation pins the reject-ignored-knobs rule for

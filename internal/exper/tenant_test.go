@@ -2,7 +2,6 @@ package exper
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,23 +173,11 @@ func TestWorkloadShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestWorkloadFreeReportsUnchanged pins the byte-identity contract for
-// workload-free cells: the new ServingConfig / ServingResult / CellSpec
-// fields are nil-gated with omitempty, so configs (and therefore shard
-// fingerprints, checkpoints and campaign fingerprints) marshal exactly
-// as before the tenancy subsystem existed.
+// workload-free cells: the new CellSpec and ServingResult fields are
+// nil-gated with omitempty, so campaign fingerprints (and therefore
+// checkpoints) and reports marshal exactly as before the tenancy
+// subsystem existed.
 func TestWorkloadFreeReportsUnchanged(t *testing.T) {
-	cfgBlob, err := json.Marshal(ServingConfig{
-		Topo: cluster.ScaleOutTopology("rack4", 2, 2, 1), Mode: ModeXarTrek,
-		RatePerSec: 2, Duration: 5 * time.Second, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"Workload", "workload", "Tenancy"} {
-		if strings.Contains(string(cfgBlob), key) {
-			t.Errorf("workload-free ServingConfig JSON mentions %q: %s", key, cfgBlob)
-		}
-	}
 	cellBlob, err := json.Marshal(CellSpec{Kind: KindServing, Rate: 2, Duration: Duration(5 * time.Second)})
 	if err != nil {
 		t.Fatal(err)
@@ -215,103 +202,6 @@ func TestWorkloadFreeReportsUnchanged(t *testing.T) {
 	}
 	if strings.Contains(string(resBlob), "Tenancy") {
 		t.Errorf("workload-free ServingResult JSON mentions Tenancy: %s", resBlob)
-	}
-}
-
-// TestWorkloadShardCheckpointResume pins shard-granular resume for
-// workload-driven cells in both latency modes: shard files persist the
-// per-class digests, a killed cell resumes byte-identically, and the
-// surviving shard files are loaded rather than recomputed.
-func TestWorkloadShardCheckpointResume(t *testing.T) {
-	arts := testArtifacts(t)
-	for _, mode := range []string{LatencyExact, LatencySketch} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			spec := CampaignSpec{
-				Name: "tenant-shard-ck",
-				Cells: []CellSpec{{
-					Kind:     KindServing,
-					Topology: &TopologySpec{Kind: "scale-out", Name: "rack8", X86: 4, ARM: 4, FPGAs: 2},
-					Rate:     8,
-					Duration: Duration(30 * time.Second),
-					Seed:     7,
-					Options:  &Options{Shards: 4, LatencyMode: mode},
-					Workload: testWorkload(),
-				}},
-			}
-			run := func() []byte {
-				rep, err := RunCampaign(arts, spec, RunOpts{Checkpoint: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				blob, err := json.Marshal(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return blob
-			}
-			want := run()
-			shardPath := func(i int) string {
-				return filepath.Join(dir, fmt.Sprintf("cell-0000.shard-%03d.json", i))
-			}
-			// Shard files must carry the per-class distributions in the
-			// cell's latency mode.
-			blob, err := os.ReadFile(shardPath(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantKey, otherKey := "tenant_exact_ns", "tenant_sketches"
-			if mode == LatencySketch {
-				wantKey, otherKey = otherKey, wantKey
-			}
-			if !strings.Contains(string(blob), wantKey) {
-				t.Fatalf("workload shard file lacks %q", wantKey)
-			}
-			if strings.Contains(string(blob), otherKey) {
-				t.Fatalf("workload shard file carries %q in %s mode", otherKey, mode)
-			}
-			// Kill/resume: cell file and the last shard vanish, the
-			// survivors must be loaded (witnessed by a sentinel mtime).
-			sentinel := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-			for _, p := range []string{filepath.Join(dir, "cell-0000.json"), shardPath(3)} {
-				if err := os.Remove(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				if err := os.Chtimes(shardPath(i), sentinel, sentinel); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := run(); string(got) != string(want) {
-				t.Fatalf("resumed workload report diverged from the uninterrupted report")
-			}
-			for i := 0; i < 3; i++ {
-				fi, err := os.Stat(shardPath(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !fi.ModTime().Equal(sentinel) {
-					t.Errorf("surviving workload shard file %d was recomputed on resume", i)
-				}
-			}
-			// A shard file whose tenancy report contradicts the
-			// workload (no classes or cohorts, or no report at all) is
-			// recomputed, not merged.
-			for _, report := range []json.RawMessage{json.RawMessage(`{"Classes":[],"Cohorts":[]}`), nil} {
-				tamperShard(t, shardPath(2), func(_, serving map[string]json.RawMessage) {
-					if serving["Tenancy"] = report; report == nil {
-						delete(serving, "Tenancy")
-					}
-				})
-				if err := os.Remove(filepath.Join(dir, "cell-0000.json")); err != nil {
-					t.Fatal(err)
-				}
-				if got := run(); string(got) != string(want) {
-					t.Fatalf("report diverged after resuming over shard tenancy %s", report)
-				}
-			}
-		})
 	}
 }
 

@@ -14,13 +14,10 @@
 // plus one float64 multiply for the compression threshold, so a fixed
 // insertion sequence yields a bit-identical sketch on every platform
 // and GOMAXPROCS setting (the sketch itself is not goroutine-safe; the
-// campaign layer shards one sketch per cell). JSON serialization
-// captures the exact tuple state: a deserialized sketch answers every
-// query identically to the original.
+// campaign layer shards one sketch per cell).
 package quantile
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -60,29 +57,17 @@ type Sketch struct {
 }
 
 // minEpsilon is the smallest rank-error target a sketch takes. The
-// insert buffer holds 1/(2·eps) values, so the floor bounds it at 4 MB,
-// also for a sketch decoded from a corrupt file.
+// insert buffer holds 1/(2·eps) values, so the floor bounds it at 4 MB.
 const minEpsilon = 1e-6
-
-// checkEpsilon rejects a rank-error target outside [minEpsilon, 1).
-func checkEpsilon(eps float64) error {
-	if !(eps >= minEpsilon && eps < 1) {
-		return fmt.Errorf("quantile: epsilon %v out of [%v, 1)", eps, minEpsilon)
-	}
-	return nil
-}
-
-// bufCap is the insert-buffer capacity for eps: 1/(2·eps), at least 16.
-func bufCap(eps float64) int { return max(int(1/(2*eps)), 16) }
 
 // New returns an empty sketch targeting the given rank-error fraction
 // (1e-6 <= eps < 1). Smaller eps means more tuples:
 // ~(1/2eps)·log2(2eps·n).
 func New(eps float64) *Sketch {
-	if err := checkEpsilon(eps); err != nil {
-		panic(err.Error())
+	if !(eps >= minEpsilon && eps < 1) {
+		panic(fmt.Sprintf("quantile: epsilon %v out of [%v, 1)", eps, minEpsilon))
 	}
-	return &Sketch{eps: eps, buf: make([]int64, 0, bufCap(eps))}
+	return &Sketch{eps: eps, buf: make([]int64, 0, max(int(1/(2*eps)), 16))}
 }
 
 // ErrorBound reports the sketch's guaranteed rank-error fraction: the
@@ -312,58 +297,6 @@ func Merged(eps float64, sketches ...*Sketch) *Sketch {
 		out.Merge(sk)
 	}
 	return out
-}
-
-// --- serialization ---------------------------------------------------
-
-// sketchJSON is the JSON wire form: tuples as [v, g, delta] triples.
-type sketchJSON struct {
-	Eps    float64    `json:"eps"`
-	N      int64      `json:"n"`
-	Tuples [][3]int64 `json:"tuples"`
-}
-
-// MarshalJSON encodes the flushed sketch; the output is canonical for
-// a given state, so sketch-bearing reports stay byte-comparable.
-func (s *Sketch) MarshalJSON() ([]byte, error) {
-	s.flush()
-	out := sketchJSON{Eps: s.eps, N: s.n, Tuples: make([][3]int64, len(s.tuples))}
-	for i, t := range s.tuples {
-		out.Tuples[i] = [3]int64{t.v, t.g, t.delta}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON restores a sketch from MarshalJSON output. It rejects
-// an epsilon outside [1e-6, 1), unsorted or malformed tuples, and
-// tuples that do not cover exactly n ranks.
-func (s *Sketch) UnmarshalJSON(data []byte) error {
-	var in sketchJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	if err := checkEpsilon(in.Eps); err != nil {
-		return err
-	}
-	var covered int64
-	prev := int64(math.MinInt64)
-	tuples := make([]tuple, len(in.Tuples))
-	for i, t := range in.Tuples {
-		if t[0] < prev || t[1] < 1 || t[2] < 0 {
-			return fmt.Errorf("quantile: corrupt tuple %d %v", i, t)
-		}
-		if t[1] > in.N-covered { // covered stays ≤ n, so the sum cannot overflow
-			return fmt.Errorf("quantile: tuples cover more than n=%d ranks", in.N)
-		}
-		covered += t[1]
-		prev = t[0]
-		tuples[i] = tuple{v: t[0], g: t[1], delta: t[2]}
-	}
-	if covered != in.N {
-		return fmt.Errorf("quantile: tuples cover %d ranks, n=%d", covered, in.N)
-	}
-	*s = Sketch{eps: in.Eps, n: in.N, tuples: tuples, buf: make([]int64, 0, bufCap(in.Eps))}
-	return nil
 }
 
 // TupleCount reports the current summary size (after flushing pending

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,11 +46,33 @@ type diffTrace struct {
 	completions []completion
 	jobSeconds  float64
 	finalNow    time.Duration
+	// capacity, jobs and steps are recorded by runDiffSchedule only:
+	// the server's capacity, each job's residency and the work it
+	// received, and the active-count step function, one point per
+	// change.
+	capacity float64
+	jobs     []jobSpan
+	steps    []activeStep
 }
 
 type completion struct {
 	id int
 	at time.Duration
+}
+
+// jobSpan is one job's residency: submitted at submit, departed at
+// depart (its completion, or its cancel if that came first), having
+// received its full work if it completed, or its work less what
+// remained at the cancel.
+type jobSpan struct {
+	submit, depart, received time.Duration
+}
+
+// activeStep is the server's Active() count from at until the next
+// step.
+type activeStep struct {
+	at time.Duration
+	n  int
 }
 
 // runDiffSchedule replays one seeded random schedule — submissions
@@ -62,6 +86,8 @@ func runDiffSchedule(seed int64, legacy bool) diffTrace {
 	h := newPSHarness(sim, capacity, legacy)
 	var tr diffTrace
 	n := 20 + rng.Intn(60)
+	tr.capacity, tr.jobs = capacity, make([]jobSpan, n)
+	step := func() { tr.steps = append(tr.steps, activeStep{at: sim.Now(), n: h.active()}) }
 	for i := 0; i < n; i++ {
 		id := i
 		var work time.Duration
@@ -72,14 +98,25 @@ func runDiffSchedule(seed int64, legacy bool) diffTrace {
 		doCancel := rng.Intn(5) == 0
 		cancelAt := at + time.Duration(rng.Intn(2_000_000_000))
 		sim.At(at, func() {
+			span := &tr.jobs[id]
+			span.submit = at
+			completed := false
 			cancel, remaining := h.submit(work, func() {
 				tr.completions = append(tr.completions, completion{id: id, at: sim.Now()})
+				completed = true
+				span.depart, span.received = sim.Now(), work
+				step()
 			})
+			step()
 			if doCancel {
 				sim.At(cancelAt, func() {
-					_ = remaining()
+					rem := remaining()
 					cancel()
 					cancel() // double cancel must stay a no-op
+					if !completed {
+						span.depart, span.received = sim.Now(), work-rem
+						step()
+					}
 				})
 			}
 		})
@@ -93,6 +130,35 @@ func runDiffSchedule(seed int64, legacy bool) diffTrace {
 	return tr
 }
 
+// checkPSOracles checks two identities every processor-sharing run
+// obeys, with no second engine to compare against, within the 1e-6 s
+// the differential check allows:
+//   - Little's law on the sample path: the residency integral
+//     JobSeconds equals the summed residency, departure − submit, of
+//     all jobs;
+//   - work conservation: the work the jobs received equals the
+//     service the server delivered, ∫ min(n(t), C) dt over the
+//     active-count step function.
+func checkPSOracles(t *testing.T, label string, tr diffTrace) {
+	t.Helper()
+	var resident, received float64
+	for _, j := range tr.jobs {
+		resident += (j.depart - j.submit).Seconds()
+		received += j.received.Seconds()
+	}
+	if d := tr.jobSeconds - resident; d > 1e-6 || d < -1e-6 {
+		t.Fatalf("%s: JobSeconds %v, summed residency %v", label, tr.jobSeconds, resident)
+	}
+	var served float64
+	for k := 1; k < len(tr.steps); k++ {
+		prev := tr.steps[k-1]
+		served += math.Min(float64(prev.n), tr.capacity) * (tr.steps[k].at - prev.at).Seconds()
+	}
+	if d := served - received; d > 1e-6 || d < -1e-6 {
+		t.Fatalf("%s: served %v s of work, jobs received %v s", label, served, received)
+	}
+}
+
 // TestPSServerMatchesLegacyOnRandomSchedules is the differential gate
 // de-risking the virtual-time rewrite (the playbook of the compiled
 // MIR engine, DESIGN.md §3): on identical schedules both engines must
@@ -103,12 +169,15 @@ func runDiffSchedule(seed int64, legacy bool) diffTrace {
 // the two bookkeeping schemes legitimately round the scheduled
 // completion to adjacent nanoseconds; on the repository's structured
 // experiment corpus agreement is bit-exact, which the pinned fixtures
-// in internal/exper enforce separately (see DESIGN.md §7).
+// in internal/exper enforce separately (see DESIGN.md §7). Each
+// engine's run must also satisfy checkPSOracles on its own.
 func TestPSServerMatchesLegacyOnRandomSchedules(t *testing.T) {
 	offByOne := 0
 	for seed := int64(0); seed < 150; seed++ {
 		got := runDiffSchedule(seed, false)
 		want := runDiffSchedule(seed, true)
+		checkPSOracles(t, fmt.Sprintf("seed %d", seed), got)
+		checkPSOracles(t, fmt.Sprintf("seed %d, legacy", seed), want)
 		if len(got.completions) != len(want.completions) {
 			t.Fatalf("seed %d: %d completions, legacy %d", seed, len(got.completions), len(want.completions))
 		}
