@@ -1,12 +1,8 @@
 package main
 
 import (
-	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"flag"
-	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,20 +10,19 @@ import (
 	"testing"
 
 	"xartrek/internal/exper"
+	"xartrek/internal/golden"
 	"xartrek/internal/isa"
 	"xartrek/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/goldens.sha256")
+// goldenDir holds one file per golden output, named as goldenOutputs
+// keys it.
+var goldenDir = filepath.Join("testdata", "golden")
 
-// manifestPath is the checked-in golden manifest: one "<sha256>  <name>"
-// line per golden output, sorted by name.
-var manifestPath = filepath.Join("testdata", "goldens.sha256")
-
-// manifestSkips are the campaign files too slow for go test (seconds
+// goldenSkips are the campaign files too slow for go test (seconds
 // each); the CI memory job runs them under heap budgets and pins their
-// report digests (internal/exper/memsmoke_test.go).
-var manifestSkips = map[string]bool{"rack256.json": true, "rack1024.json": true}
+// reports (internal/exper/memsmoke_test.go).
+var goldenSkips = map[string]bool{"rack256.json": true, "rack1024.json": true}
 
 // servingClass reports whether a cell kind runs the open-loop serving
 // engine, the kinds that take options.latency_mode and options.shards.
@@ -46,16 +41,17 @@ func withOptions(c *exper.CellSpec) *exper.Options {
 	return &o
 }
 
-// campaignVariants are the spec edits the manifest pins beside each
-// campaign as checked in. An edit reports whether it changed the cell;
-// a variant that changes no cell of a file adds no line for it.
+// campaignVariants are the spec edits each campaign's reports are
+// pinned under, by golden file name suffix. An edit reports whether
+// it changed the cell; a variant that changes no cell of a file adds
+// no golden for it.
 var campaignVariants = []struct {
 	suffix string
 	edit   func(t *testing.T, c *exper.CellSpec) bool
 }{
-	{"", func(*testing.T, *exper.CellSpec) bool { return true }},
+	{".json", func(*testing.T, *exper.CellSpec) bool { return true }},
 	// Every serving-class cell in sketch latency mode.
-	{" (sketch)", func(_ *testing.T, c *exper.CellSpec) bool {
+	{".sketch.json", func(_ *testing.T, c *exper.CellSpec) bool {
 		if !servingClass(c.Kind) {
 			return false
 		}
@@ -64,7 +60,7 @@ var campaignVariants = []struct {
 	}},
 	// Every shardable serving-class cell (no faults, admission or
 	// autoscaler) at min(4, x86 nodes) shards.
-	{" (shards)", func(t *testing.T, c *exper.CellSpec) bool {
+	{".shards.json", func(t *testing.T, c *exper.CellSpec) bool {
 		if !servingClass(c.Kind) || (c.Faults != nil && !c.Faults.Empty()) || c.Admission.Enabled() || c.Autoscaler.Enabled() {
 			return false
 		}
@@ -80,9 +76,10 @@ var campaignVariants = []struct {
 	}},
 }
 
-// goldenOutputs renders every golden the manifest pins: the stdout of
-// xarbench -all -runs 3 and the marshalled report of each checked-in
-// campaign spec, as checked in and under each of campaignVariants.
+// goldenOutputs renders every golden output by its file name: the
+// stdout of xarbench -all -runs 3 and the indented report of each
+// checked-in campaign spec, as checked in and under each of
+// campaignVariants.
 func goldenOutputs(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -90,7 +87,7 @@ func goldenOutputs(t *testing.T) map[string][]byte {
 	if err := run([]string{"-all", "-runs", "3"}, &b); err != nil {
 		t.Fatalf("xarbench -all -runs 3: %v", err)
 	}
-	out["xarbench -all -runs 3"] = []byte(b.String())
+	out["all-runs-3.txt"] = []byte(b.String())
 	apps, err := workloads.Registry()
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +103,11 @@ func goldenOutputs(t *testing.T) map[string][]byte {
 	}
 	for _, path := range paths {
 		name := filepath.Base(path)
-		if manifestSkips[name] {
+		if goldenSkips[name] {
 			continue
 		}
 		for _, v := range campaignVariants {
+			key := strings.TrimSuffix(name, ".json") + v.suffix
 			f, err := os.Open(path)
 			if err != nil {
 				t.Fatal(err)
@@ -130,76 +128,32 @@ func goldenOutputs(t *testing.T) map[string][]byte {
 			}
 			rep, err := exper.RunCampaign(arts, *spec, exper.RunOpts{BaseDir: dir})
 			if err != nil {
-				t.Fatalf("%s%s: %v", name, v.suffix, err)
+				t.Fatalf("%s: %v", key, err)
 			}
-			js, err := json.Marshal(rep)
+			js, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
-			out["campaign "+name+v.suffix] = js
+			out[key] = append(js, '\n')
 		}
 	}
 	return out
 }
 
-// readManifest parses the checked-in manifest into name → hex digest.
-func readManifest(t *testing.T) map[string]string {
-	t.Helper()
-	f, err := os.Open(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	m := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		sum, name, ok := strings.Cut(sc.Text(), "  ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", manifestPath, sc.Text())
-		}
-		m[name] = sum
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// TestGoldenManifest pins every deterministic output the simulator
+// TestGoldenOutputs pins every deterministic output the simulator
 // produces cheaply: any change to a figure, table or campaign report
-// moves a digest here. After an intended output change, rerun with
-// -update and say in the change which goldens moved and why.
-func TestGoldenManifest(t *testing.T) {
+// fails here, listing the values that moved. After an intended output
+// change, rerun with -update and say in the change which values moved
+// and why.
+func TestGoldenOutputs(t *testing.T) {
 	outputs := goldenOutputs(t)
-	got := make(map[string]string, len(outputs))
-	names := make([]string, 0, len(outputs))
-	for name, b := range outputs {
-		sum := sha256.Sum256(b)
-		got[name] = hex.EncodeToString(sum[:])
-		names = append(names, name)
+	for _, name := range slices.Sorted(maps.Keys(outputs)) {
+		golden.Check(t, filepath.Join(goldenDir, name), outputs[name])
 	}
-	slices.Sort(names)
-	if *update {
-		var b strings.Builder
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s  %s\n", got[name], name)
-		}
-		if err := os.WriteFile(manifestPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := readManifest(t)
-	for _, name := range names {
-		switch w, ok := want[name]; {
-		case !ok:
-			t.Errorf("%s: not in %s (run go test -run TestGoldenManifest -update)", name, manifestPath)
-		case w != got[name]:
-			t.Errorf("%s: sha256 %s, manifest has %s", name, got[name], w)
-		}
-	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			t.Errorf("%s: in %s but no longer rendered", name, manifestPath)
+	files, _ := filepath.Glob(filepath.Join(goldenDir, "*")) // the pattern is well formed
+	for _, f := range files {
+		if outputs[filepath.Base(f)] == nil {
+			t.Errorf("%s: no output renders it any more; delete it", f)
 		}
 	}
 }

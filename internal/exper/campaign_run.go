@@ -239,8 +239,9 @@ func (c *runnableCell) header() CellResult {
 
 // checkLoaded reports why a checkpointed result cannot be this cell's:
 // the first identity field that disagrees with header, missing
-// metrics, or a payload other than exactly the one the cell's kind
-// produces. nil means the result is the cell's.
+// metrics, a payload other than exactly the one the cell's kind
+// produces, or serving percentiles kept in another latency mode. nil
+// means the result is the cell's.
 func (c *runnableCell) checkLoaded(r *CellResult) error {
 	h := c.header()
 	for _, f := range []struct {
@@ -273,6 +274,19 @@ func (c *runnableCell) checkLoaded(r *CellResult) error {
 	}
 	if !own || payloads != 1 {
 		return fmt.Errorf("holds %d payload(s), want exactly the one a %s cell produces", payloads, h.Kind)
+	}
+	s := r.Serving
+	if r.Knee != nil {
+		s = r.Knee.AtKnee
+	}
+	if s != nil {
+		want := ""
+		if sketch, _ := parseLatencyMode(c.opts.LatencyMode); sketch { // validated with the spec
+			want = LatencySketch
+		}
+		if s.LatencyMode != want {
+			return fmt.Errorf("holds latency mode %#v, want %#v", s.LatencyMode, want)
+		}
 	}
 	return nil
 }

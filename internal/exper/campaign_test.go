@@ -3,7 +3,6 @@ package exper
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,10 +13,9 @@ import (
 
 	"xartrek/internal/cluster"
 	"xartrek/internal/faults"
+	"xartrek/internal/golden"
 	"xartrek/internal/workloads"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // testSpec is a spec exercising every serializable knob; the golden
 // file pins its JSON form.
@@ -110,26 +108,10 @@ func TestCampaignSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestCampaignSpecGolden(t *testing.T) {
-	path := filepath.Join("testdata", "campaign_spec.golden.json")
-	js, err := json.MarshalIndent(testSpec(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	js = append(js, '\n')
-	if *update {
-		if err := os.WriteFile(path, js, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js) != string(want) {
-		t.Fatalf("spec JSON drifted from golden file (run go test -run TestCampaignSpecGolden -update):\n%s", js)
-	}
-	// The golden file itself must parse back to the same spec.
-	parsed, err := ParseCampaign(strings.NewReader(string(want)))
+	js := goldenJSON(t, testSpec())
+	golden.Check(t, filepath.Join("testdata", "campaign_spec.golden.json"), js)
+	// The golden's bytes must parse back to the same spec.
+	parsed, err := ParseCampaign(bytes.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,24 +752,7 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	js = append(js, '\n')
-	path := filepath.Join("testdata", "campaign_report.golden.json")
-	if *update {
-		if err := os.WriteFile(path, js, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js) != string(want) {
-		t.Fatalf("report JSON drifted from golden file (run go test -run TestReportGolden -update):\n%s", js)
-	}
+	golden.Check(t, filepath.Join("testdata", "campaign_report.golden.json"), goldenJSON(t, rep))
 }
 
 func TestRunCampaignUnnamedSpecKeepsCellErrorContext(t *testing.T) {

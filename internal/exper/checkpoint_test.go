@@ -59,14 +59,15 @@ func ckptSpec() CampaignSpec {
 	}
 }
 
-// reportJSON marshals a campaign report for byte-identity comparison.
-func reportJSON(t *testing.T, rep *Report) []byte {
+// goldenJSON marshals v as a golden file holds it, indented and ending
+// in a newline; the checkpoint tests compare reports in this form too.
+func goldenJSON(t *testing.T, v any) []byte {
 	t.Helper()
-	blob, err := json.Marshal(rep)
+	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return append(blob, '\n')
 }
 
 // TestCampaignCheckpointResumeByteIdentical is the kill/resume golden:
@@ -93,7 +94,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reportJSON(t, baseline)
+	want := goldenJSON(t, baseline)
 
 	dir := t.TempDir()
 	var first *Report
@@ -103,7 +104,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reportJSON(t, first); string(got) != string(want) {
+	if got := goldenJSON(t, first); string(got) != string(want) {
 		t.Fatalf("checkpointed run diverged from plain run:\n%s\n%s", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
@@ -158,7 +159,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reportJSON(t, resumed); string(got) != string(want) {
+	if got := goldenJSON(t, resumed); string(got) != string(want) {
 		t.Fatalf("resumed run diverged from uninterrupted run:\n%s\n%s", got, want)
 	}
 	if len(streamed) != n {
@@ -198,7 +199,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reportJSON(t, resumed); string(got) != string(want) {
+	if got := goldenJSON(t, resumed); string(got) != string(want) {
 		t.Fatal("resume with a mid-campaign hole diverged")
 	}
 
@@ -212,7 +213,7 @@ func TestCampaignCheckpointResumeByteIdentical(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), cellFileName(0)) {
 		var got []byte
 		if resumed != nil {
-			got = reportJSON(t, resumed)
+			got = goldenJSON(t, resumed)
 		}
 		t.Fatalf("hollow cell file: err = %v, want an error naming %s; report:\n%s", err, cellFileName(0), got)
 	}
@@ -301,6 +302,11 @@ func TestCheckLoadedNamesFirstMismatch(t *testing.T) {
 		{"mode", func(r *CellResult) { r.Mode = "vanilla-x86" }},
 		{"rate", func(r *CellResult) { r.RatePerSec = 4 }},
 		{"seed", func(r *CellResult) { r.Seed = 7 }},
+		{"latency mode", func(r *CellResult) {
+			s := *r.Serving
+			s.LatencyMode = LatencySketch
+			r.Serving = &s
+		}},
 		{"metrics", func(r *CellResult) { r.Metrics = nil }},
 		{"0 payload(s)", func(r *CellResult) { r.Serving = nil }},
 		{"2 payload(s)", func(r *CellResult) { r.Knee = &KneeResult{} }},
@@ -333,7 +339,7 @@ func TestCampaignCheckpointSketchCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := reportJSON(t, baseline)
+	want := goldenJSON(t, baseline)
 	dir := t.TempDir()
 	if _, err := RunCampaign(arts, spec, RunOpts{Checkpoint: dir}); err != nil {
 		t.Fatal(err)
@@ -347,7 +353,7 @@ func TestCampaignCheckpointSketchCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reportJSON(t, resumed); string(got) != string(want) {
+	if got := goldenJSON(t, resumed); string(got) != string(want) {
 		t.Fatal("resumed sketch-mode run diverged from uninterrupted run")
 	}
 	for _, c := range []CellResult{resumed.Cells[0], resumed.Cells[len(resumed.Cells)-1]} {

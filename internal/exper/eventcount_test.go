@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xartrek/internal/golden"
 )
 
 // eventCountsGolden pins the event costs TestEventCountsPinned checks.
@@ -37,8 +39,8 @@ func (c servingCell) String() string {
 }
 
 // smallServingCells expands every checked-in campaign but rack256 and
-// rack1024 (the golden manifest's set) and returns its serving-class
-// cells in file and expansion order.
+// rack1024 (the campaigns cmd/xarbench's TestGoldenOutputs pins) and
+// returns its serving-class cells in file and expansion order.
 func smallServingCells(t *testing.T) []servingCell {
 	t.Helper()
 	entries, err := os.ReadDir(campaignsDir)
@@ -109,28 +111,5 @@ func TestEventCountsPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s offered=%d stepped=%d heap=%d peak=%d\n", c, offered, stepped, popped, peak)
 	}
-	got := b.String()
-	if *update {
-		if err := os.WriteFile(eventCountsGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(eventCountsGolden)
-	if err != nil {
-		t.Fatalf("%v (run go test -run TestEventCountsPinned -update)", err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
-		}
-	}
+	golden.Check(t, eventCountsGolden, []byte(b.String()))
 }

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"xartrek/internal/faults"
+	"xartrek/internal/golden"
 )
 
 // latencyCountsGolden pins how many completions each exact-mode
@@ -130,20 +130,7 @@ func TestLatencyStoredOnce(t *testing.T) {
 		}
 		b.WriteByte('\n')
 	}
-	got := b.String()
-	if *update {
-		if err := os.WriteFile(latencyCountsGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(latencyCountsGolden)
-	if err != nil {
-		t.Fatalf("%v (run go test ./internal/exper -run TestLatencyStoredOnce -update)", err)
-	}
-	if got != string(want) {
-		t.Errorf("distribution counts moved:\n got\n%s want\n%s", got, want)
-	}
+	golden.Check(t, latencyCountsGolden, []byte(b.String()))
 }
 
 // TestTimelineLatLeafGrid checks the leaf layout of a run that reports

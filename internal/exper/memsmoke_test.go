@@ -1,9 +1,6 @@
 package exper
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +10,7 @@ import (
 
 	"xartrek/internal/elastic"
 	"xartrek/internal/faults"
+	"xartrek/internal/golden"
 )
 
 // TestMillionRequestSketchMemorySmoke is the memory-regression gate
@@ -23,10 +21,11 @@ import (
 // latency mode, and sketch-backed percentiles keep the latency record
 // bounded too, so the working set is O(in-flight): far below what
 // materialising the stream (~48 B of arrival plus ~8 B of latency per
-// request, plus one heap event each) would need. The marshalled
-// report must also hash to the pinned digest, so a moved rack256
-// report fails here. Gated behind XARTREK_MEM_SMOKE because the cell
-// takes seconds; CI runs it as a dedicated job under GODEBUG=gctrace=1.
+// request, plus one heap event each) would need. The report must also
+// match its golden, testdata/golden/rack256-1m.json, so a moved
+// rack256 report fails here, naming the values that moved. Gated
+// behind XARTREK_MEM_SMOKE because the cell takes seconds; CI runs it
+// as a dedicated job under GODEBUG=gctrace=1.
 func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the million-request memory smoke")
@@ -58,22 +57,7 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
-	checkReportDigest(t, "rack256-1m", rep, "e8d63045f322f9b69cd510b2640a0adbef25d7ead6e2276b668647c5fd02444e")
-}
-
-// checkReportDigest compares the SHA-256 of the marshalled report with
-// the digest pinned for it: the memory smokes' rack cells are too slow
-// for the golden manifest, so they pin their reports here.
-func checkReportDigest(t *testing.T, label string, rep *Report, want string) {
-	t.Helper()
-	js, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(js)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("%s: report sha256 %s, want %s", label, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden", "rack256-1m.json"), goldenJSON(t, rep))
 }
 
 // TestMultiMillionShardedMemorySmoke is the sharded twin at the next
@@ -83,7 +67,7 @@ func checkReportDigest(t *testing.T, label string, rep *Report, want string) {
 // plus their sketches — still O(shards x in-flight), nowhere near the
 // ~350 MiB an O(total-requests) engine would need for this cell.
 func TestMultiMillionShardedMemorySmoke(t *testing.T) {
-	rack1024MemorySmoke(t, "rack1024-4m", 192<<20, "8907d9476908156acfa4cde84dd0cfc02cff40879129c6fd67d008dca6563ba1", nil)
+	rack1024MemorySmoke(t, "rack1024-4m", 192<<20, nil)
 }
 
 // TestUnshardedRack1024MemorySmoke runs the rack1024 cell with its
@@ -93,15 +77,15 @@ func TestMultiMillionShardedMemorySmoke(t *testing.T) {
 // the eager all-pairs table needed (~200 MiB peak heap with one idle
 // processor-sharing server per pair).
 func TestUnshardedRack1024MemorySmoke(t *testing.T) {
-	rack1024MemorySmoke(t, "rack1024-unsharded", 160<<20, "c437a15878359d50694f052e4f20c414da825bd078c0821fdeb9cfcdfbf6cea0", func(spec *CampaignSpec) {
+	rack1024MemorySmoke(t, "rack1024-unsharded", 160<<20, func(spec *CampaignSpec) {
 		spec.Cells[0].Options.Shards = 0
 	})
 }
 
 // rack1024MemorySmoke runs the checked-in rack1024 cell, after an
 // optional spec edit, and asserts its shape, a peak-heap budget and
-// the SHA-256 of its marshalled report.
-func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, wantSHA string, edit func(*CampaignSpec)) {
+// its report against the golden testdata/golden/<label>.json.
+func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, edit func(*CampaignSpec)) {
 	t.Helper()
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the multi-million-request memory smoke")
@@ -127,7 +111,7 @@ func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, wantSHA 
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
-	checkReportDigest(t, label, rep, wantSHA)
+	golden.Check(t, filepath.Join("testdata", "golden", label+".json"), goldenJSON(t, rep))
 }
 
 // runCampaignWithPeakHeap runs one checked-in campaign spec, after an
@@ -189,7 +173,7 @@ func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edi
 // application) pair. The 12 MiB budget leaves 1.5x headroom over the
 // ~7.9 MiB peak measured so, and sits below the 16-17.6 MiB the same
 // cell peaked at when each reported distribution kept its own copy
-// (BENCH.md). The marshalled report must hash to the pinned digest.
+// (BENCH.md). The report must match testdata/golden/tenants-churn.json.
 func TestTenantsChurnExactMemorySmoke(t *testing.T) {
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the exact-mode memory smoke")
@@ -235,5 +219,5 @@ func TestTenantsChurnExactMemorySmoke(t *testing.T) {
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
-	checkReportDigest(t, "tenants-churn", rep, "c1645054bfb5c6dabbbbda0801c5d6ce5a4680e0058420b5cab78f73574caa82")
+	golden.Check(t, filepath.Join("testdata", "golden", "tenants-churn.json"), goldenJSON(t, rep))
 }

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"xartrek/internal/golden"
 )
 
 // psHarness drives either processor-sharing implementation through a
@@ -252,4 +257,12 @@ func TestPSServerMatchesLegacySaturationRamp(t *testing.T) {
 	if got.finalNow != want.finalNow {
 		t.Fatalf("final clock %v, legacy %v", got.finalNow, want.finalNow)
 	}
+	// A change that moves both engines alike passes the comparison
+	// above; the golden pins the schedule itself.
+	var b strings.Builder
+	for _, c := range got.completions {
+		fmt.Fprintf(&b, "%d %d\n", c.id, c.at)
+	}
+	fmt.Fprintf(&b, "final %d\njob-seconds %s\n", got.finalNow, strconv.FormatFloat(got.jobSeconds, 'g', -1, 64))
+	golden.Check(t, filepath.Join("testdata", "saturation_ramp.txt"), []byte(b.String()))
 }
