@@ -728,8 +728,8 @@ func BenchmarkServingWithChurn(b *testing.B) {
 }
 
 // benchmarkServingSketch measures the sketch-latency-mode serving
-// engine: lazily generated Poisson arrivals into a GK quantile sketch,
-// the million-request configuration. req/wall-s is the headline
+// engine: lazily generated Poisson arrivals into log-linear latency
+// histograms, the million-request configuration. req/wall-s is the headline
 // requests-per-wall-second trajectory BENCH.md tracks; the alloc
 // figures pin the O(in-flight) memory claim (bytes/op must not scale
 // with the request count).

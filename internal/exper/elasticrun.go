@@ -103,8 +103,8 @@ func newElasticRuntime(p *Platform, admission *elastic.AdmissionSpec, scaler *el
 // testLatencySink.
 var debugElasticSample func(now time.Duration, smp elastic.Sample)
 
-// sample takes one epoch observation, feeds the controller and applies
-// the decided joins/drains to the entry fleet.
+// sample takes one epoch observation, hands it to the controller and
+// applies the decided joins/drains to the entry fleet.
 func (rt *elasticRuntime) sample(now time.Duration) {
 	off := rt.p.off
 	var work, cores, queue float64

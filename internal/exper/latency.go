@@ -17,11 +17,12 @@ const (
 	// nearest-rank percentiles — the byte-identical default, O(n)
 	// memory over the campaign.
 	LatencyExact = "exact"
-	// LatencySketch streams latencies into a GK quantile sketch
-	// (quantile.DefaultEpsilon rank error), so a serving cell's memory
-	// is O(in-flight) regardless of request count — the
-	// million-request regime. Arrivals are drawn lazily in both modes;
-	// only the latency store differs.
+	// LatencySketch counts latencies in log-linear histograms
+	// (internal/quantile), so a serving cell's memory is O(in-flight)
+	// regardless of request count — the million-request regime — and
+	// each percentile lies within quantile.DefaultEpsilon of the exact
+	// one. Arrivals are drawn lazily in both modes; only the latency
+	// store differs.
 	LatencySketch = "sketch"
 )
 
@@ -38,25 +39,37 @@ func parseLatencyMode(s string) (bool, error) {
 }
 
 // latLeaf holds the completion latencies of one (SLO class,
-// application) pair of a serving timeline. In exact mode it stores
-// each sample once, and every digest that covers the pair lists the
-// leaf. In sketch mode it stores nothing and feeds the sketch of each
-// covering digest instead, so every sketch sees its samples in
-// completion order.
+// application) pair of a serving timeline, and every digest that
+// covers the pair lists the leaf. In exact mode it stores each sample
+// once; in sketch mode it counts them in one histogram.
 type latLeaf struct {
 	samples []time.Duration
-	feeds   []*quantile.Sketch
+	hist    *quantile.Sketch
+}
+
+// newLatLeaf returns an empty leaf of the given latency mode.
+func newLatLeaf(sketch bool) *latLeaf {
+	if sketch {
+		return &latLeaf{hist: quantile.New(quantile.DefaultEpsilon)}
+	}
+	return &latLeaf{}
 }
 
 // add records one completion latency.
 func (l *latLeaf) add(v time.Duration) {
-	if l.feeds != nil {
-		for _, sk := range l.feeds {
-			sk.Add(int64(v))
-		}
+	if l.hist != nil {
+		l.hist.Add(int64(v))
 		return
 	}
 	l.samples = append(l.samples, v)
+}
+
+// count reports the number of latencies the leaf holds.
+func (l *latLeaf) count() int {
+	if l.hist != nil {
+		return int(l.hist.Count())
+	}
+	return len(l.samples)
 }
 
 // complete records a finished run's latency: the completion callback
@@ -64,49 +77,35 @@ func (l *latLeaf) add(v time.Duration) {
 // accounting.
 func (l *latLeaf) complete(run RunResult) { l.add(run.Elapsed()) }
 
-// latDigest is one completion-latency distribution. In exact mode it
-// is the union of its leaves, which other digests may share, and each
-// nearest-rank percentile is read by in-place selection over them
-// (selectRank for one leaf, selectLeaves for several), which returns
-// the sample a sort of the concatenation would, since the value at a
-// given rank is unique; reads reorder the leaves and copy no sample. A
-// plain digest is the one-leaf case. In sketch mode the digest owns a
-// GK summary holding only O(1/eps·log n) tuples, with rank error
-// bounded by quantile.DefaultEpsilon (the differential tests pin
-// sketch-vs-exact agreement to 1%).
+// latDigest is one completion-latency distribution: the union of its
+// leaves, which other digests may share. A plain digest is the
+// one-leaf case. In exact mode each nearest-rank percentile is read by
+// in-place selection over the leaves' samples (selectRank for one
+// leaf, selectLeaves for several), which returns the sample a sort of
+// the concatenation would, since the value at a given rank is unique;
+// reads reorder the leaves and copy no sample. In sketch mode a read
+// sums the leaves' histograms, and the percentile of the sum lies
+// within quantile.DefaultEpsilon of the exact one.
 type latDigest struct {
 	leaves []*latLeaf
-	sketch *quantile.Sketch
 	// open is selectLeaves' range list, kept to be reused by the next
 	// read.
 	open []openRange
 }
 
-// newLatDigest returns a plain digest: a sketch, or one exact leaf.
+// newLatDigest returns a plain digest: one leaf of the given mode.
 func newLatDigest(sketch bool) *latDigest {
-	if sketch {
-		return &latDigest{sketch: quantile.New(quantile.DefaultEpsilon)}
-	}
-	return &latDigest{leaves: []*latLeaf{{}}}
+	return &latDigest{leaves: []*latLeaf{newLatLeaf(sketch)}}
 }
 
 // add records one sample in a plain digest.
-func (d *latDigest) add(v time.Duration) {
-	if d.sketch != nil {
-		d.sketch.Add(int64(v))
-		return
-	}
-	d.leaves[0].add(v)
-}
+func (d *latDigest) add(v time.Duration) { d.leaves[0].add(v) }
 
 // count reports the number of samples recorded.
 func (d *latDigest) count() int {
-	if d.sketch != nil {
-		return int(d.sketch.Count())
-	}
 	n := 0
 	for _, l := range d.leaves {
-		n += len(l.samples)
+		n += l.count()
 	}
 	return n
 }
@@ -122,23 +121,22 @@ func (d *latDigest) count() int {
 //   - pct=100 is exactly rank n, the maximum, and larger pct values
 //     clamp to it.
 //
-// Both modes answer the same rank query (the quantile package's
-// Quantile uses the same ceil(q·n) rank), so exact and sketch modes
-// differ only by the sketch's bounded rank error.
+// Both modes answer the same rank, and the histograms return the exact
+// minimum and maximum, so the modes differ only by the value bound
+// inside the bucket that holds the rank.
 func (d *latDigest) percentile(pct int) time.Duration {
-	if d.sketch != nil {
-		n := d.sketch.Count()
-		if n == 0 {
-			return 0
-		}
-		rank := (int64(pct)*n + 99) / 100
-		return time.Duration(d.sketch.QuantileAtRank(rank))
-	}
 	n := d.count()
 	if n == 0 {
 		return 0
 	}
 	rank := min(max((pct*n+99)/100, 1), n) // ceil(pct/100 * n)
+	if d.leaves[0].hist != nil {
+		hists := make([]*quantile.Sketch, len(d.leaves))
+		for i, l := range d.leaves {
+			hists[i] = l.hist
+		}
+		return time.Duration(quantile.Merged(quantile.DefaultEpsilon, hists...).QuantileAtRank(int64(rank)))
+	}
 	rounds := 2 * bits.Len(uint(n))
 	if len(d.leaves) == 1 {
 		return selectRank(d.leaves[0].samples, rank-1, rounds)
@@ -152,37 +150,32 @@ func (d *latDigest) percentile(pct int) time.Duration {
 // churn"). Completions land in leaves, one per (class, application)
 // pair along the dimensions the run reports, so a plain run has one
 // leaf. Each class or application digest covers that class's or
-// application's leaves and the cell-wide digest covers them all, so in
-// exact mode every latency is stored once.
+// application's leaves and the cell-wide digest covers them all, so
+// every latency is stored once.
 type timelineLat struct {
-	all      *latDigest
-	classes  []*latDigest // per class slot; nil without a workload
-	apps     []*latDigest // per application name; nil without faults
-	appNames []string
-	appSlot  map[string]int // application name to its apps index
-	grid     []*latLeaf     // per (class slot, app slot), nil until bound
+	histograms bool // sketch mode: leaves hold histograms
+	all        *latDigest
+	classes    []*latDigest // per class slot; nil without a workload
+	apps       []*latDigest // per application name; nil without faults
+	appNames   []string
+	appSlot    map[string]int // application name to its apps index
+	grid       []*latLeaf     // per (class slot, app slot), nil until bound
 }
 
 // newTimelineLat builds the record of a timeline that reports nClasses
 // SLO classes (0 without a workload) and, when perApp is set, every
 // application of pool by name.
 func newTimelineLat(sketch bool, nClasses int, pool []*workloads.App, perApp bool) *timelineLat {
-	union := func() *latDigest {
-		if sketch {
-			return newLatDigest(true)
-		}
-		return &latDigest{}
-	}
-	t := &timelineLat{all: union()}
+	t := &timelineLat{histograms: sketch, all: &latDigest{}}
 	for range nClasses {
-		t.classes = append(t.classes, union())
+		t.classes = append(t.classes, &latDigest{})
 	}
 	if perApp {
 		t.appSlot = make(map[string]int, len(pool))
 		for _, app := range pool {
 			if _, ok := t.appSlot[app.Name]; !ok {
 				t.appSlot[app.Name] = len(t.apps)
-				t.apps = append(t.apps, union())
+				t.apps = append(t.apps, &latDigest{})
 				t.appNames = append(t.appNames, app.Name)
 			}
 		}
@@ -204,20 +197,13 @@ func (t *timelineLat) leaf(c int, app string) *latLeaf {
 	if t.grid[i] != nil {
 		return t.grid[i]
 	}
-	l := &latLeaf{}
-	covers := []*latDigest{t.all}
+	l := newLatLeaf(t.histograms)
+	t.all.leaves = append(t.all.leaves, l)
 	if t.classes != nil {
-		covers = append(covers, t.classes[c])
+		t.classes[c].leaves = append(t.classes[c].leaves, l)
 	}
 	if t.apps != nil {
-		covers = append(covers, t.apps[a])
-	}
-	for _, d := range covers {
-		if d.sketch != nil {
-			l.feeds = append(l.feeds, d.sketch)
-		} else {
-			d.leaves = append(d.leaves, l)
-		}
+		t.apps[a].leaves = append(t.apps[a].leaves, l)
 	}
 	t.grid[i] = l
 	return l
@@ -403,13 +389,14 @@ func partition3(s []time.Duration, p time.Duration) (lt, gt int) {
 }
 
 // sink hands an exact-mode distribution to testLatencySink when a test
-// installed one: a sorted copy of its leaves' samples. Only tests
-// install a sink, so only they pay for the copy and the sort.
+// installed one: a sorted copy of its leaves' samples (none in sketch
+// mode). Only tests install a sink, so only they pay for the copy and
+// the sort.
 func (d *latDigest) sink(cell, kind string) {
-	if testLatencySink == nil || d.sketch != nil {
+	if testLatencySink == nil {
 		return
 	}
-	all := make([]time.Duration, 0, d.count())
+	var all []time.Duration
 	for _, l := range d.leaves {
 		all = append(all, l.samples...)
 	}
@@ -417,10 +404,10 @@ func (d *latDigest) sink(cell, kind string) {
 	testLatencySink(cell, kind, all)
 }
 
-// testLatencySink, when non-nil, receives every exact-mode latency
-// distribution (sorted ascending) as a run finalizes: the sketch
-// differential tests use it to measure rank error against the exact
-// reference without the production result retaining per-request data.
-// kind is "latency", "recovery", "class:<app>" or "slo:<class>" (a
-// workload-driven run's per-SLO-class distribution).
+// testLatencySink, when non-nil, receives every latency distribution
+// (sorted ascending) as a run finalizes: the sketch differential tests
+// install it around an exact run to measure the sketch's error against
+// the exact reference without the production result retaining
+// per-request data. kind is "latency", "recovery", "class:<app>" or
+// "slo:<class>" (a workload-driven run's per-SLO-class distribution).
 var testLatencySink func(cell, kind string, sorted []time.Duration)

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"xartrek/internal/quantile"
 )
 
 // percentile is the nearest-rank percentile of an ascending-sorted
@@ -114,11 +116,11 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 // TestLatDigestMatchesPercentile pins that the exact-mode digest is the
-// same function as percentile() and that the sketch-mode digest agrees
-// with it on a stream small enough for the sketch to be exact-by-
-// construction plus bounded beyond that. After the reads have
-// reordered the exact samples, the sink must still receive them
-// ascending, as the sketch differential tests assume.
+// same function as percentile() and that every sketch-mode percentile
+// lies within quantile.DefaultEpsilon of it, relative to it, with the
+// extremes exact. After the reads have reordered the exact samples, the
+// sink must still receive them ascending, as the sketch differential
+// tests assume.
 func TestLatDigestMatchesPercentile(t *testing.T) {
 	for _, sketch := range []bool{false, true} {
 		d := newLatDigest(sketch)
@@ -133,8 +135,13 @@ func TestLatDigestMatchesPercentile(t *testing.T) {
 			t.Fatalf("sketch=%v: count %d, want %d", sketch, d.count(), len(ref))
 		}
 		for _, pct := range []int{0, 1, 10, 50, 95, 99, 100} {
-			if got, want := d.percentile(pct), percentile(ref, pct); got != want {
-				t.Fatalf("sketch=%v: p%d = %v, want %v", sketch, pct, got, want)
+			got, want := d.percentile(pct), percentile(ref, pct)
+			if !sketch || pct == 0 || pct == 100 {
+				if got != want {
+					t.Fatalf("sketch=%v: p%d = %v, want %v", sketch, pct, got, want)
+				}
+			} else if rel := sketchErr(got, want); rel > quantile.DefaultEpsilon {
+				t.Fatalf("sketch: p%d = %v, exact %v: off by %.4f%%, beyond the %v value bound", pct, got, want, 100*rel, quantile.DefaultEpsilon)
 			}
 		}
 		if !sketch {

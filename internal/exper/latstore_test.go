@@ -67,16 +67,18 @@ func latencyRuns(t *testing.T) []latencyRun {
 	return out
 }
 
-// TestLatencyStoredOnce checks that an exact-mode run stores each
-// completion latency once, counted rather than weighed in noisy heap
-// bytes. After every serving timeline, the distinct leaves behind the
-// timeline's digests (cell-wide, per SLO class, per application) must
-// hold exactly its Completed samples, however many digests list them.
-// Per run, the distributions the test sink receives must count the
-// completions pinned in testdata/latency_counts.txt, which records
-// what the engine counted when each digest kept its own copy; the
-// per-class and the per-application distributions must each split
-// the cell-wide one. Run with -update to rewrite the table.
+// TestLatencyStoredOnce checks that a run stores each completion
+// latency once, counted rather than weighed in noisy heap bytes, in
+// both latency modes. After every serving timeline, the distinct leaves
+// behind the timeline's digests (cell-wide, per SLO class, per
+// application) must hold exactly its Completed samples, however many
+// digests list them: counted as samples in exact mode and as summed
+// histogram counts in the sketch twin of each run. Per exact run, the
+// distributions the test sink receives must count the completions
+// pinned in testdata/latency_counts.txt, which records what the engine
+// counted when each digest kept its own copy; the per-class and the
+// per-application distributions must each split the cell-wide one. Run
+// with -update to rewrite the table.
 func TestLatencyStoredOnce(t *testing.T) {
 	arts := testArtifacts(t)
 	var (
@@ -95,12 +97,13 @@ func TestLatencyStoredOnce(t *testing.T) {
 			for _, l := range d.leaves {
 				if !seen[l] {
 					seen[l] = true
-					held += len(l.samples)
+					held += l.count()
 				}
 			}
 		}
 		if held != part.res.Completed {
-			t.Errorf("%s: the leaves hold %d samples, the timeline completed %d", part.res.Name, held, part.res.Completed)
+			t.Errorf("%s (latency mode %q): the leaves hold %d samples, the timeline completed %d",
+				part.res.Name, part.res.LatencyMode, held, part.res.Completed)
 		}
 	}
 	defer func() { testLatencySink, testServingDone = nil, nil }()
@@ -129,6 +132,17 @@ func TestLatencyStoredOnce(t *testing.T) {
 			fmt.Fprintf(&b, " %s=%d", kind, counts[kind])
 		}
 		b.WriteByte('\n')
+
+		sk := r.spec
+		opts := Options{}
+		if sk.Options != nil {
+			opts = *sk.Options
+		}
+		opts.LatencyMode = LatencySketch
+		sk.Options = &opts
+		if _, err := RunCampaign(arts, r.cell.campaign(sk), RunOpts{BaseDir: campaignsDir}); err != nil {
+			t.Fatalf("%s in sketch mode: %v", r.label, err)
+		}
 	}
 	golden.Check(t, latencyCountsGolden, []byte(b.String()))
 }
@@ -136,8 +150,8 @@ func TestLatencyStoredOnce(t *testing.T) {
 // TestTimelineLatLeafGrid checks the leaf layout of a run that reports
 // both SLO classes and applications, in both latency modes: each
 // (class, application) pair gets one leaf, shared by the cell-wide
-// digest, its class's digest and its application's digest; in sketch
-// mode the leaf feeds those three sketches instead.
+// digest, its class's digest and its application's digest. An exact
+// leaf holds samples, a sketch leaf one histogram.
 func TestTimelineLatLeafGrid(t *testing.T) {
 	pool := arrivalPool
 	for _, sketch := range []bool{false, true} {
@@ -151,11 +165,18 @@ func TestTimelineLatLeafGrid(t *testing.T) {
 		}
 		for c := range 2 {
 			for a, app := range pool {
-				lat.leaf(c, app.Name).add(time.Duration(10*c+a) * time.Millisecond)
+				l := lat.leaf(c, app.Name)
+				if (l.hist != nil) != sketch {
+					t.Fatalf("sketch=%v: class %d app %s: leaf holds a histogram: %v", sketch, c, app.Name, l.hist != nil)
+				}
+				l.add(time.Duration(10*c+a) * time.Millisecond)
 			}
 		}
 		if got := lat.all.count(); got != 6 {
 			t.Errorf("sketch=%v: cell-wide count %d, want 6", sketch, got)
+		}
+		if n := len(lat.all.leaves); n != 6 {
+			t.Errorf("sketch=%v: the cell-wide digest lists %d leaves, want 6", sketch, n)
 		}
 		for c, d := range lat.classes {
 			if got := d.count(); got != 3 {
@@ -163,6 +184,11 @@ func TestTimelineLatLeafGrid(t *testing.T) {
 			}
 			if got, want := d.percentile(100), time.Duration(10*c+2)*time.Millisecond; got != want {
 				t.Errorf("sketch=%v: class %d max %v, want %v", sketch, c, got, want)
+			}
+			for a, l := range d.leaves {
+				if l != lat.leaf(c, pool[a].Name) {
+					t.Errorf("sketch=%v: class %d lists a leaf of another pair at %d", sketch, c, a)
+				}
 			}
 		}
 		for a, d := range lat.apps {
@@ -172,15 +198,11 @@ func TestTimelineLatLeafGrid(t *testing.T) {
 			if got := d.count(); got != 2 {
 				t.Errorf("sketch=%v: app %s count %d, want 2", sketch, pool[a].Name, got)
 			}
-		}
-		if sketch {
-			if n := len(lat.all.leaves); n != 0 {
-				t.Errorf("sketch mode: the cell-wide digest lists %d leaves, want none", n)
+			for c, l := range d.leaves {
+				if l != lat.leaf(c, pool[a].Name) {
+					t.Errorf("sketch=%v: app %s lists a leaf of another pair at %d", sketch, pool[a].Name, c)
+				}
 			}
-			continue
-		}
-		if n := len(lat.all.leaves); n != 6 {
-			t.Errorf("exact mode: the cell-wide digest lists %d leaves, want 6", n)
 		}
 	}
 	// Without faults the applications share one leaf per class.

@@ -66,10 +66,10 @@ type Options struct {
 	// LatencyMode selects how serving cells accumulate the
 	// completion-latency distribution: LatencyExact (also the empty
 	// string) retains every sample and reports exact nearest-rank
-	// percentiles; LatencySketch streams samples into a GK quantile
-	// sketch, bounding memory at O(in-flight) for million-request
-	// cells at the price of a quantile.DefaultEpsilon rank-error bound
-	// on the reported percentiles. Arrivals are drawn lazily in both
+	// percentiles; LatencySketch counts samples in log-linear
+	// histograms, bounding memory at O(in-flight) for million-request
+	// cells at the price of a quantile.DefaultEpsilon value bound on
+	// the reported percentiles. Arrivals are drawn lazily in both
 	// modes. Unknown names fail the run; only serving-class cells
 	// accept the switch.
 	LatencyMode string `json:"latency_mode,omitempty"`
@@ -77,8 +77,8 @@ type Options struct {
 	// sub-fleets (cluster.PartitionTopology), splits the arrival
 	// stream deterministically across them, runs each shard as its own
 	// event timeline fanned over the shared worker pool, and merges
-	// sketches and counters into one result (DESIGN.md §13). 0 and 1
-	// run the cell as one timeline, byte-identical to pre-shard
+	// latency digests and counters into one result (DESIGN.md §13). 0
+	// and 1 run the cell as one timeline, byte-identical to pre-shard
 	// output. Values above the topology's entry-node count
 	// fail the run, as do combinations with fault injection, admission
 	// control or autoscaling — those model process-global state a

@@ -94,8 +94,9 @@ type ServingResult struct {
 	ThroughputPerSec float64
 	// P50, P95 and P99 are completion-latency percentiles
 	// (nearest-rank over completed requests; zero when none completed).
-	// Under Options.LatencyMode "sketch" they come from a GK quantile
-	// sketch and carry its rank-error bound instead of being exact.
+	// Under Options.LatencyMode "sketch" they come from log-linear
+	// histograms and lie within quantile.DefaultEpsilon of the exact
+	// values instead of being exact.
 	P50, P95, P99 time.Duration
 	// LatencyMode is LatencySketch when the percentiles are
 	// sketch-backed; empty in the exact default, keeping exact-mode

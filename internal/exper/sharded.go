@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xartrek/internal/cluster"
-	"xartrek/internal/quantile"
 )
 
 // Sharded serving execution (DESIGN.md §13): Opts.Shards partitions a
@@ -65,24 +64,11 @@ func shardConfigs(cfg ServingConfig) ([]ServingConfig, error) {
 	return out, nil
 }
 
-// mergeLatDigests combines per-timeline digests in timeline order into
-// one digest: in exact mode the union of the parts' leaves (percentile
-// reads select over all of them, so order does not matter, and no
-// sample is copied), in sketch mode a K-way merge at the serving
-// epsilon. A lone digest comes back unchanged, so a one-timeline run
-// reads its own digest as the pre-shard engine did; a merged sketch
-// would differ from it.
+// mergeLatDigests combines per-timeline digests into one: the union
+// of the parts' leaves, in timeline order. Percentile reads select over
+// the exact samples or sum the histograms of all of them, so the order
+// does not matter, and no sample or bucket is copied.
 func mergeLatDigests(parts []*latDigest) *latDigest {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	if parts[0].sketch != nil {
-		sks := make([]*quantile.Sketch, len(parts))
-		for i, p := range parts {
-			sks[i] = p.sketch
-		}
-		return &latDigest{sketch: quantile.Merged(quantile.DefaultEpsilon, sks...)}
-	}
 	out := &latDigest{}
 	for _, p := range parts {
 		out.leaves = append(out.leaves, p.leaves...)

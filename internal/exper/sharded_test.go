@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"xartrek/internal/cluster"
 	"xartrek/internal/elastic"
 	"xartrek/internal/isa"
+	"xartrek/internal/quantile"
 )
 
 // cellEntryNodes resolves the x86 entry-node count of a cell's
@@ -39,6 +41,34 @@ func shardEligible(c CellSpec) bool {
 		return false
 	}
 	return !c.Admission.Enabled() && !c.Autoscaler.Enabled()
+}
+
+// rankErr measures how far a reported value sits from the target
+// nearest-rank position in the exact sorted reference: zero when some
+// occurrence of the value holds the target rank, otherwise the distance
+// in ranks to the nearest occurrence.
+func rankErr(sorted []time.Duration, v time.Duration, pct int) (errRanks, target int) {
+	n := len(sorted)
+	if n == 0 {
+		return 0, 0
+	}
+	target = (pct*n + 99) / 100
+	if target < 1 {
+		target = 1
+	}
+	if target > n {
+		target = n
+	}
+	lo := sort.Search(n, func(i int) bool { return sorted[i] >= v })
+	hi := sort.Search(n, func(i int) bool { return sorted[i] > v })
+	switch {
+	case target >= lo+1 && target <= hi:
+		return 0, target
+	case target < lo+1:
+		return lo + 1 - target, target
+	default:
+		return target - hi, target
+	}
 }
 
 // TestShardedMatchesUnshardedOnCampaignCells is the sharding
@@ -84,10 +114,7 @@ func TestShardedMatchesUnshardedOnCampaignCells(t *testing.T) {
 				continue
 			}
 			if cell.Options != nil && cell.Options.LatencyMode == LatencySketch {
-				// Sketch-native cells are the million-request regime; no
-				// affordable exact twin. The sketch-vs-exact bound is
-				// covered by sketchdiff_test.go and internal/quantile.
-				continue
+				continue // the rack cells, too large for this sweep
 			}
 			nEntries := cellEntryNodes(t, cell)
 			if nEntries < 2 {
@@ -149,7 +176,7 @@ func TestShardedMatchesUnshardedOnCampaignCells(t *testing.T) {
 				// ranks. The rack256 acceptance measurement (BENCH.md)
 				// meets the pure 1% bound at n of a million.
 				tol := (len(lat)*rankTolPct+99)/100 + 5
-				errRanks, target := sketchRankErr(lat, v, pct)
+				errRanks, target := rankErr(lat, v, pct)
 				if errRanks > tol {
 					t.Errorf("%s: stable=%v %s = %v misses target rank %d by %d ranks (tolerance %d of n=%d)",
 						cellID, stable, metric, v, target, errRanks, tol, len(lat))
@@ -175,7 +202,7 @@ func TestShardedMatchesUnshardedOnCampaignCells(t *testing.T) {
 						return
 					}
 					tol := (len(dist)*rankTolPct+99)/100 + 5
-					errRanks, target := sketchRankErr(dist, v, pct)
+					errRanks, target := rankErr(dist, v, pct)
 					if errRanks > tol {
 						t.Errorf("%s: stable=%v %s = %v misses target rank %d by %d ranks (tolerance %d of n=%d)",
 							cellID, stable, metric, v, target, errRanks, tol, len(dist))
@@ -204,11 +231,12 @@ func TestShardedMatchesUnshardedOnCampaignCells(t *testing.T) {
 // TestShardedSketchMatchesExact pins the latency-mode switch under
 // sharding: both modes draw the same strided lazy Poisson stream, so a
 // sharded sketch-mode run must replay the identical simulation as the
-// sharded exact-mode run (counters exactly equal), with percentiles
-// inside the sketch's rank-error bound of the exact sharded
-// distribution. This is the sharded counterpart of sketchdiff_test.go,
-// covering a sharded Poisson cell the campaign library has no cheap
-// cell for.
+// sharded exact-mode run (counters exactly equal). Each sketch
+// percentile must equal the percentile of one histogram fed the exact
+// sharded distribution — summing the shards' histograms loses nothing
+// — and lie within quantile.DefaultEpsilon of the exact percentile.
+// This is the sharded counterpart of sketchdiff_test.go, covering a
+// sharded Poisson cell the campaign library has no cheap cell for.
 func TestShardedSketchMatchesExact(t *testing.T) {
 	arts := testArtifacts(t)
 	cfg := ServingConfig{
@@ -235,16 +263,23 @@ func TestShardedSketchMatchesExact(t *testing.T) {
 		t.Fatalf("sharded sketch run diverged from sharded exact run: offered %d/%d completed %d/%d",
 			sketched.Offered, exact.Offered, sketched.Completed, exact.Completed)
 	}
-	lat := dists["latency"]
-	tol := (len(lat) + 99) / 100
+	if n := len(dists["latency"]); n != exact.Completed || n == 0 {
+		t.Fatalf("the exact run's sink got %d latencies, want its %d completions", n, exact.Completed)
+	}
+	one := newLatDigest(true)
+	for _, v := range dists["latency"] {
+		one.add(v)
+	}
 	for _, p := range []struct {
-		name string
-		v    time.Duration
-		pct  int
-	}{{"P50", sketched.P50, 50}, {"P95", sketched.P95, 95}, {"P99", sketched.P99, 99}} {
-		if errRanks, target := sketchRankErr(lat, p.v, p.pct); errRanks > tol {
-			t.Errorf("%s = %v misses target rank %d by %d ranks (tolerance %d of n=%d)",
-				p.name, p.v, target, errRanks, tol, len(lat))
+		name         string
+		pct          int
+		got, exactly time.Duration
+	}{{"P50", 50, sketched.P50, exact.P50}, {"P95", 95, sketched.P95, exact.P95}, {"P99", 99, sketched.P99, exact.P99}} {
+		if want := one.percentile(p.pct); p.got != want {
+			t.Errorf("%s = %v, want %v, the percentile of one histogram of every shard's samples", p.name, p.got, want)
+		}
+		if rel := sketchErr(p.got, p.exactly); rel > quantile.DefaultEpsilon {
+			t.Errorf("%s = %v, exact %v: off by %.4f%%, beyond the %v value bound", p.name, p.got, p.exactly, 100*rel, quantile.DefaultEpsilon)
 		}
 	}
 }

@@ -1,308 +1,159 @@
-// Package quantile provides a deterministic, merge-able streaming
-// quantile sketch over int64 values — the Greenwald-Khanna (GK)
-// summary ("Space-Efficient Online Computation of Quantile Summaries",
-// SIGMOD 2001) with buffered batch insertion.
+// Package quantile provides a deterministic, mergeable streaming
+// quantile sketch over non-negative int64 values: a log-linear
+// histogram in the style of HdrHistogram (http://hdrhistogram.org/).
 //
-// The sketch answers rank queries with a guaranteed rank error: for a
-// stream of n values, Quantile(q) returns a value of the stream whose
-// rank is within ErrorBound()·n (+1) of ceil(q·n). Memory is
-// O((1/ε)·log(εn)) tuples — independent of n for practical purposes —
-// which is what lets a million-request serving cell report percentiles
-// without retaining a per-request latency slice.
+// Each power of two is split into 2^8 linear sub-buckets, so a
+// bucket's width is at most 2^-8 of its lower edge, and every bucket
+// holds an integer count. Values below 2^9 get buckets one wide and
+// are stored exactly. The histogram keeps the exact minimum and
+// maximum next to the counts, and its storage spans only the octaves
+// between them.
 //
-// Determinism is part of the contract: every operation is integer math
-// plus one float64 multiply for the compression threshold, so a fixed
-// insertion sequence yields a bit-identical sketch on every platform
-// and GOMAXPROCS setting (the sketch itself is not goroutine-safe; the
-// campaign layer shards one sketch per cell).
+// Counts are exact, so the bucket that holds a given rank is exact;
+// only the value reported inside it is approximate. QuantileAtRank
+// returns the exact minimum and maximum at ranks 1 and n, and any
+// other rank's bucket midpoint clamped to [min, max], which lies
+// within DefaultEpsilon of the exact nearest-rank value relative to
+// it. Histograms add bucket-wise, so a merge in any order or
+// association equals the histogram of the concatenated stream, bucket
+// for bucket. Every operation is integer arithmetic, so a fixed input
+// yields the same histogram on every platform and GOMAXPROCS setting
+// (the sketch itself is not goroutine-safe).
 package quantile
 
 import (
 	"fmt"
-	"math"
-	"slices"
+	"math/bits"
 )
 
-// DefaultEpsilon is the rank-error target the serving campaigns use:
-// 0.1% of the stream, an order of magnitude inside the 1% differential
-// tolerance the exactness tests pin.
-const DefaultEpsilon = 0.001
+// subBits is the precision: each power of two holds 2^subBits linear
+// sub-buckets.
+const subBits = 8
 
-// tuple is one GK summary entry: a stream value v covering g ranks,
-// with delta bounding the uncertainty of its position — the value's
-// true rank lies in [rmin, rmin+delta] where rmin is the running sum
-// of g up to and including the tuple.
-type tuple struct {
-	v     int64
-	g     int64
-	delta int64
-}
+// sub is the number of sub-buckets per power of two, and the unit in
+// which storage grows.
+const sub = 1 << subBits
 
-// Sketch is a GK quantile summary. The zero value is not usable; call
-// New.
+// DefaultEpsilon is the value bound: a bucket's width is at most
+// 2^-8 of its lower edge, so a reported percentile lies within 2^-8 of
+// the exact nearest-rank value, relative to that value.
+const DefaultEpsilon = 1.0 / sub
+
+// Sketch is a log-linear histogram. New returns an empty one.
 type Sketch struct {
-	eps    float64
-	n      int64
-	tuples []tuple
-	// buf batches pending inserts: Add is O(1) amortised because a
-	// full buffer is sorted once and merged into the tuple list in a
-	// single pass, instead of one binary-search-and-memmove per value.
-	buf []int64
-	// scratch is the spare tuple list flush and Merge build into; the
-	// lists swap afterwards, so steady-state rebuilds allocate nothing.
-	// K-way shard reduction folds dozens of sketches into one
-	// accumulator, which without the swap paid one full-summary
-	// allocation per merge.
-	scratch []tuple
+	n        int64
+	min, max int64
+	// base is the bucket index of counts[0]. base and len(counts) are
+	// multiples of sub, so storage covers whole octaves.
+	base   int
+	counts []int64
 }
 
-// minEpsilon is the smallest rank-error target a sketch takes. The
-// insert buffer holds 1/(2·eps) values, so the floor bounds it at 4 MB.
-const minEpsilon = 1e-6
-
-// New returns an empty sketch targeting the given rank-error fraction
-// (1e-6 <= eps < 1). Smaller eps means more tuples:
-// ~(1/2eps)·log2(2eps·n).
+// New returns an empty histogram. eps is the value bound the caller
+// needs; the precision is fixed, so New panics when eps is below
+// DefaultEpsilon.
 func New(eps float64) *Sketch {
-	if !(eps >= minEpsilon && eps < 1) {
-		panic(fmt.Sprintf("quantile: epsilon %v out of [%v, 1)", eps, minEpsilon))
+	if !(eps >= DefaultEpsilon) {
+		panic(fmt.Sprintf("quantile: epsilon %v below the value bound %v", eps, DefaultEpsilon))
 	}
-	return &Sketch{eps: eps, buf: make([]int64, 0, max(int(1/(2*eps)), 16))}
+	return &Sketch{}
 }
 
-// ErrorBound reports the sketch's guaranteed rank-error fraction: the
-// construction epsilon, or after a Merge the larger of the operands'
-// bounds.
-func (s *Sketch) ErrorBound() float64 { return s.eps }
+// bucket returns the index of v's bucket. Below 2^(subBits+1) it is v
+// itself; above, each octave [2^k, 2^(k+1)) shifts v right until its
+// top subBits+1 bits remain, and the shift picks the octave's block of
+// sub indexes.
+func bucket(v int64) int {
+	shift := max(bits.Len64(uint64(v))-subBits-1, 0)
+	return shift<<subBits + int(v>>shift)
+}
+
+// midpoint returns the middle value of bucket i.
+func midpoint(i int) int64 {
+	shift := max(i>>subBits-1, 0)
+	lo := int64(i-shift<<subBits) << shift
+	return lo + int64(1)<<shift>>1
+}
 
 // Count reports the number of values added.
-func (s *Sketch) Count() int64 { return s.n + int64(len(s.buf)) }
+func (s *Sketch) Count() int64 { return s.n }
 
-// Add records one value.
+// Add records one value. Latencies are never negative, and a negative
+// value panics.
 func (s *Sketch) Add(v int64) {
-	s.buf = append(s.buf, v)
-	if len(s.buf) == cap(s.buf) {
-		s.flush()
+	if v < 0 {
+		panic(fmt.Sprintf("quantile: negative value %d", v))
 	}
+	i := bucket(v)
+	if i < s.base || i >= s.base+len(s.counts) {
+		s.cover(i, i+1)
+	}
+	s.counts[i-s.base]++
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	s.max = max(s.max, v)
+	s.n++
 }
 
-// threshold is the GK compression bound floor(2·eps·n): adjacent
-// tuples merge while their combined coverage stays under it, and a
-// fresh interior insert takes delta = threshold-1.
-func (s *Sketch) threshold() int64 {
-	return int64(2 * s.eps * float64(s.n))
-}
-
-// flush drains the insert buffer into the tuple list: sort the batch,
-// merge it into the (sorted) tuples in one pass, then compress. n and
-// the insertion delta advance per element, so the result is identical
-// to inserting the batch one value at a time.
-func (s *Sketch) flush() {
-	if len(s.buf) == 0 {
+// cover widens the storage to hold bucket indexes [lo, hi), rounded
+// out to whole octaves.
+func (s *Sketch) cover(lo, hi int) {
+	if len(s.counts) == 0 {
+		s.base = lo &^ (sub - 1)
+	}
+	end := s.base + len(s.counts)
+	if lo >= s.base && hi <= end {
 		return
 	}
-	slices.Sort(s.buf)
-	merged := s.grow(len(s.tuples) + len(s.buf))
-	ti := 0
-	for _, v := range s.buf {
-		// Values equal to an existing tuple insert after it, matching
-		// single-value GK insertion at the first greater tuple.
-		for ti < len(s.tuples) && s.tuples[ti].v <= v {
-			merged = append(merged, s.tuples[ti])
-			ti++
-		}
-		s.n++
-		var delta int64
-		if len(merged) > 0 && ti < len(s.tuples) {
-			// Interior insert; head and tail inserts keep delta 0 so
-			// the summary's extremes stay exact.
-			if delta = s.threshold() - 1; delta < 0 {
-				delta = 0
-			}
-		}
-		merged = append(merged, tuple{v: v, g: 1, delta: delta})
-	}
-	merged = append(merged, s.tuples[ti:]...)
-	s.scratch, s.tuples = s.tuples[:0], merged
-	s.buf = s.buf[:0]
-	s.compress()
+	lo = min(lo&^(sub-1), s.base)
+	hi = max(hi+sub-1, end) &^ (sub - 1)
+	counts := make([]int64, hi-lo)
+	copy(counts[s.base-lo:], s.counts)
+	s.base, s.counts = lo, counts
 }
 
-// grow returns the scratch list, reallocated if it cannot hold want
-// tuples, ready to be appended into and swapped with s.tuples.
-func (s *Sketch) grow(want int) []tuple {
-	if cap(s.scratch) < want {
-		s.scratch = make([]tuple, 0, want)
-	}
-	return s.scratch[:0]
-}
-
-// compress merges adjacent tuples whose combined rank coverage stays
-// within the GK bound, scanning right to left so a chain of light
-// tuples collapses in one pass. The first and last tuples are kept:
-// the summary always answers the exact minimum and maximum.
-func (s *Sketch) compress() {
-	t := s.threshold() - 1
-	if t < 1 {
-		return
-	}
-	out := s.tuples
-	w := len(out) - 1
-	for i := len(out) - 2; i >= 1; i-- {
-		if out[i].g+out[w].g+out[w].delta <= t {
-			out[w].g += out[i].g
-		} else {
-			w--
-			out[w] = out[i]
-		}
-	}
-	if w >= 1 {
-		// out[0] survives compression unconditionally. Survivors are
-		// copied to the front rather than resliced off it, so the
-		// backing array keeps its full capacity for the scratch swap —
-		// a suffix reslice here leaked front capacity and made every
-		// Merge in a K-way fold reallocate.
-		out[w-1] = out[0]
-		s.tuples = out[:copy(out, out[w-1:])]
-	}
-}
-
-// Quantile returns a stream value at quantile q in [0, 1], under the
-// nearest-rank convention the serving reports use: the target rank is
-// ceil(q·n) clamped to [1, n]. The returned value's true rank is
-// within ErrorBound()·n (+1) of the target. An empty sketch returns 0.
-func (s *Sketch) Quantile(q float64) int64 {
-	s.flush()
-	if s.n == 0 {
-		return 0
-	}
-	r := int64(math.Ceil(q * float64(s.n)))
-	return s.QuantileAtRank(r)
-}
-
-// QuantileAtRank returns a stream value whose rank is within the error
-// bound of rank r (1-based, clamped to [1, n]). It lets callers apply
-// their own rank convention — the serving layer's nearest-rank
-// percentiles use ceil(pct·n/100).
+// QuantileAtRank returns the value at rank r (1-based, clamped to
+// [1, n]) under the nearest-rank convention: the exact minimum at
+// rank 1, the exact maximum at rank n, and otherwise the midpoint of
+// the bucket holding rank r, clamped to [min, max]. An empty
+// histogram returns 0.
 func (s *Sketch) QuantileAtRank(r int64) int64 {
-	s.flush()
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case r <= 1:
+		return s.min
+	case r >= s.n:
+		return s.max
 	}
-	if r < 1 {
-		r = 1
-	}
-	if r > s.n {
-		r = s.n
-	}
-	// The extremes are exact: the head and tail tuples are never
-	// merged away, so rank 1 is the stream minimum and rank n the
-	// maximum.
-	if r == 1 {
-		return s.tuples[0].v
-	}
-	if r == s.n {
-		return s.tuples[len(s.tuples)-1].v
-	}
-	// Textbook GK query: return the predecessor of the first tuple
-	// whose rmax overshoots r by more than the margin. The overshoot
-	// index is nondecreasing in r, so quantile answers are monotone in
-	// q by construction; the compression invariant max(g+delta) <=
-	// 2·eps·n bounds the rank error by eps·n (+1 from the floor) on
-	// both sides. The margin floors rather than ceils eps·n: with a
-	// ceiled margin an exact summary (every tuple a singleton, as for
-	// any stream shorter than 1/(2·eps)) would answer rank r+1 for
-	// rank r — floored, exact summaries answer exactly.
-	margin := int64(s.eps * float64(s.n))
-	var rmin int64
-	for i, t := range s.tuples {
-		rmin += t.g
-		if rmin+t.delta > r+margin {
-			if i == 0 {
-				return t.v
-			}
-			return s.tuples[i-1].v
+	var seen int64
+	for i, c := range s.counts {
+		if seen += c; seen >= r {
+			return min(max(midpoint(s.base+i), s.min), s.max)
 		}
 	}
-	return s.tuples[len(s.tuples)-1].v
+	return s.max
 }
 
-// Merge folds other into s. The merged summary covers both streams
-// and keeps the larger of the operands' error bounds: each side
-// satisfies g+delta <= 2·eps·n over its own count, and the
-// delta-inflation below adds at most the other side's local
-// uncertainty, so every merged tuple satisfies the invariant over the
-// combined count with eps = max — the bound does not decay however
-// many shard sketches fold into one accumulator, which the 64-way
-// merge property test pins. Merging in any order or association
-// yields answers within the merged bound. other is flushed but
-// otherwise unchanged.
-func (s *Sketch) Merge(other *Sketch) {
-	s.flush()
-	other.flush()
-	if other.n == 0 {
-		return
-	}
-	s.eps = math.Max(s.eps, other.eps)
-	if s.n == 0 {
-		s.n = other.n
-		s.tuples = append(s.tuples[:0], other.tuples...)
-		return
-	}
-	// Merge-sort the tuple lists, inflating each emitted tuple's delta
-	// by the other side's local rank uncertainty (the g+delta-1 of its
-	// next unconsumed tuple): the other stream may hide that much mass
-	// between this value and its merged successor. Without the
-	// inflation the merged intervals understate rmax and queries
-	// exceed the advertised bound — the failure mode SPARK-21184
-	// documents for the naive concatenation merge.
-	merged := s.grow(len(s.tuples) + len(other.tuples))
-	i, j := 0, 0
-	for i < len(s.tuples) && j < len(other.tuples) {
-		var t, next tuple
-		if s.tuples[i].v <= other.tuples[j].v {
-			t, next = s.tuples[i], other.tuples[j]
-			i++
-		} else {
-			t, next = other.tuples[j], s.tuples[i]
-			j++
-		}
-		t.delta += next.g + next.delta - 1
-		merged = append(merged, t)
-	}
-	merged = append(merged, s.tuples[i:]...)
-	merged = append(merged, other.tuples[j:]...)
-	s.scratch, s.tuples = s.tuples[:0], merged
-	s.n += other.n
-	s.compress()
-}
-
-// Reset empties the sketch for reuse, keeping its current error bound
-// and the allocated tuple and buffer capacity — accumulators in merge
-// loops reset instead of reallocating.
-func (s *Sketch) Reset() {
-	s.n = 0
-	s.tuples = s.tuples[:0]
-	s.buf = s.buf[:0]
-}
-
-// Merged folds the sketches into a fresh summary with error target
-// eps, merging in argument order — the K-way reduction the sharded
-// serving engine uses to combine per-shard latency sketches. The
-// result's bound is max(eps, inputs' bounds); the inputs are flushed
-// but otherwise unchanged.
+// Merged returns a new histogram (value bound eps, as for New) holding
+// the bucket-wise sum of the given ones, which it leaves unchanged.
+// The sum does not depend on the order of the arguments.
 func Merged(eps float64, sketches ...*Sketch) *Sketch {
 	out := New(eps)
-	for _, sk := range sketches {
-		out.Merge(sk)
+	for _, s := range sketches {
+		if s.n == 0 {
+			continue
+		}
+		out.cover(s.base, s.base+len(s.counts))
+		for i, c := range s.counts {
+			out.counts[s.base-out.base+i] += c
+		}
+		if out.n == 0 || s.min < out.min {
+			out.min = s.min
+		}
+		out.max = max(out.max, s.max)
+		out.n += s.n
 	}
 	return out
-}
-
-// TupleCount reports the current summary size (after flushing pending
-// inserts) — the memory the sketch actually holds, which the
-// O(1)-memory campaign assertions bound.
-func (s *Sketch) TupleCount() int {
-	s.flush()
-	return len(s.tuples)
 }
