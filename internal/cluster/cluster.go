@@ -63,38 +63,24 @@ func (n *Node) Load() int { return n.Pool.Active() }
 
 // Link is the shared-capacity model of one node-pair interconnect:
 // concurrent transfers and DSM fault traffic divide the link bandwidth
-// (processor-sharing with capacity 1). Submit link work as the
-// uncontended transfer time; completion reflects contention.
+// (processor-sharing with capacity 1). Submit link work to PS as the
+// uncontended transfer time; completion reflects contention. A pooled
+// link serves its pair only while a transfer is in flight (see
+// Cluster.Link).
 type Link struct {
 	Net popcorn.NetModel
 	PS  *simtime.PSServer
+	// a and b are the pair the link serves, nil while it sits on its
+	// cluster's free list.
+	a, b *Node
 }
 
-// Submit places one transfer of the given uncontended duration on the
-// link.
-func (l *Link) Submit(work time.Duration, done func()) *simtime.PSJob {
-	return l.PS.Submit(work, done)
-}
-
-// SubmitTransient is Submit without a handle: the transfer cannot be
-// cancelled, and the link recycles its job struct after completion.
-func (l *Link) SubmitTransient(work time.Duration, done func()) {
-	l.PS.SubmitTransient(work, done)
-}
-
-// Queued reports the number of transfers currently in flight on the
-// link. Concurrent transfers divide the link's bandwidth, so a
-// placement policy weighing transfer time should inflate its estimate
-// by the occupancy.
-func (l *Link) Queued() int { return l.PS.Active() }
-
-// Transfer estimates the uncontended time to move n bytes over the
-// link (LinkSpec overrides included).
-func (l *Link) Transfer(n int64) time.Duration { return l.Net.TransferTime(n) }
+// Pair reports the nodes the link serves, nil while the link is free.
+func (l *Link) Pair() (a, b *Node) { return l.a, l.b }
 
 // Cluster is a topology materialised on a simulator: every node gets a
-// processor-sharing run queue and every node pair a shared link, the
-// latter created on the pair's first use.
+// processor-sharing run queue, and a node pair gets a shared link
+// while a transfer crosses it.
 type Cluster struct {
 	Sim  *simtime.Simulator
 	Topo Topology
@@ -112,12 +98,16 @@ type Cluster struct {
 	// EthLink is the host-ARM shared link, nil without an ARM node.
 	EthLink *simtime.PSServer
 	// links is the dense triangular pair table: the link between nodes
-	// lo < hi sits at pairSlot(lo, hi). A slot stays nil until Link
-	// first touches its pair, so a fleet pays only for the pairs its
-	// requests actually cross.
+	// lo < hi sits at pairSlot(lo, hi). A slot holds a link from the
+	// Link call that submits the pair's first transfer until its last
+	// transfer leaves, so a fleet pays for the pairs with transfers in
+	// flight, not the pairs its requests ever crossed.
 	links []*Link
-	// overrides holds each LinkSpec model by pair slot, resolved when
-	// the pair's link is created; nil without overrides.
+	// free is the LIFO pool of idle link servers; servers lists every
+	// link server allocated, the pinned host-ARM one first.
+	free, servers []*Link
+	// overrides holds each LinkSpec model by pair slot; nil without
+	// overrides.
 	overrides map[int]popcorn.NetModel
 	// byArch caches the per-ISA-class node lists (topology order).
 	// Topologies are immutable once materialised, so the serving front
@@ -170,7 +160,12 @@ func FromTopology(sim *simtime.Simulator, topo Topology) (*Cluster, error) {
 	}
 	c.Eth = topo.DefaultNet
 	if c.ARM != nil {
-		hostARM := c.Link(c.X86, c.ARM)
+		// EthLink gives its server out for good, so the host-ARM link
+		// is pinned: it has no observer and never leaves its slot.
+		slot := pairSlot(c.X86.Index, c.ARM.Index)
+		hostARM := &Link{Net: c.net(slot), PS: simtime.NewPSServer(sim, 1), a: c.X86, b: c.ARM}
+		c.links[slot] = hostARM
+		c.servers = append(c.servers, hostARM)
 		c.Eth = hostARM.Net
 		c.EthLink = hostARM.PS
 	}
@@ -186,11 +181,25 @@ func pairSlot(a, b int) int {
 	return b*(b-1)/2 + a
 }
 
-// Link returns the shared interconnect between two nodes, creating it
-// on the pair's first use with its LinkSpec override resolved. A
-// link created late is in exactly the state an eagerly built one would
-// be in at that instant: NewPSServer schedules nothing and stamps its
-// clock at Now, and an idle server's advance only moves that stamp.
+// net resolves a pair slot's interconnect model: its LinkSpec
+// override, or the topology's default.
+func (c *Cluster) net(slot int) popcorn.NetModel {
+	if net, ok := c.overrides[slot]; ok {
+		return net
+	}
+	return c.Topo.DefaultNet
+}
+
+// Link returns the shared interconnect between two nodes. A pair that
+// has none takes an idle server from the cluster's pool, allocating
+// only when the pool is empty, with the pair's LinkSpec override
+// resolved; when the link's last transfer leaves, by completion or
+// Cancel, the server goes back to the pool. So no caller may keep a
+// link across events: fetch it in the event that submits to it. A
+// reused server is in exactly the state a fresh one would be in at
+// that instant: an idle server has no pending event, rebases its
+// virtual clock when its next busy period starts, and an idle advance
+// only moves its time stamp.
 func (c *Cluster) Link(a, b *Node) *Link {
 	if a.Index == b.Index {
 		panic(fmt.Sprintf("cluster: self-link on node %s", a.Name))
@@ -199,14 +208,52 @@ func (c *Cluster) Link(a, b *Node) *Link {
 	if l := c.links[slot]; l != nil {
 		return l
 	}
-	net, ok := c.overrides[slot]
-	if !ok {
-		net = c.Topo.DefaultNet
+	var l *Link
+	if n := len(c.free); n > 0 {
+		l = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		l = &Link{PS: simtime.NewPSServer(c.Sim, 1)}
+		l.PS.OnActive(func(delta int) {
+			if delta < 0 && l.PS.Active() == 0 {
+				c.release(l)
+			}
+		})
+		c.servers = append(c.servers, l)
 	}
-	l := &Link{Net: net, PS: simtime.NewPSServer(c.Sim, 1)}
+	l.Net, l.a, l.b = c.net(slot), a, b
 	c.links[slot] = l
 	return l
 }
+
+// release clears an idle link's pair slot and returns its server to
+// the pool.
+func (c *Cluster) release(l *Link) {
+	c.links[pairSlot(l.a.Index, l.b.Index)] = nil
+	l.a, l.b = nil, nil
+	c.free = append(c.free, l)
+}
+
+// Queued reports the number of transfers in flight between two nodes:
+// 0 for a pair without a link, and for a node with itself. Concurrent
+// transfers divide a link's bandwidth, so a placement policy weighing
+// transfer time should inflate its estimate by the occupancy.
+func (c *Cluster) Queued(a, b *Node) int {
+	if a.Index == b.Index {
+		return 0
+	}
+	if l := c.links[pairSlot(a.Index, b.Index)]; l != nil {
+		return l.PS.Active()
+	}
+	return 0
+}
+
+// LinkServers lists every link server the cluster has allocated, held
+// or idle, the pinned host-ARM one first. The pool allocates only when
+// it is empty, so this is the most links ever held at once. The
+// simulation never reads it.
+func (c *Cluster) LinkServers() []*Link { return c.servers }
 
 // TransferEstimate is the cluster's transfer-cost query surface:
 // the estimated uncontended time to move n bytes between two nodes
@@ -214,13 +261,13 @@ func (c *Cluster) Link(a, b *Node) *Link {
 // is whatever a policy is costing — a migration's DSM working set, a
 // state-transformation snapshot, or an XCLBIN image staged to a remote
 // host. A same-node "transfer" costs zero (no link is crossed).
-// Contention is not folded in; combine with Link.Queued when the
-// current occupancy matters.
+// Contention is not folded in; combine with Queued when the current
+// occupancy matters. It creates no link.
 func (c *Cluster) TransferEstimate(a, b *Node, n int64) time.Duration {
 	if a.Index == b.Index {
 		return 0
 	}
-	return c.Link(a, b).Transfer(n)
+	return c.net(pairSlot(a.Index, b.Index)).TransferTime(n)
 }
 
 // NodesOfArch lists the nodes of one ISA class in topology order.

@@ -64,18 +64,19 @@ func TestPairSlotIsDenseBijection(t *testing.T) {
 	}
 }
 
-// TestLinksMaterialiseOnFirstUse checks the lazy table: only the
-// host-ARM link exists after construction, a pair materialises when
-// Link first names it (in either order, with its override resolved at
-// that moment), untouched pairs stay empty, and a self-link still
-// panics.
-func TestLinksMaterialiseOnFirstUse(t *testing.T) {
+// TestLinksHeldOnlyInFlight checks the pooled table: a pair holds a
+// link only while a transfer is in flight, and its last transfer
+// leaving, by completion or Cancel, returns the server to the pool;
+// TransferEstimate and Queued on untouched pairs create nothing; the
+// pinned host-ARM link survives idleness; a released server carries
+// the next pair's transfer; and a self-link still panics.
+func TestLinksHeldOnlyInFlight(t *testing.T) {
 	sim := simtime.New()
 	c, err := FromTopology(sim, CrossRackTopology("xrack", 2, 1, 2, 0, slowNet()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := func() int {
+	held := func() int {
 		n := 0
 		for _, l := range c.links {
 			if l != nil {
@@ -84,31 +85,80 @@ func TestLinksMaterialiseOnFirstUse(t *testing.T) {
 		}
 		return n
 	}
-	if got := live(); got != 1 || c.links[pairSlot(c.X86.Index, c.ARM.Index)] == nil {
-		t.Fatalf("%d links after construction, want only the eager host-ARM link", got)
+	hostARM := pairSlot(c.X86.Index, c.ARM.Index)
+	if got := held(); got != 1 || c.links[hostARM] == nil || len(c.LinkServers()) != 1 {
+		t.Fatalf("%d links held, %d servers after construction, want only the pinned host-ARM link", got, len(c.LinkServers()))
 	}
 	host, far := c.Nodes[1], c.Nodes[4] // x86-01, armb-01
+	const bytes = 26 << 20
+	if got, want := c.TransferEstimate(far, host, bytes), slowNet().TransferTime(bytes); got != want {
+		t.Fatalf("cross-rack estimate %v, want the override's %v", got, want)
+	}
+	if got := c.Queued(host, far) + c.Queued(c.Nodes[0], c.Nodes[1]); got != 0 {
+		t.Fatalf("untouched pairs report %d transfers", got)
+	}
+	if c.TransferEstimate(host, host, bytes) != 0 || c.Queued(host, host) != 0 {
+		t.Fatal("a node with itself reports a transfer")
+	}
+	if got := held(); got != 1 || len(c.LinkServers()) != 1 {
+		t.Fatalf("estimates and queue reads created links: %d held, %d servers", got, len(c.LinkServers()))
+	}
+
+	// Two overlapping transfers, the second fetched from the other end:
+	// the pair holds one link until both leave.
+	var pooled *Link
 	sim.At(5*time.Second, func() {
-		l := c.Link(far, host)
-		if l != c.Link(host, far) {
-			t.Error("Link(a, b) != Link(b, a)")
+		pooled = c.Link(far, host)
+		if a, b := pooled.Pair(); a != far || b != host {
+			t.Errorf("link serves %v-%v, want %s-%s", a, b, far.Name, host.Name)
 		}
-		if l.Net != slowNet() {
-			t.Errorf("late-created cross-rack link = %+v, want the override", l.Net)
+		if pooled.Net != slowNet() {
+			t.Errorf("cross-rack link = %+v, want the override", pooled.Net)
 		}
-		if l.Queued() != 0 {
-			t.Errorf("fresh link carries %d transfers", l.Queued())
+		pooled.PS.Submit(time.Second, nil)
+	})
+	sim.At(5500*time.Millisecond, func() {
+		if l := c.Link(host, far); l != pooled {
+			t.Error("Link(a, b) != Link(b, a) while a transfer is in flight")
+		}
+		c.Link(host, far).PS.Submit(100*time.Millisecond, nil)
+		if got := c.Queued(far, host); got != 2 || held() != 2 {
+			t.Errorf("Queued = %d, %d links held with two transfers in flight", got, held())
 		}
 	})
 	sim.Run()
-	if got := live(); got != 2 {
-		t.Fatalf("%d links after one touched pair, want 2", got)
+	if got := held(); got != 1 || c.Queued(host, far) != 0 {
+		t.Fatalf("%d links held after the pair drained, want the pinned one", got)
 	}
-	if c.links[pairSlot(0, 1)] != nil || c.links[pairSlot(3, 4)] != nil {
-		t.Fatal("a pair never passed to Link was materialised")
+	if a, b := pooled.Pair(); a != nil || b != nil {
+		t.Fatalf("a released link still serves %v-%v", a, b)
 	}
-	if got := c.Link(c.Nodes[0], c.Nodes[1]).Net; got != popcorn.EthernetGbps1() {
-		t.Fatalf("in-rack link = %+v, want the default net", got)
+
+	// The pinned link keeps its slot and server through idleness.
+	c.EthLink.Submit(time.Second, nil)
+	sim.Run()
+	if c.links[hostARM] == nil || c.Link(c.ARM, c.X86).PS != c.EthLink {
+		t.Fatal("the host-ARM link left its slot when it went idle")
+	}
+
+	// The released server carries the next pair's transfer at full
+	// rate with that pair's model, and a cancelled last transfer
+	// releases it too.
+	in := c.Link(c.Nodes[0], c.Nodes[1])
+	if in != pooled || in.Net != popcorn.EthernetGbps1() {
+		t.Fatalf("in-rack pair got a new server or the wrong model (%+v)", in.Net)
+	}
+	start := sim.Now()
+	var done time.Duration
+	in.PS.Submit(300*time.Millisecond, func() { done = sim.Now() - start })
+	sim.Run()
+	if done != 300*time.Millisecond {
+		t.Fatalf("transfer on a reused server took %v, want 300ms", done)
+	}
+	job := c.Link(far, c.Nodes[3]).PS.Submit(time.Second, nil)
+	job.Cancel()
+	if got := held(); got != 1 || len(c.LinkServers()) != 2 {
+		t.Fatalf("after a cancel: %d links held, %d servers; want 1 and 2", got, len(c.LinkServers()))
 	}
 	defer func() {
 		if recover() == nil {
@@ -118,10 +168,12 @@ func TestLinksMaterialiseOnFirstUse(t *testing.T) {
 	c.Link(host, host)
 }
 
-// TestLateLinkMatchesEagerServer is the identity the lazy table rests
-// on: a link first touched at t > 0 finishes a fixed transfer schedule
-// at the same nanoseconds, with the same occupancy integral, as a
-// PSServer built at t = 0 and fed at the same instants.
+// TestLateLinkMatchesEagerServer is the identity the pooled table
+// rests on: a link first touched at t > 0 finishes a fixed transfer
+// schedule at the same nanoseconds, with the same occupancy integral,
+// as a PSServer built at t = 0 and fed at the same instants, and so
+// does a server that first carried another pair's transfers and went
+// idle.
 func TestLateLinkMatchesEagerServer(t *testing.T) {
 	type job struct {
 		at   time.Duration
@@ -164,6 +216,28 @@ func TestLateLinkMatchesEagerServer(t *testing.T) {
 		}
 		return func() *simtime.PSServer { return c.Link(c.Nodes[3], c.Nodes[1]).PS }
 	}
+	reused := func(sim *simtime.Simulator) func() *simtime.PSServer {
+		c, err := FromTopology(sim, ScaleOutTopology("r", 2, 2, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Another pair's transfers, at other instants and with their own
+		// job sequence numbers, drain before the schedule starts.
+		var prior *simtime.PSServer
+		sim.At(200*time.Millisecond, func() {
+			prior = c.Link(c.Nodes[1], c.Nodes[2]).PS
+			prior.Submit(333333*time.Microsecond, nil)
+			prior.Submit(7777777*time.Nanosecond, nil)
+		})
+		sim.At(300*time.Millisecond, func() { prior.Submit(250*time.Millisecond, nil) })
+		return func() *simtime.PSServer {
+			ps := c.Link(c.Nodes[3], c.Nodes[1]).PS
+			if ps != prior {
+				t.Fatal("the pair did not reuse the released server")
+			}
+			return ps
+		}
+	}
 	want, wantJS := run(0, eager)
 	for _, first := range []time.Duration{0, 700 * time.Millisecond} {
 		got, gotJS := run(first, lazy)
@@ -176,10 +250,19 @@ func TestLateLinkMatchesEagerServer(t *testing.T) {
 			t.Fatalf("first touch %v: JobSeconds %v, eager server %v", first, gotJS, wantJS)
 		}
 	}
+	// The reused server's occupancy integral also counts the prior
+	// pair's transfers (no caller reads a link's), so only the
+	// completions are compared.
+	got, _ := run(0, reused)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reused server: job %d finished at %v, eager server at %v", i, got[i], want[i])
+		}
+	}
 }
 
 // benchmarkFromTopology measures materialising a scale-out rack: node
-// run queues, the pair table and the eager host-ARM link.
+// run queues, the pair table and the pinned host-ARM link.
 func benchmarkFromTopology(b *testing.B, topo Topology) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

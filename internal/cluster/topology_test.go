@@ -72,7 +72,7 @@ func TestScaleOutTopologyShape(t *testing.T) {
 			t.Fatalf("node %s has index %d at position %d", n.Name, n.Index, i)
 		}
 	}
-	// Every distinct pair has a link; both argument orders agree.
+	// Any distinct pair gets a link; both argument orders agree.
 	a, b := c.Nodes[3], c.Nodes[17]
 	if c.Link(a, b) == nil || c.Link(a, b) != c.Link(b, a) {
 		t.Fatal("pair links missing or order-dependent")

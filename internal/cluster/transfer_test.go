@@ -86,25 +86,28 @@ func TestTransferEstimateWeighsLinkSpec(t *testing.T) {
 	}
 }
 
+// TestLinkQueuedTracksInFlightTransfers reads Queued on the pinned
+// host-ARM pair and on a pooled one, in either argument order.
 func TestLinkQueuedTracksInFlightTransfers(t *testing.T) {
 	sim := simtime.New()
-	c, err := FromTopology(sim, PaperTopology())
+	c, err := FromTopology(sim, ScaleOutTopology("r", 1, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	link := c.Link(c.X86, c.ARM)
-	if got := link.Queued(); got != 0 {
-		t.Fatalf("idle link Queued = %d, want 0", got)
-	}
-	done := 0
-	link.Submit(time.Second, func() { done++ })
-	link.Submit(time.Second, func() { done++ })
-	if got := link.Queued(); got != 2 {
-		t.Fatalf("Queued = %d, want 2", got)
-	}
-	sim.Run()
-	if done != 2 || link.Queued() != 0 {
-		t.Fatalf("after drain: done=%d queued=%d", done, link.Queued())
+	for _, far := range []*Node{c.ARM, c.Nodes[2]} {
+		if got := c.Queued(c.X86, far); got != 0 {
+			t.Fatalf("idle pair x86-%s Queued = %d, want 0", far.Name, got)
+		}
+		done := 0
+		c.Link(c.X86, far).PS.Submit(time.Second, func() { done++ })
+		c.Link(far, c.X86).PS.Submit(time.Second, func() { done++ })
+		if got := c.Queued(far, c.X86); got != 2 {
+			t.Fatalf("x86-%s Queued = %d, want 2", far.Name, got)
+		}
+		sim.Run()
+		if done != 2 || c.Queued(c.X86, far) != 0 {
+			t.Fatalf("x86-%s after drain: done=%d queued=%d", far.Name, done, c.Queued(c.X86, far))
+		}
 	}
 }
 

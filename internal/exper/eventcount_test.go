@@ -80,18 +80,20 @@ func smallServingCells(t *testing.T) []servingCell {
 // campaigns (all but rack256 and rack1024): per cell, the requests
 // offered, the events stepped and, of those, the events popped from
 // the event heap, each summed over the cell's serving runs (knee
-// probes and shards included), and the event heap's peak population,
-// the largest of any of those runs. Wall time is too noisy to gate on;
-// one extra event per request moves these counts and fails here, and
-// an event stream that stops keeping its backlog out of the heap moves
-// the peak. Run with -update to rewrite the table after an intended
+// probes and shards included), the event heap's peak population and
+// the link servers the cluster allocated (the most links held at
+// once), each the largest of any of those runs. Wall time is too noisy
+// to gate on; one extra event per request moves these counts and fails
+// here, an event stream that stops keeping its backlog out of the heap
+// moves the peak, and a link kept after its last transfer moves the
+// link count. Run with -update to rewrite the table after an intended
 // engine change.
 func TestEventCountsPinned(t *testing.T) {
 	arts := testArtifacts(t)
 	var (
-		mu              sync.Mutex
-		offered, peak   int
-		stepped, popped uint64
+		mu                   sync.Mutex
+		offered, peak, links int
+		stepped, popped      uint64
 	)
 	testServingDone = func(p *Platform, part servingPart, _ *timelineLat) {
 		s, h := p.Sim.EventCounts()
@@ -100,16 +102,17 @@ func TestEventCountsPinned(t *testing.T) {
 		stepped += s
 		popped += h
 		peak = max(peak, p.Sim.HeapPeak())
+		links = max(links, len(p.Cluster.LinkServers()))
 		mu.Unlock()
 	}
 	defer func() { testServingDone = nil }()
 	var b strings.Builder
 	for _, c := range smallServingCells(t) {
-		offered, stepped, popped, peak = 0, 0, 0, 0
+		offered, stepped, popped, peak, links = 0, 0, 0, 0, 0
 		if _, err := RunCampaign(arts, c.campaign(c.spec), RunOpts{BaseDir: campaignsDir}); err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
-		fmt.Fprintf(&b, "%s offered=%d stepped=%d heap=%d peak=%d\n", c, offered, stepped, popped, peak)
+		fmt.Fprintf(&b, "%s offered=%d stepped=%d heap=%d peak=%d links=%d\n", c, offered, stepped, popped, peak, links)
 	}
 	golden.Check(t, eventCountsGolden, []byte(b.String()))
 }

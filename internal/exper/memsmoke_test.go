@@ -33,7 +33,7 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the million-request memory smoke")
 	}
 	arts := testArtifacts(t)
-	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack256.json", nil)
+	rep, wall, peak, links := runCampaignWithPeakHeap(t, arts, "rack256.json", nil)
 
 	r := rep.Cells[0].Serving
 	if r.LatencyMode != LatencySketch {
@@ -46,13 +46,15 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 		t.Fatalf("degenerate result: completed=%d p99=%v", r.Completed, r.P99)
 	}
 
-	// Budget: 2.7x the 5.7-5.9 MiB peak measured over four runs on a
+	// Budget: 2.8x the 3.9 MiB peak measured over four runs on a
 	// 2-vCPU host, far below what an O(total-requests) engine needs
 	// for this cell (materialising 1M arrivals, latencies and injector
 	// events costs well over 150 MiB). A regression that
-	// re-materialises the stream or the latency slice, or triples the
-	// working set, fails it.
-	const heapBudget = 16 << 20
+	// re-materialises the stream or the latency slice, keeps idle
+	// links (5.6-5.9 MiB with a server for each of the 12,288 pairs
+	// touched), or triples the working set fails it. The link pool
+	// allocates 536 servers; the gate is twice that.
+	const heapBudget = 11 << 20
 	peakMB := float64(peak) / (1 << 20)
 	t.Logf("rack256-1m: offered=%d completed=%d p50=%v p99=%v", r.Offered, r.Completed, r.P50, r.P99)
 	t.Logf("rack256-1m: wall=%v rate=%.0f req/wall-s peak-heap=%.1f MiB", wall.Round(time.Millisecond),
@@ -60,6 +62,7 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
+	checkLinkServers(t, "rack256-1m", links, 2*536)
 	golden.Check(t, filepath.Join("testdata", "golden", "rack256-1m.json"), goldenJSON(t, rep))
 	checkExactTwin(t, "rack256-1m", "rack256.json", r)
 }
@@ -69,40 +72,42 @@ func TestMillionRequestSketchMemorySmoke(t *testing.T) {
 // 1024-node rack, options.shards: 8), O(shards x in-flight), nowhere
 // near the ~350 MiB an O(total-requests) engine would need. As many
 // 128-node sub-timelines are live at once as the worker pool runs, so
-// the peak grows with GOMAXPROCS: 6.0-7.7 MiB over four runs at 2,
-// 12.1 MiB at 4 and 18.2 MiB at 8 (one run each, on a 2-vCPU host).
-// The 22 MiB budget is 2.9x the 2-vCPU peak and still holds all eight
-// shards live. Its p50, p95 and p99 must lie within the sketch's value
-// bound of an exact twin's.
+// the peak grows with GOMAXPROCS: 5.1-5.6 MiB over four runs at 2,
+// 11.7 MiB at 4 and 14.8 MiB at 8 (one run each, on a 2-vCPU host).
+// The 16 MiB budget is 2.9x the 2-vCPU peak and still holds all eight
+// shards live. The eight shards allocate 2,028 link servers between
+// them; the gate is twice that. Its p50, p95 and p99 must lie within
+// the sketch's value bound of an exact twin's.
 func TestMultiMillionShardedMemorySmoke(t *testing.T) {
-	r := rack1024MemorySmoke(t, "rack1024-4m", 22<<20, nil)
+	r := rack1024MemorySmoke(t, "rack1024-4m", 16<<20, 2*2028, nil)
 	checkExactTwin(t, "rack1024-4m", "rack1024.json", r)
 }
 
 // TestUnshardedRack1024MemorySmoke runs the rack1024 cell with its
 // shards option removed: one timeline over all 1024 nodes. Its pair
-// table has 523,776 slots, and links are created only for the pairs
-// requests cross (entry to ARM), so the cell peaked at 47.2-47.4 MiB
-// over four runs on a 2-vCPU host, where the eager all-pairs table
-// needed ~200 MiB with one idle processor-sharing server per pair. The
-// budget is 2.7x that peak.
+// table has 523,776 slots, and a pair holds a link only while a
+// transfer is in flight: the cell allocates 2,114 link servers (the
+// gate is twice that) where its requests touch 196,548 pairs. It
+// peaked at 18.2 MiB over four runs on a 2-vCPU host, where keeping a
+// link for every touched pair needed 47.2-47.4 MiB and the eager
+// all-pairs table ~200 MiB. The budget is 2.9x that peak.
 func TestUnshardedRack1024MemorySmoke(t *testing.T) {
-	rack1024MemorySmoke(t, "rack1024-unsharded", 128<<20, func(spec *CampaignSpec) {
+	rack1024MemorySmoke(t, "rack1024-unsharded", 52<<20, 2*2114, func(spec *CampaignSpec) {
 		spec.Cells[0].Options.Shards = 0
 	})
 }
 
 // rack1024MemorySmoke runs the checked-in rack1024 cell, after an
-// optional spec edit, and asserts its shape, a peak-heap budget and
-// its report against the golden testdata/golden/<label>.json. It
-// returns the cell's serving result.
-func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, edit func(*CampaignSpec)) *ServingResult {
+// optional spec edit, and asserts its shape, a peak-heap budget, a
+// link-server budget and its report against the golden
+// testdata/golden/<label>.json. It returns the cell's serving result.
+func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, linkBudget int, edit func(*CampaignSpec)) *ServingResult {
 	t.Helper()
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the multi-million-request memory smoke")
 	}
 	arts := testArtifacts(t)
-	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "rack1024.json", edit)
+	rep, wall, peak, links := runCampaignWithPeakHeap(t, arts, "rack1024.json", edit)
 
 	r := rep.Cells[0].Serving
 	if r.LatencyMode != LatencySketch {
@@ -122,6 +127,7 @@ func rack1024MemorySmoke(t *testing.T, label string, heapBudget uint64, edit fun
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
+	checkLinkServers(t, label, links, linkBudget)
 	golden.Check(t, filepath.Join("testdata", "golden", label+".json"), goldenJSON(t, rep))
 	return r
 }
@@ -150,10 +156,16 @@ func loadCampaign(t *testing.T, specFile string, edit func(*CampaignSpec)) Campa
 // collects garbage first, so the peak starts from the live heap rather
 // than from an earlier test's garbage. ReadMemStats between GCs tracks
 // live-plus-floating garbage, which is the budget that actually
-// matters for not getting OOM-killed.
-func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edit func(*CampaignSpec)) (*Report, time.Duration, uint64) {
+// matters for not getting OOM-killed. It also returns the link servers
+// the cell's timelines allocated, summed over its shards.
+func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edit func(*CampaignSpec)) (*Report, time.Duration, uint64, int) {
 	t.Helper()
 	spec := loadCampaign(t, specFile, edit)
+	var links atomic.Int64
+	testServingDone = func(p *Platform, _ servingPart, _ *timelineLat) {
+		links.Add(int64(len(p.Cluster.LinkServers())))
+	}
+	defer func() { testServingDone = nil }()
 	runtime.GC()
 	var peak atomic.Uint64
 	stop := make(chan struct{})
@@ -182,7 +194,19 @@ func runCampaignWithPeakHeap(t *testing.T, arts *Artifacts, specFile string, edi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, wall, peak.Load()
+	return rep, wall, peak.Load(), int(links.Load())
+}
+
+// checkLinkServers logs the link servers a cell's timelines allocated
+// and fails above the budget: a link pool that stops returning idle
+// servers, or a table that keeps every pair it touched, multiplies
+// the count.
+func checkLinkServers(t *testing.T, label string, links, budget int) {
+	t.Helper()
+	t.Logf("%s: %d link servers allocated", label, links)
+	if links > budget {
+		t.Fatalf("%s: %d link servers allocated, above the budget of %d", label, links, budget)
+	}
 }
 
 // checkExactTwin reruns a checked-in sketch-mode rack cell with exact
@@ -226,13 +250,15 @@ func checkExactTwin(t *testing.T, label, specFile string, sk *ServingResult) {
 // application) pair. The 12 MiB budget leaves 1.5x headroom over the
 // ~7.9 MiB peak measured so, and sits below the 16-17.6 MiB the same
 // cell peaked at when each reported distribution kept its own copy
-// (BENCH.md). The report must match testdata/golden/tenants-churn.json.
+// (BENCH.md). It allocates 16 link servers, where it touched 768
+// entry-ARM pairs; the gate is twice that. The report must match
+// testdata/golden/tenants-churn.json.
 func TestTenantsChurnExactMemorySmoke(t *testing.T) {
 	if os.Getenv("XARTREK_MEM_SMOKE") == "" {
 		t.Skip("set XARTREK_MEM_SMOKE=1 to run the exact-mode memory smoke")
 	}
 	arts := testArtifacts(t)
-	rep, wall, peak := runCampaignWithPeakHeap(t, arts, "tenants.json", func(spec *CampaignSpec) {
+	rep, wall, peak, links := runCampaignWithPeakHeap(t, arts, "tenants.json", func(spec *CampaignSpec) {
 		c := &spec.Cells[0]
 		c.Name = "tenants-churn"
 		c.Topology = &TopologySpec{Kind: "scale-out", Name: "rack64", X86: 16, ARM: 48, FPGAs: 8}
@@ -271,5 +297,6 @@ func TestTenantsChurnExactMemorySmoke(t *testing.T) {
 	if peak > heapBudget {
 		t.Fatalf("peak heap %.1f MiB exceeds the %d MiB budget", peakMB, heapBudget>>20)
 	}
+	checkLinkServers(t, "tenants-churn", links, 2*16)
 	golden.Check(t, filepath.Join("testdata", "golden", "tenants-churn.json"), goldenJSON(t, rep))
 }

@@ -171,7 +171,7 @@ func NewPlatformTopo(arts *Artifacts, topo cluster.Topology, opts Options) (*Pla
 			NodeCores:    func(id int) int { return c.Nodes[id].Cores },
 			MigrationRow: p.transfer[node.Index].row,
 			LinkQueue: func(id int) int {
-				return c.Link(node, c.Nodes[id]).Queued()
+				return c.Queued(node, c.Nodes[id])
 			},
 			Devices: fleetDevs,
 			Policy:  policy,

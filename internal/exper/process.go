@@ -298,7 +298,6 @@ func (p *Platform) leastLoadedARM() *cluster.Node {
 func (p *Platform) execARM(l *launch, entry *cluster.Node, app *workloads.App, node *cluster.Node, finish func(threshold.Target)) {
 	a := p.getARMRun()
 	a.l, a.entry, a.node, a.app, a.finish = l, entry, node, app, finish
-	a.link = p.Cluster.Link(entry, node)
 	// State transformation runs on the entry node as a timer, not a
 	// job; its token has no job to cancel, so transform checks it.
 	a.tok = p.track(l, entry.Index, -1)
@@ -309,14 +308,15 @@ func (p *Platform) execARM(l *launch, entry *cluster.Node, app *workloads.App, n
 // transformation, working-set transfer, then kernel and DSM stream
 // joined by a pending count. Like launch, its continuations are bound
 // once so a migration allocates nothing in steady state. tok is the
-// state-transformation token, nil when untracked. A chain a fault
+// state-transformation token, nil when untracked. The pair's link is
+// fetched in each event that submits to it, never kept: a link whose
+// last transfer left serves another pair. A chain a fault
 // disrupts is abandoned, never recycled: its transform timer may still
 // fire and must find tok dead.
 type armRun struct {
 	p       *Platform
 	l       *launch
 	entry   *cluster.Node
-	link    *cluster.Link
 	node    *cluster.Node
 	app     *workloads.App
 	finish  func(threshold.Target)
@@ -343,7 +343,7 @@ func (p *Platform) getARMRun() *armRun {
 }
 
 func (p *Platform) putARMRun(a *armRun) {
-	a.l, a.entry, a.link, a.node, a.app, a.finish, a.tok = nil, nil, nil, nil, nil, nil, nil
+	a.l, a.entry, a.node, a.app, a.finish, a.tok = nil, nil, nil, nil, nil, nil
 	p.armFree = append(p.armFree, a)
 }
 
@@ -367,7 +367,8 @@ func (a *armRun) transform() {
 			return
 		}
 	}
-	submit(p.track(a.l, a.node.Index, a.entry.Index), a.link.PS, p.linkWork(a.entry, a.node, a.link.Net.TransferTime(a.app.WorkingSetBytes)), a.xferFn)
+	link := p.Cluster.Link(a.entry, a.node)
+	submit(p.track(a.l, a.node.Index, a.entry.Index), link.PS, p.linkWork(a.entry, a.node, link.Net.TransferTime(a.app.WorkingSetBytes)), a.xferFn)
 }
 
 // xfer fires when the working set has landed: the kernel runs on the
@@ -378,7 +379,7 @@ func (a *armRun) xfer() {
 	a.pending = 2
 	submit(p.track(a.l, a.node.Index, -1), a.node.Pool, a.app.ARMKernelTime(), a.partFn)
 	if dsm := a.app.DSMLinkWork(); dsm > 0 {
-		submit(p.track(a.l, a.node.Index, a.entry.Index), a.link.PS, p.linkWork(a.entry, a.node, dsm), a.partFn)
+		submit(p.track(a.l, a.node.Index, a.entry.Index), p.Cluster.Link(a.entry, a.node).PS, p.linkWork(a.entry, a.node, dsm), a.partFn)
 	} else {
 		a.part()
 	}
